@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -153,17 +154,20 @@ def solve_tpoly_system(
     )
 
 
-def solve_rational(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> Optional[list[Fraction]]:
-    """Solve a square rational system by exact Gaussian elimination.
-    Returns None when the matrix is singular."""
+@lru_cache(maxsize=None)
+def _scaled_inverse(
+    matrix: tuple[tuple[Fraction | int, ...], ...]
+) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
+    """The inverse of a square rational matrix as (adj, d): an integer
+    matrix and a positive integer with matrix^-1 = adj / d, or None when
+    the matrix is singular.  Exact Gauss-Jordan elimination against the
+    identity; cached, since callers solve against one fixed matrix (the
+    basis image core of a context) many times."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    a = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:
@@ -175,7 +179,39 @@ def solve_rational(
             if r != col and a[r][col]:
                 factor = a[r][col]
                 a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    d = lcm(*(v.denominator for row in a for v in row[n:]))
+    adj = tuple(tuple(int(v * d) for v in row[n:]) for row in a)
+    return adj, d
+
+
+def solve_rational(
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> Optional[list[Fraction]]:
+    """Solve a square rational system exactly.  Returns None when the
+    matrix is singular.
+
+    The matrix is factored once: its exact inverse is cached as an
+    integer matrix over a common denominator, keyed by the matrix
+    contents.  Each solve is then a substitution: clear the denominators
+    of rhs, take integer dot products, and build one Fraction per
+    component, which is O(n^2) integer work.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    if len(rhs) != n:
+        raise ValueError("right-hand side has wrong length")
+    inverse = _scaled_inverse(tuple(tuple(row) for row in matrix))
+    if inverse is None:
+        return None
+    adj, d = inverse
+    values = [Fraction(v) for v in rhs]
+    scale = lcm(*(v.denominator for v in values))
+    b = [v.numerator * (scale // v.denominator) for v in values]
+    denominator = d * scale
+    return [
+        Fraction(sum(x * y for x, y in zip(row, b)), denominator) for row in adj
+    ]
 
 
 def _integer_row(row: Mapping[Hashable, Fraction | int]) -> dict[Hashable, int]:

@@ -433,8 +433,10 @@ def straighten_by_solve(
 
     Each homogeneous component of degree d restricts to a multiple of
     t^d at every fixed point, so the system splits into one rational
-    solve per degree against the integer core of the basis matrix.  A
-    component forcing a negative t-power would mean the solution is not
+    solve per degree against the integer core of the basis matrix.  The
+    core is factored once per context (solve_rational caches its exact
+    inverse), so each of these solves is a substitution.  A component
+    forcing a negative t-power would mean the solution is not
     polynomial, which the presentation theory rules out; it raises
     ConsistencyError rather than returning a wrong answer.
     """
@@ -465,8 +467,13 @@ def straighten_by_solve(
 
 # -- straightening, route two: inductive rewriting ---------------------------
 
-_REWRITE_IN_PROGRESS = object()
-_rewrite_cache: dict[tuple[SpringerContext, tuple[int, ...]], object] = {}
+# Finished straightenings of x-monomials, keyed by (context, exponents).
+# Only complete values are stored, so threads sharing the memo may compute
+# an entry twice but never read a partial one.
+_rewrite_cache: dict[
+    tuple[SpringerContext, tuple[int, ...]],
+    tuple[tuple[TwoRowFilling, TPoly], ...],
+] = {}
 
 
 def _rewrite_expansion(ctx: SpringerContext, alpha: tuple[int, ...]) -> MPoly:
@@ -529,16 +536,17 @@ def _rewrite_expansion(ctx: SpringerContext, alpha: tuple[int, ...]) -> MPoly:
 
 
 def _straighten_x_monomial(
-    ctx: SpringerContext, alpha: tuple[int, ...]
+    ctx: SpringerContext, alpha: tuple[int, ...], active: set[tuple[int, ...]]
 ) -> tuple[tuple[TwoRowFilling, TPoly], ...]:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
-    coordinates, memoized per context."""
+    coordinates, memoized per context.  ``active`` holds the monomials
+    this call chain is still expanding; meeting one again is a cycle."""
     key = (ctx, alpha)
     cached = _rewrite_cache.get(key)
-    if cached is _REWRITE_IN_PROGRESS:
-        raise ConsistencyError(f"rewriting cycled on {alpha}")
     if cached is not None:
-        return cached  # type: ignore[return-value]
+        return cached
+    if alpha in active:
+        raise ConsistencyError(f"rewriting cycled on {alpha}")
     n, k = ctx.n, ctx.k
     squarefree = all(e <= 1 for e in alpha)
     if squarefree and sum(alpha) <= k:
@@ -547,22 +555,17 @@ def _straighten_x_monomial(
             value = ((filling, TPoly.one()),)
             _rewrite_cache[key] = value
             return value
-    _rewrite_cache[key] = _REWRITE_IN_PROGRESS
-    try:
-        expansion = _rewrite_expansion(ctx, alpha)
-        accum: dict[TwoRowFilling, TPoly] = {}
-        for mono, coeff in expansion.terms.items():
-            sub_alpha = mono[:n]
-            t_power = mono[n]
-            for tab, cpoly in _straighten_x_monomial(ctx, sub_alpha):
-                contribution = cpoly * TPoly.term(coeff, t_power)
-                accum[tab] = accum.get(tab, TPoly.zero()) + contribution
-        value = tuple(
-            (tab, c) for tab, c in accum.items() if c
-        )
-    except BaseException:
-        del _rewrite_cache[key]
-        raise
+    active.add(alpha)
+    expansion = _rewrite_expansion(ctx, alpha)
+    accum: dict[TwoRowFilling, TPoly] = {}
+    for mono, coeff in expansion.terms.items():
+        sub_alpha = mono[:n]
+        t_power = mono[n]
+        for tab, cpoly in _straighten_x_monomial(ctx, sub_alpha, active):
+            contribution = cpoly * TPoly.term(coeff, t_power)
+            accum[tab] = accum.get(tab, TPoly.zero()) + contribution
+    active.remove(alpha)
+    value = tuple((tab, c) for tab, c in accum.items() if c)
     _rewrite_cache[key] = value
     return value
 
@@ -583,10 +586,11 @@ def straighten_by_rewrite(
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
     result: dict[TwoRowFilling, TPoly] = {}
+    active: set[tuple[int, ...]] = set()
     for mono, coeff in f.terms.items():
         alpha = mono[: ctx.n]
         t_power = mono[ctx.n]
-        for tab, cpoly in _straighten_x_monomial(ctx, alpha):
+        for tab, cpoly in _straighten_x_monomial(ctx, alpha, active):
             contribution = cpoly * TPoly.term(coeff, t_power)
             result[tab] = result.get(tab, TPoly.zero()) + contribution
     return {tab: c for tab, c in result.items() if c}

@@ -113,7 +113,7 @@ def test_criterion_4_straightening_routes_agree():
     started = time.perf_counter()
     ok = True
     straightened = 0
-    for ctx in _contexts(5):
+    for ctx in [*_contexts(5), SpringerContext(6, 3), SpringerContext(7, 3)]:
         monos = squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
         for mono in monos:
             p = MPoly.from_monomial(mono)
@@ -121,7 +121,7 @@ def test_criterion_4_straightening_routes_agree():
             ok = ok and solved == straighten_by_rewrite(p, ctx)
             straightened += 1
     _report(
-        "criterion 4 (both straightening routes agree, n <= 5)",
+        "criterion 4 (both straightening routes agree, n <= 5, (6,3), (7,3))",
         ok,
         time.perf_counter() - started,
         60,

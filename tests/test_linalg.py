@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tworow.linalg import (
     SparseExactRREF,
@@ -92,6 +94,64 @@ def test_solve_rational():
     solution = solve_rational([[2, 1], [1, 1]], [3, 2])
     assert solution == [Fraction(1), Fraction(1)]
     assert solve_rational([[1, 1], [2, 2]], [1, 2]) is None
+
+
+def _is_solution(matrix, x, b):
+    return all(sum(a * v for a, v in zip(row, x)) == rhs for row, rhs in zip(matrix, b))
+
+
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5)
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=4),
+    )
+))
+@settings(max_examples=60, deadline=None)
+def test_solve_rational_residual_is_exact(system):
+    # the reference is the exact residual M x - b, not a second solver;
+    # several right-hand sides per matrix reuse the cached factorization
+    matrix, rhss = system
+    scale = prod(Fraction(v).denominator for row in matrix for v in row)
+    det = integer_det_bareiss([[int(v * scale) for v in row] for row in matrix])
+    for b in rhss:
+        x = solve_rational(matrix, b)
+        if det == 0:
+            assert x is None
+        else:
+            assert all(isinstance(v, Fraction) for v in x)
+            assert _is_solution(matrix, x, b)
+
+
+@given(st.lists(rationals, min_size=3, max_size=3), st.integers(-3, 3))
+@settings(max_examples=30, deadline=None)
+def test_solve_rational_singular_stays_none(row, factor):
+    matrix = [row, [factor * v for v in row], [Fraction(1, 2), 0, 7]]
+    assert solve_rational(matrix, [1, 2, 3]) is None
+    assert solve_rational(matrix, [0, 0, 0]) is None
+
+
+def test_solve_rational_sees_mutated_matrix():
+    matrix = [[2, 1], [1, 1]]
+    assert solve_rational(matrix, [3, 2]) == [1, 1]
+    matrix[0][0] = 3
+    x = solve_rational(matrix, [3, 2])
+    assert x == [Fraction(1, 2), Fraction(3, 2)]
+    assert _is_solution(matrix, x, [3, 2])
+    matrix[1] = [6, 2]
+    assert solve_rational(matrix, [3, 2]) is None
+
+
+def test_solve_rational_empty_and_shapes():
+    assert solve_rational([], []) == []
+    with pytest.raises(ValueError):
+        solve_rational([[1, 2]], [1])
+    with pytest.raises(ValueError):
+        solve_rational([[1]], [1, 2])
 
 
 def test_sparse_rref_rank_matches_dense_elimination():

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tworow.linalg import solve_tpoly_system, tpoly_det_bareiss
 from tworow.polynomials import MPoly, format_poly, parse_poly, variable_names
 from tworow.springer import (
+    ConsistencyError,
     SpringerContext,
     basis_combination,
     basis_image_matrix,
@@ -456,6 +459,41 @@ def test_rewrite_cancellation_coefficient_is_factorial():
     assert expansion.coefficient(target) == 0
     assert MPoly.from_monomial(target) - expansion == d * Fraction(1, 2)
 
+
+def test_rewrite_memo_is_thread_safe():
+    # threads sharing the rewrite memo from a cold start must neither see
+    # one another's half-finished entries as cycles nor get other answers
+    from tworow.springer import _rewrite_cache
+
+    ctx = SpringerContext(5, 2)
+    polys = [MPoly.from_monomial(m) for m in sample_monomials(ctx, 30, 6)]
+    _rewrite_cache.clear()
+    expected = [straighten_by_rewrite(p, ctx) for p in polys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            _rewrite_cache.clear()
+            start = threading.Barrier(4)
+            results, errors = [], []
+
+            def work():
+                start.wait(timeout=10)
+                try:
+                    results.append([straighten_by_rewrite(p, ctx) for p in polys])
+                except ConsistencyError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 def test_sampled_monomials_are_deterministic():
     ctx = SpringerContext(3, 1)

@@ -44,7 +44,6 @@ from .springer import (
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
-    kernel_equals_ideal_in_degree,
     kernel_ideal_comparisons,
     localize,
     localize_all,

@@ -282,6 +282,8 @@ _CHECKS = {
 def _cmd_verify(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
+    if args.degree_max is not None and args.degree_max < 0:
+        raise UsageError("--degree-max must be non-negative")
     selected = CHECK_NAMES
     if args.checks:
         selected = tuple(name.strip() for name in args.checks.split(","))

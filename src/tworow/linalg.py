@@ -1,75 +1,14 @@
-"""Exact linear algebra over Q and Q[t].
+"""Exact linear algebra over Q.
 
-Everything here is fraction-free or plain rational arithmetic; there are
-no floating-point operations and no rank thresholds anywhere.
+Everything here is fraction-free integer or plain rational arithmetic;
+there are no floating-point operations and no rank thresholds anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
-
-from .tpoly import TPoly
-
-
-def tpoly_det_bareiss(matrix: Sequence[Sequence[TPoly]]) -> TPoly:
-    """Determinant of a square matrix over Q[t] by fraction-free elimination.
-
-    Bareiss' update keeps every intermediate entry equal to a minor of
-    the input, so the divisions below are exact in Q[t].
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return TPoly.one()
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = TPoly.one()
-    for col in range(n - 1):
-        if not a[col][col]:
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    a[col], a[r] = a[r], a[col]
-                    sign = -sign
-                    break
-            else:
-                return TPoly.zero()
-        pivot = a[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                num = pivot * a[i][j] - a[i][col] * a[col][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][col] = TPoly.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def tpoly_det_cofactor(matrix: Sequence[Sequence[TPoly]]) -> TPoly:
-    """Determinant by cofactor expansion; an independent cross-check for
-    small matrices."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return TPoly.one()
-    if n == 1:
-        return matrix[0][0]
-    total = TPoly.zero()
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != j] for row in matrix[1:]
-        ]
-        term = entry * tpoly_det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 
 def integer_det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
@@ -100,70 +39,21 @@ def integer_det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class TPolySolveResult:
-    """Outcome of an exact square solve over Q[t].
-
-    The solution components are the rational functions
-    numerators[i] / denominator.  ``is_polynomial`` reports whether every
-    component is a genuine element of Q[t], in which case ``quotients``
-    holds the divided-out values.
-    """
-
-    singular: bool
-    numerators: Optional[tuple[TPoly, ...]] = None
-    denominator: Optional[TPoly] = None
-    is_polynomial: bool = False
-    quotients: Optional[tuple[TPoly, ...]] = None
+# The inverse of a square rational matrix as (adj, d): an integer matrix
+# and a positive integer with matrix^-1 = adj / d.
+ScaledInverse = tuple[tuple[tuple[int, ...], ...], int]
 
 
-def solve_tpoly_system(
-    matrix: Sequence[Sequence[TPoly]], rhs: Sequence[TPoly]
-) -> TPolySolveResult:
-    """Solve M x = b over the fraction field of Q[t] by Cramer's rule with
-    Bareiss determinants.  A singular matrix yields a report, not an error."""
+def rational_inverse(
+    matrix: Sequence[Sequence[Fraction | int]],
+) -> Optional[ScaledInverse]:
+    """The exact inverse of a square rational matrix as (adj, d), or None
+    when the matrix is singular.  Exact Gauss-Jordan elimination against
+    the identity; callers that solve against one fixed matrix many times
+    keep the result (the basis image matrix of a context stores it)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    det = tpoly_det_bareiss(matrix)
-    if not det:
-        return TPolySolveResult(singular=True)
-    numerators = []
-    for col in range(n):
-        replaced = [
-            [rhs[i] if j == col else matrix[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        numerators.append(tpoly_det_bareiss(replaced))
-    quotients = []
-    polynomial = True
-    for num in numerators:
-        q, r = divmod(num, det)
-        if r:
-            polynomial = False
-            break
-        quotients.append(q)
-    return TPolySolveResult(
-        singular=False,
-        numerators=tuple(numerators),
-        denominator=det,
-        is_polynomial=polynomial,
-        quotients=tuple(quotients) if polynomial else None,
-    )
-
-
-@lru_cache(maxsize=None)
-def _scaled_inverse(
-    matrix: tuple[tuple[Fraction | int, ...], ...]
-) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
-    """The inverse of a square rational matrix as (adj, d): an integer
-    matrix and a positive integer with matrix^-1 = adj / d, or None when
-    the matrix is singular.  Exact Gauss-Jordan elimination against the
-    identity; cached, since callers solve against one fixed matrix (the
-    basis image core of a context) many times."""
-    n = len(matrix)
     a = [
         [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
         for i, row in enumerate(matrix)
@@ -185,26 +75,17 @@ def _scaled_inverse(
 
 
 def solve_rational(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> Optional[list[Fraction]]:
-    """Solve a square rational system exactly.  Returns None when the
-    matrix is singular.
+    inverse: ScaledInverse, rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solve M x = rhs exactly, given inverse = rational_inverse(M).
 
-    The matrix is factored once: its exact inverse is cached as an
-    integer matrix over a common denominator, keyed by the matrix
-    contents.  Each solve is then a substitution: clear the denominators
-    of rhs, take integer dot products, and build one Fraction per
-    component, which is O(n^2) integer work.
+    A substitution: clear the denominators of rhs, take integer dot
+    products with adj, and build one Fraction per component, which is
+    O(n^2) integer work.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    inverse = _scaled_inverse(tuple(tuple(row) for row in matrix))
-    if inverse is None:
-        return None
     adj, d = inverse
+    if len(rhs) != len(adj):
+        raise ValueError("right-hand side has wrong length")
     values = [Fraction(v) for v in rhs]
     scale = lcm(*(v.denominator for v in values))
     b = [v.numerator * (scale // v.denominator) for v in values]
@@ -310,14 +191,3 @@ class SparseExactRREF:
         self._rows[pivot] = r
         self._index(r, pivot)
         return True
-
-
-def rational_rank(
-    rows: Iterable[Mapping[Hashable, Fraction | int]],
-    key: Optional[Callable[[Hashable], object]] = None,
-) -> int:
-    """Exact rank of a collection of sparse rows over Q."""
-    rref = SparseExactRREF(key=key)
-    for row in rows:
-        rref.add_row(row)
-    return rref.rank

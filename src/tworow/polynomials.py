@@ -153,10 +153,6 @@ class MPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
     def homogeneous_components(self) -> dict[int, "MPoly"]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
         for mono, c in self.terms.items():
@@ -259,28 +255,6 @@ class MPoly:
                 result = result * base
             base = base * base
             e >>= 1
-        return result
-
-    def substitute(self, values: Mapping[int, "MPoly"]) -> "MPoly":
-        """Replace the variables at the given 0-based positions by polynomials."""
-        for pos, val in values.items():
-            if not 0 <= pos < self.nvars:
-                raise ValueError(f"variable position {pos} out of range")
-            if val.nvars != self.nvars:
-                raise ValueError(
-                    f"variable count mismatch: {val.nvars} vs {self.nvars}"
-                )
-        result = MPoly.zero(self.nvars)
-        for mono, c in self.terms.items():
-            kept = tuple(
-                0 if i in values else e for i, e in enumerate(mono)
-            )
-            piece = MPoly.from_monomial(kept, c)
-            for pos, val in values.items():
-                e = mono[pos]
-                if e:
-                    piece = piece * (val ** e)
-            result = result + piece
         return result
 
     def eval_last_var_zero(self) -> "MPoly":

@@ -33,7 +33,13 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Mapping, Optional
 
-from .linalg import SparseExactRREF, integer_det_bareiss, solve_rational
+from .linalg import (
+    ScaledInverse,
+    SparseExactRREF,
+    integer_det_bareiss,
+    rational_inverse,
+    solve_rational,
+)
 from .polynomials import (
     DEFAULT_ORDER,
     Monomial,
@@ -370,19 +376,20 @@ def standard_monomial_basis(ctx: SpringerContext) -> tuple[TwoRowFilling, ...]:
 class BasisMatrix:
     """Localized images of the basis monomials.
 
-    Row w, column T holds the restriction of x_T at w, which is
-    (product of w(j) over bottom entries j) * t^(size of bottom).  The
-    determinant therefore factors as an integer times a power of t; a
-    nonzero integer core is exactly linear independence over the
-    fraction field of Q[t].
+    The restriction of x_T at w is (product of w(j) over bottom entries
+    j) * t^(size of bottom); ``integer_core`` holds the integer factor in
+    row w, column T.  The determinant of the images therefore factors as
+    ``core_determinant`` times a power of t, and a nonzero integer core is
+    exactly linear independence over the fraction field of Q[t].
+    ``inverse`` is the core's exact inverse, factored once per context so
+    that every straightening solve is a substitution.
     """
 
     fixed_points: tuple[FixedPoint, ...]
     tableaux: tuple[TwoRowFilling, ...]
-    entries: tuple[tuple[TPoly, ...], ...]
     integer_core: tuple[tuple[int, ...], ...]
     core_determinant: int
-    determinant: TPoly
+    inverse: ScaledInverse
 
 
 @lru_cache(maxsize=None)
@@ -394,31 +401,25 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
             f"{len(points)} fixed points vs {len(tableaux)} basis tableaux"
         )
     core = []
-    entries = []
     for w in points:
         core_row = []
-        entry_row = []
         for tab in tableaux:
             weight = 1
             for j in tab.bottom:
                 weight *= w.value(j)
             core_row.append(weight)
-            entry_row.append(TPoly.term(weight, tab.ell))
         core.append(tuple(core_row))
-        entries.append(tuple(entry_row))
     core_det = integer_det_bareiss(core)
     if core_det == 0:
         raise ConsistencyError(
             f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
         )
-    power = sum(tab.ell for tab in tableaux)
     return BasisMatrix(
         fixed_points=points,
         tableaux=tableaux,
-        entries=tuple(entries),
         integer_core=tuple(core),
         core_determinant=core_det,
-        determinant=TPoly.term(core_det, power),
+        inverse=rational_inverse(core),
     )
 
 
@@ -434,7 +435,7 @@ def straighten_by_solve(
     Each homogeneous component of degree d restricts to a multiple of
     t^d at every fixed point, so the system splits into one rational
     solve per degree against the integer core of the basis matrix.  The
-    core is factored once per context (solve_rational caches its exact
+    core is factored once per context (the basis matrix stores its exact
     inverse), so each of these solves is a substitution.  A component
     forcing a negative t-power would mean the solution is not
     polynomial, which the presentation theory rules out; it raises
@@ -449,9 +450,7 @@ def straighten_by_solve(
         for w in bm.fixed_points:
             restricted = localize(component, w)
             values.append(restricted.coefficient(degree))
-        gamma = solve_rational(bm.integer_core, values)
-        if gamma is None:
-            raise ConsistencyError("singular basis image matrix")
+        gamma = solve_rational(bm.inverse, values)
         for tab, coeff in zip(bm.tableaux, gamma):
             if not coeff:
                 continue
@@ -467,13 +466,15 @@ def straighten_by_solve(
 
 # -- straightening, route two: inductive rewriting ---------------------------
 
-# Finished straightenings of x-monomials, keyed by (context, exponents).
-# Only complete values are stored, so threads sharing the memo may compute
-# an entry twice but never read a partial one.
-_rewrite_cache: dict[
-    tuple[SpringerContext, tuple[int, ...]],
-    tuple[tuple[TwoRowFilling, TPoly], ...],
-] = {}
+
+@lru_cache(maxsize=None)
+def _rewrite_memo(
+    ctx: SpringerContext,
+) -> dict[tuple[int, ...], tuple[tuple[TwoRowFilling, TPoly], ...]]:
+    """Finished straightenings of the context's x-monomials, keyed by
+    exponents.  Only complete values are stored, so threads sharing the
+    memo may compute an entry twice but never read a partial one."""
+    return {}
 
 
 def _rewrite_expansion(ctx: SpringerContext, alpha: tuple[int, ...]) -> MPoly:
@@ -541,8 +542,8 @@ def _straighten_x_monomial(
     """Straighten a single x-monomial (exponents over x1..xn) into basis
     coordinates, memoized per context.  ``active`` holds the monomials
     this call chain is still expanding; meeting one again is a cycle."""
-    key = (ctx, alpha)
-    cached = _rewrite_cache.get(key)
+    memo = _rewrite_memo(ctx)
+    cached = memo.get(alpha)
     if cached is not None:
         return cached
     if alpha in active:
@@ -553,7 +554,7 @@ def _straighten_x_monomial(
         filling = filling_from_monomial(alpha + (0,), n)
         if is_standard(filling):
             value = ((filling, TPoly.one()),)
-            _rewrite_cache[key] = value
+            memo[alpha] = value
             return value
     active.add(alpha)
     expansion = _rewrite_expansion(ctx, alpha)
@@ -566,7 +567,7 @@ def _straighten_x_monomial(
             accum[tab] = accum.get(tab, TPoly.zero()) + contribution
     active.remove(alpha)
     value = tuple((tab, c) for tab, c in accum.items() if c)
-    _rewrite_cache[key] = value
+    memo[alpha] = value
     return value
 
 
@@ -669,6 +670,8 @@ def kernel_ideal_comparisons(
     where a monomial's value vector is integral and independent of its
     t-power.
     """
+    if max_degree < 0:
+        raise ValueError("degree must be non-negative")
     n = ctx.n
     order_key = DEFAULT_ORDER.key
     gens_by_degree: dict[int, list[MPoly]] = {}
@@ -723,12 +726,6 @@ def kernel_ideal_comparisons(
         DegreeComparison(degree=d, kernel_dim=kernel_dims[d], ideal_dim=ideal_dims[d])
         for d in range(max_degree + 1)
     )
-
-
-def kernel_equals_ideal_in_degree(ctx: SpringerContext, degree: int) -> DegreeComparison:
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    return kernel_ideal_comparisons(ctx, degree)[degree]
 
 
 def default_degree_bound(ctx: SpringerContext) -> int:

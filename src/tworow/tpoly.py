@@ -51,12 +51,6 @@ class TPoly:
             return self.coeffs[power]
         return Fraction(0)
 
-    def evaluate(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -114,44 +108,6 @@ class TPoly:
         return TPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "TPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other) -> tuple["TPoly", "TPoly"]:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - dn + 1, 0)
-        for i in range(len(rem) - dn, -1, -1):
-            factor = rem[i + dn - 1] / lead
-            if factor:
-                quo[i] = factor
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= factor * c
-        return TPoly(quo), TPoly(rem[: dn - 1])
-
-    def exact_div(self, other) -> "TPoly":
-        """Quotient by an exact divisor; raises if the division leaves a remainder."""
-        q, r = divmod(self, other)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        return q
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -205,6 +205,16 @@ def test_verify_degree_max_flag(capsys):
     assert "d=3" in payload["checks"][-1]["details"]
 
 
+def test_verify_negative_degree_max_rejected(capsys):
+    # a negative bound would compare no degrees and pass vacuously
+    code, out, err = run(
+        capsys, "verify", "--n-max", "3", "--checks", "kernel-ideal", "--degree-max", "-1"
+    )
+    assert code == 2
+    assert "--degree-max" in err
+    assert "PASS" not in out
+
+
 def test_usage_error_exit_codes(capsys):
     assert main(["fixed-points", "--n", "4"]) == 2  # missing --k
     capsys.readouterr()

@@ -8,92 +8,58 @@ from hypothesis import given, settings, strategies as st
 from tworow.linalg import (
     SparseExactRREF,
     integer_det_bareiss,
-    rational_rank,
+    rational_inverse,
     solve_rational,
-    solve_tpoly_system,
-    tpoly_det_bareiss,
-    tpoly_det_cofactor,
 )
-from tworow.tpoly import TPoly
 
 
-def T(*coeffs):
-    return TPoly(coeffs)
+def solve(matrix, rhs):
+    inverse = rational_inverse(matrix)
+    return None if inverse is None else solve_rational(inverse, rhs)
 
 
 def test_det_examples():
-    t = T(0, 1)
-    assert tpoly_det_bareiss([[t, T()], [T(), t]]) == T(0, 0, 1)
-    assert tpoly_det_bareiss([[T(0, 0, 0, 5)]]) == T(0, 0, 0, 5)
-    assert tpoly_det_bareiss([]) == TPoly.one()
+    assert integer_det_bareiss([[5]]) == 5
+    assert integer_det_bareiss([[1, 2], [3, 4]]) == -2
+    assert integer_det_bareiss([]) == 1
 
 
 def test_det_singular_and_swaps():
-    t = T(0, 1)
-    assert tpoly_det_bareiss([[t, t], [t, t]]) == TPoly.zero()
+    assert integer_det_bareiss([[2, 2], [2, 2]]) == 0
     # zero pivot forces a row swap and a sign flip
-    m = [[TPoly.zero(), T(1)], [T(1), TPoly.zero()]]
-    assert tpoly_det_bareiss(m) == T(-1)
+    assert integer_det_bareiss([[0, 1], [1, 0]]) == -1
+    assert integer_det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 
-def test_bareiss_matches_cofactor_on_random_matrices():
+def test_bareiss_matches_cofactor_on_random_matrices(cofactor_det):
+    # mostly-zero entries force zero pivots, row swaps and singular matrices
     rng = random.Random(7)
-    for size in (1, 2, 3, 4):
+    entries = (0, 0, 0, -2, -1, 1, 3)
+    for size in (1, 2, 3, 4, 5):
         for _ in range(12):
-            m = [
-                [
-                    TPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-                    for _ in range(size)
-                ]
-                for _ in range(size)
-            ]
-            assert tpoly_det_bareiss(m) == tpoly_det_cofactor(m)
+            m = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
+            assert integer_det_bareiss(m) == cofactor_det(m)
 
 
-def test_integer_det():
+def test_integer_det(cofactor_det):
     assert integer_det_bareiss([[2, 0], [0, 3]]) == 6
     assert integer_det_bareiss([[1, 2], [2, 4]]) == 0
     rng = random.Random(11)
     for _ in range(12):
         m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        tm = [[TPoly([v]) for v in row] for row in m]
-        assert TPoly([integer_det_bareiss(m)]) == tpoly_det_cofactor(tm)
+        assert integer_det_bareiss(m) == cofactor_det(m)
 
 
-def test_solve_tpoly_straightening_system():
-    # image matrix for n=2, k=1 with values of x1 on the right-hand side
-    t = T(0, 1)
-    matrix = [[T(1), t], [T(1), 2 * t]]
-    rhs = [2 * t, t]
-    result = solve_tpoly_system(matrix, rhs)
-    assert not result.singular
-    assert result.denominator == t
-    assert result.is_polynomial
-    assert result.quotients == (T(0, 3), T(-1))
-
-
-def test_solve_tpoly_singular_and_nonpolynomial():
-    t = T(0, 1)
-    assert solve_tpoly_system([[t, t], [t, t]], [t, t]).singular
-    result = solve_tpoly_system([[t]], [T(1)])
-    assert not result.singular
-    assert not result.is_polynomial
-    assert result.quotients is None
-    assert result.numerators == (T(1),)
-    assert result.denominator == t
-
-
-def test_solve_tpoly_shape_validation():
-    with pytest.raises(ValueError):
-        solve_tpoly_system([[T(1), T(1)]], [T(1)])
-    with pytest.raises(ValueError):
-        solve_tpoly_system([[T(1)]], [T(1), T(1)])
+def test_solve_rational_straightening_system():
+    # the integer core for n=2, k=1 against the degree-one values of x1,
+    # (2, 1): x1 = 3t * 1 - x2, the example worked in the straightening tests
+    assert solve([[1, 1], [1, 2]], [2, 1]) == [3, -1]
 
 
 def test_solve_rational():
-    solution = solve_rational([[2, 1], [1, 1]], [3, 2])
+    solution = solve([[2, 1], [1, 1]], [3, 2])
     assert solution == [Fraction(1), Fraction(1)]
-    assert solve_rational([[1, 1], [2, 2]], [1, 2]) is None
+    assert rational_inverse([[1, 1], [2, 2]]) is None
 
 
 def _is_solution(matrix, x, b):
@@ -114,44 +80,47 @@ rationals = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_solve_rational_residual_is_exact(system):
     # the reference is the exact residual M x - b, not a second solver;
-    # several right-hand sides per matrix reuse the cached factorization
+    # several right-hand sides per matrix reuse one factorization
     matrix, rhss = system
     scale = prod(Fraction(v).denominator for row in matrix for v in row)
     det = integer_det_bareiss([[int(v * scale) for v in row] for row in matrix])
+    inverse = rational_inverse(matrix)
+    if det == 0:
+        assert inverse is None
+        return
+    adj, d = inverse
+    assert d > 0 and all(isinstance(v, int) for row in adj for v in row)
     for b in rhss:
-        x = solve_rational(matrix, b)
-        if det == 0:
-            assert x is None
-        else:
-            assert all(isinstance(v, Fraction) for v in x)
-            assert _is_solution(matrix, x, b)
+        x = solve_rational(inverse, b)
+        assert all(isinstance(v, Fraction) for v in x)
+        assert _is_solution(matrix, x, b)
 
 
 @given(st.lists(rationals, min_size=3, max_size=3), st.integers(-3, 3))
 @settings(max_examples=30, deadline=None)
 def test_solve_rational_singular_stays_none(row, factor):
     matrix = [row, [factor * v for v in row], [Fraction(1, 2), 0, 7]]
-    assert solve_rational(matrix, [1, 2, 3]) is None
-    assert solve_rational(matrix, [0, 0, 0]) is None
+    assert rational_inverse(matrix) is None
 
 
 def test_solve_rational_sees_mutated_matrix():
+    # nothing is cached by matrix contents: a changed matrix gets its own inverse
     matrix = [[2, 1], [1, 1]]
-    assert solve_rational(matrix, [3, 2]) == [1, 1]
+    assert solve(matrix, [3, 2]) == [1, 1]
     matrix[0][0] = 3
-    x = solve_rational(matrix, [3, 2])
+    x = solve(matrix, [3, 2])
     assert x == [Fraction(1, 2), Fraction(3, 2)]
     assert _is_solution(matrix, x, [3, 2])
     matrix[1] = [6, 2]
-    assert solve_rational(matrix, [3, 2]) is None
+    assert rational_inverse(matrix) is None
 
 
 def test_solve_rational_empty_and_shapes():
-    assert solve_rational([], []) == []
+    assert solve([], []) == []
     with pytest.raises(ValueError):
-        solve_rational([[1, 2]], [1])
+        rational_inverse([[1, 2]])
     with pytest.raises(ValueError):
-        solve_rational([[1]], [1, 2])
+        solve_rational(rational_inverse([[1]]), [1, 2])
 
 
 def test_sparse_rref_rank_matches_dense_elimination():
@@ -178,7 +147,10 @@ def test_sparse_rref_rank_matches_dense_elimination():
                     factor = work[r][col] / work[rank][col]
                     work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
             rank += 1
-        assert rational_rank(sparse) == rank
+        rref = SparseExactRREF()
+        for row in sparse:
+            rref.add_row(row)
+        assert rref.rank == rank
 
 
 def test_sparse_rref_incremental_and_fractions():

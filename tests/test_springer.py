@@ -6,7 +6,6 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow.linalg import solve_tpoly_system, tpoly_det_bareiss
 from tworow.polynomials import MPoly, format_poly, parse_poly, variable_names
 from tworow.springer import (
     ConsistencyError,
@@ -17,7 +16,6 @@ from tworow.springer import (
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
-    kernel_equals_ideal_in_degree,
     kernel_ideal_comparisons,
     localize,
     localize_all,
@@ -159,7 +157,7 @@ def test_equivariant_generator_counts_and_degrees():
             ideal = equivariant_ideal(ctx)
             assert len(ideal.generators) == 1 + n + comb(n, k + 1)
             for label, g in zip(ideal.labels, ideal.generators):
-                assert g.is_homogeneous()
+                assert len(g.homogeneous_components()) == 1
                 if label == "linear":
                     assert g.total_degree() == 1
                 elif label.startswith("quadratic"):
@@ -303,27 +301,48 @@ def test_basis_matrix_n2():
     bm = basis_image_matrix(SpringerContext(2, 1))
     assert [t.bottom for t in bm.tableaux] == [(), (2,)]
     assert [w.w for w in bm.fixed_points] == [(2, 1), (1, 2)]
-    t = TPoly.term(1, 1)
-    assert bm.entries == ((TPoly.one(), t), (TPoly.one(), 2 * t))
-    assert bm.determinant == t
+    assert bm.integer_core == ((1, 1), (1, 2))
     assert bm.core_determinant == 1
-    assert tpoly_det_bareiss([list(r) for r in bm.entries]) == t
+    assert bm.inverse == (((2, -1), (-1, 1)), 1)
 
 
 def test_basis_matrix_point():
     bm = basis_image_matrix(SpringerContext(1, 0))
-    assert bm.entries == ((TPoly.one(),),)
-    assert bm.determinant == TPoly.one()
+    assert bm.integer_core == ((1,),)
+    assert bm.core_determinant == 1
 
 
-def test_basis_matrix_determinant_factorization():
-    # the full Q[t] determinant equals the integer core times t^(sum of
-    # bottom sizes); cross-checked against generic Bareiss elimination
+def test_basis_matrix_determinant_factorization(cofactor_det):
+    # every image x_T at w is its integer core entry times t^(size of the
+    # bottom of T), so by multilinearity the Q[t] determinant is the core
+    # determinant times t^(sum of bottom sizes); the core determinant is
+    # cross-checked against cofactor expansion
     for n, k in ((3, 1), (4, 2), (5, 2)):
+        ctx = SpringerContext(n, k)
+        bm = basis_image_matrix(ctx)
+        for w, core_row in zip(bm.fixed_points, bm.integer_core):
+            for tab, weight in zip(bm.tableaux, core_row):
+                mono = [0] * ctx.nvars
+                for j in tab.bottom:
+                    mono[j - 1] = 1
+                image = localize(MPoly.from_monomial(tuple(mono)), w)
+                assert image == TPoly.term(weight, tab.ell)
+        assert bm.core_determinant == cofactor_det(bm.integer_core) != 0
+
+
+def test_basis_matrix_inverse_invariants():
+    # the stored factorization is the exact inverse of the core, and the
+    # classical adjugate core_determinant * adj / d is integral
+    for n, k in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3)):
         bm = basis_image_matrix(SpringerContext(n, k))
-        direct = tpoly_det_bareiss([list(row) for row in bm.entries])
-        assert direct == bm.determinant
-        assert bm.core_determinant != 0
+        core, (adj, d) = bm.integer_core, bm.inverse
+        size = len(core)
+        assert d > 0
+        for i in range(size):
+            for j in range(size):
+                entry = sum(core[i][m] * adj[m][j] for m in range(size))
+                assert entry == (d if i == j else 0)
+        assert all(bm.core_determinant * a % d == 0 for row in adj for a in row)
 
 
 def test_standard_monomial_basis_size():
@@ -376,15 +395,28 @@ def test_straighten_product_route():
     assert straighten_by_solve(p, ctx) == straighten_by_rewrite(p, ctx)
 
 
-def test_straighten_matches_oracle_solve():
-    # the generic exact solver over Q[t], fed the full basis image system,
-    # reproduces the straightening coefficients
-    ctx = SpringerContext(2, 1)
+def test_straighten_matches_oracle_solve(cofactor_det):
+    # Cramer's rule on the integer core, with cofactor determinants, is an
+    # oracle independent of the stored inverse: each homogeneous component
+    # of degree d contributes det(core with column T replaced by the t^d
+    # coefficients of its images) / det(core) * t^(d - size of bottom)
+    ctx = SpringerContext(3, 1)
     bm = basis_image_matrix(ctx)
-    rhs = [localize(ctx.x(1), w) for w in bm.fixed_points]
-    result = solve_tpoly_system([list(r) for r in bm.entries], rhs)
-    assert result.is_polynomial
-    assert result.quotients == (TPoly.term(3, 1), TPoly.term(-1))
+    core = [list(row) for row in bm.integer_core]
+    det = cofactor_det(core)
+    p = ctx.x(1) * ctx.x(1) * ctx.x(2) - 3 * ctx.t() * ctx.x(3) + ctx.x(2)
+    expected = {}
+    for degree, component in p.homogeneous_components().items():
+        values = [localize(component, w).coefficient(degree) for w in bm.fixed_points]
+        for col, tab in enumerate(bm.tableaux):
+            replaced = [row[:col] + [v] + row[col + 1 :] for row, v in zip(core, values)]
+            coeff = Fraction(cofactor_det(replaced), det)
+            if coeff:
+                term = TPoly.term(coeff, degree - tab.ell)
+                expected[tab] = expected.get(tab, TPoly.zero()) + term
+    expected = {tab: c for tab, c in expected.items() if c}
+    assert straighten_by_solve(p, ctx) == expected
+    assert straighten_by_rewrite(p, ctx) == expected
 
 
 def test_straighten_agreement_all_monomials_small():
@@ -463,17 +495,18 @@ def test_rewrite_cancellation_coefficient_is_factorial():
 def test_rewrite_memo_is_thread_safe():
     # threads sharing the rewrite memo from a cold start must neither see
     # one another's half-finished entries as cycles nor get other answers
-    from tworow.springer import _rewrite_cache
+    from tworow.springer import _rewrite_memo
 
     ctx = SpringerContext(5, 2)
     polys = [MPoly.from_monomial(m) for m in sample_monomials(ctx, 30, 6)]
-    _rewrite_cache.clear()
+    _rewrite_memo.cache_clear()
     expected = [straighten_by_rewrite(p, ctx) for p in polys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            _rewrite_cache.clear()
+            # a cold start also races the creation of the context's memo
+            _rewrite_memo.cache_clear()
             start = threading.Barrier(4)
             results, errors = [], []
 
@@ -509,14 +542,14 @@ def test_sampled_monomials_are_deterministic():
 
 
 def test_degree_zero_trivial():
-    comparison = kernel_equals_ideal_in_degree(SpringerContext(3, 1), 0)
+    comparison = kernel_ideal_comparisons(SpringerContext(3, 1), 0)[0]
     assert comparison.kernel_dim == 0
     assert comparison.ideal_dim == 0
     assert comparison.equal
 
 
 def test_degree_one_n2():
-    comparison = kernel_equals_ideal_in_degree(SpringerContext(2, 1), 1)
+    comparison = kernel_ideal_comparisons(SpringerContext(2, 1), 1)[1]
     assert comparison.kernel_dim == 1
     assert comparison.ideal_dim == 1
 
@@ -543,7 +576,7 @@ def test_kernel_dims_match_free_module_structure():
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        kernel_equals_ideal_in_degree(SpringerContext(2, 1), -1)
+        kernel_ideal_comparisons(SpringerContext(2, 1), -1)
 
 
 # -- ordinary cohomology ------------------------------------------------------

@@ -31,29 +31,6 @@ def test_arithmetic():
     assert 3 * p == TPoly([3, 6])
     assert p * Fraction(1, 2) == TPoly([Fraction(1, 2), 1])
     assert (-p) + p == TPoly.zero()
-    assert p ** 0 == TPoly.one()
-    assert p ** 3 == p * p * p
-
-
-def test_divmod_and_exact_division():
-    num = TPoly([0, 0, 3])          # 3t^2
-    den = TPoly([0, 1])             # t
-    q, r = divmod(num, den)
-    assert q == TPoly([0, 3]) and r == TPoly.zero()
-    assert num.exact_div(den) == TPoly([0, 3])
-
-    q, r = divmod(TPoly([1, 0, 1]), TPoly([1, 1]))
-    assert (TPoly([1, 1]) * q + r) == TPoly([1, 0, 1])
-    with pytest.raises(ArithmeticError):
-        TPoly([1]).exact_div(TPoly([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        divmod(num, TPoly.zero())
-
-
-def test_evaluate():
-    p = TPoly([1, -2, 1])  # (t-1)^2
-    assert p.evaluate(3) == 4
-    assert p.evaluate(Fraction(1, 2)) == Fraction(1, 4)
 
 
 def test_str():

@@ -195,7 +195,7 @@ def _cmd_straighten(args) -> int:
 # -- the verification driver -------------------------------------------------
 
 
-def _check_fixed_points(ctx, _args):
+def _check_fixed_points(ctx):
     enumerated = springer.fixed_points(ctx)
     brute = springer.fixed_points_bruteforce(ctx)
     expected = comb(ctx.n, ctx.k)
@@ -207,7 +207,7 @@ def _check_fixed_points(ctx, _args):
     return ok, detail
 
 
-def _check_relations(ctx, _args):
+def _check_relations(ctx):
     report = springer.verify_relations(ctx)
     detail = (
         f"{report.generators_checked} generators vanish at "
@@ -218,18 +218,18 @@ def _check_relations(ctx, _args):
     return report.ok, detail
 
 
-def _check_square_reduction(ctx, _args):
+def _check_square_reduction(ctx):
     ok = springer.verify_square_reduction(ctx)
     return ok, f"telescoping identity for i=1..{ctx.n}"
 
 
-def _check_basis_determinant(ctx, _args):
+def _check_basis_determinant(ctx):
     bm = springer.basis_image_matrix(ctx)
     ok = bm.core_determinant != 0
     return ok, f"integer core determinant {bm.core_determinant}"
 
 
-def _check_straighten(ctx, _args):
+def _check_straighten(ctx):
     monos = springer.squarefree_monomials(ctx, ctx.k + 1)
     monos += springer.sample_monomials(ctx)
     mismatches = 0
@@ -243,17 +243,29 @@ def _check_straighten(ctx, _args):
     return mismatches == 0, detail
 
 
-def _check_kernel_ideal(ctx, args):
-    bound = args.degree_max if args.degree_max is not None else springer.default_degree_bound(ctx)
-    comparisons = springer.kernel_ideal_comparisons(ctx, bound)
-    bad = [c for c in comparisons if not c.equal]
-    if bad:
-        return False, f"mismatch at degrees {[c.degree for c in bad]}"
-    dims = ", ".join(f"d={c.degree}:{c.ideal_dim}" for c in comparisons)
-    return True, f"ideal and kernel dimensions agree ({dims})"
+def _check_kernel_ideal(ctx):
+    report = springer.kernel_ideal_comparisons(ctx)
+    bad = [c for c in report.comparisons if not c.equal]
+    if not report.relations_ok:
+        detail = "a generator of I does not vanish at every fixed point"
+    elif not report.t_regular:
+        detail = "t divides a leading monomial of the Groebner basis of I"
+    elif not report.comparisons:
+        detail = "the quotient by I at t = 0 is infinite-dimensional"
+    elif bad:
+        detail = "mismatch at " + ", ".join(
+            f"d={c.degree} (ideal {c.ideal_dim} vs kernel {c.kernel_dim})" for c in bad
+        )
+    else:
+        dims = ", ".join(f"d={c.degree}:{c.ideal_dim}" for c in report.comparisons)
+        detail = (
+            f"ideal and kernel dimensions agree in all degrees ({dims}; "
+            f"t regular, quotient constant past d={report.comparisons[-1].degree})"
+        )
+    return report.ok, detail
 
 
-def _check_ordinary(ctx, _args):
+def _check_ordinary(ctx):
     report = springer.ordinary_presentation_check(ctx)
     detail = (
         f"dim {report.dimension} (expected {report.expected_dimension}), "
@@ -262,7 +274,7 @@ def _check_ordinary(ctx, _args):
     return report.ok, detail
 
 
-def _check_hook_identity(ctx, _args):
+def _check_hook_identity(ctx):
     binomial, total, equal = tableaux.binomial_hook_identity(ctx.n, ctx.k)
     return equal, f"C({ctx.n},{ctx.k}) = {binomial}, tableau total = {total}"
 
@@ -282,8 +294,6 @@ _CHECKS = {
 def _cmd_verify(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
-    if args.degree_max is not None and args.degree_max < 0:
-        raise UsageError("--degree-max must be non-negative")
     selected = CHECK_NAMES
     if args.checks:
         selected = tuple(name.strip() for name in args.checks.split(","))
@@ -301,7 +311,7 @@ def _cmd_verify(args) -> int:
             ctx = SpringerContext(n=n, k=k)
             for name in selected:
                 tick = time.perf_counter()
-                ok, details = _CHECKS[name](ctx, args)
+                ok, details = _CHECKS[name](ctx)
                 elapsed_ms = int((time.perf_counter() - tick) * 1000)
                 all_ok = all_ok and ok
                 entries.append(
@@ -380,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k", choices=("all", "max"), default="all")
-    p.add_argument("--degree-max", type=int, default=None)
     p.add_argument(
         "--checks",
         type=str,

@@ -34,7 +34,7 @@ class GroebnerBasis:
 
     generators: tuple[MPoly, ...]
     order: MonomialOrder
-    reduced: bool = True
+    nvars: int  # the ring's variable count, kept for the zero ideal too
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading_monomial(self.order) for g in self.generators]
@@ -91,7 +91,7 @@ def buchberger(
             basis.append(g.monic(order))
     if not basis:
         # the zero ideal
-        return GroebnerBasis(generators=(), order=order)
+        return GroebnerBasis(generators=(), order=order, nvars=nvars)
 
     lms = [g.leading_monomial(order) for g in basis]
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
@@ -123,10 +123,10 @@ def buchberger(
             new = len(basis) - 1
             pending.update((m, new) for m in range(new))
 
-    return _interreduce(basis, order)
+    return _interreduce(basis, order, nvars)
 
 
-def _interreduce(basis: list[MPoly], order: MonomialOrder) -> GroebnerBasis:
+def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> GroebnerBasis:
     # minimalize: drop a generator when another one's leading monomial
     # strictly divides its own (ties broken by position)
     lms = [g.leading_monomial(order) for g in basis]
@@ -158,13 +158,13 @@ def _interreduce(basis: list[MPoly], order: MonomialOrder) -> GroebnerBasis:
                     del minimal[i]
                     break
     minimal.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(generators=tuple(minimal), order=order)
+    return GroebnerBasis(generators=tuple(minimal), order=order, nvars=nvars)
 
 
 def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     """The unique remainder of f modulo the Groebner basis; zero exactly
     when f lies in the ideal."""
-    if basis.generators and f.nvars != basis.generators[0].nvars:
+    if f.nvars != basis.nvars:
         raise ValueError("variable count mismatch with the basis")
     if not basis.generators:
         return f
@@ -199,27 +199,17 @@ def ideal_equal(
     return IdealComparison(equal=True)
 
 
-def quotient_dimension(
-    generators: Sequence[MPoly], order: MonomialOrder = DEFAULT_ORDER
-) -> tuple[Optional[int], list[Monomial]]:
+def quotient_dimension(basis: GroebnerBasis) -> tuple[Optional[int], list[Monomial]]:
     """Dimension of the quotient ring as a Q-vector space, with the list
     of standard monomials (those not divisible by any leading monomial
     of the Groebner basis).  Returns (None, []) when the quotient is
     infinite-dimensional."""
-    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators, order)
-    order = gb.order
-    if not gb.generators:
-        nvars = 0
-    else:
-        nvars = gb.generators[0].nvars
-    lms = gb.leading_monomials()
+    lms = basis.leading_monomials()
     if any(sum(lm) == 0 for lm in lms):
         return 0, []  # the unit ideal
-    if not gb.generators:
-        return (1, [()]) if nvars == 0 else (None, [])
     # finite iff every variable appears as a pure power among the leading monomials
     bounds = []
-    for v in range(nvars):
+    for v in range(basis.nvars):
         pure = [
             lm[v]
             for lm in lms
@@ -232,5 +222,5 @@ def quotient_dimension(
     for mono in product(*(range(b) for b in bounds)):
         if not any(monomial_divides(lm, mono) for lm in lms):
             standard.append(mono)
-    standard.sort(key=order.key)
+    standard.sort(key=basis.order.key)
     return len(standard), standard

@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb, prod
 from typing import Iterable, Mapping, Optional
 
 from .linalg import (
@@ -40,14 +40,7 @@ from .linalg import (
     rational_inverse,
     solve_rational,
 )
-from .polynomials import (
-    DEFAULT_ORDER,
-    Monomial,
-    MonomialOrder,
-    MPoly,
-    elementary_symmetric,
-    monomial_mul,
-)
+from .polynomials import Monomial, MPoly, elementary_symmetric
 from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
@@ -261,11 +254,24 @@ def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
     return table[name](ctx)
 
 
-def specialized_ordinary_generators(ctx: SpringerContext) -> list[MPoly]:
-    """The equivariant generators with t set to zero, in Q[x1..xn]."""
-    return [
-        g.eval_last_var_zero() for g in equivariant_ideal(ctx).generators
-    ]
+@lru_cache(maxsize=None)
+def ideal_basis(ctx: SpringerContext, name: str) -> groebner.GroebnerBasis:
+    """The reduced grevlex Groebner basis of the named presentation ideal,
+    computed once per context; in the ring of I, t is the last variable."""
+    return groebner.buchberger(ideal_by_name(ctx, name).generators)
+
+
+def _basis_at_t_zero(ctx: SpringerContext) -> groebner.GroebnerBasis:
+    """The basis of I with t set to zero: the reduced Groebner basis of
+    the t = 0 specialization of I.  I is homogeneous and t is the last
+    variable of grevlex, so t divides a basis element's leading monomial
+    only if it divides every term; those elements vanish and every other
+    keeps its leading monomial (Bayer-Stillman: in(I + (t)) = in(I) + (t))."""
+    basis = ideal_basis(ctx, "I")
+    specialized = (g.eval_last_var_zero() for g in basis.generators)
+    return groebner.GroebnerBasis(
+        generators=tuple(g for g in specialized if g), order=basis.order, nvars=ctx.n
+    )
 
 
 # -- localization ------------------------------------------------------------
@@ -639,7 +645,7 @@ def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomi
     return out
 
 
-# -- the degree-by-degree kernel comparison ----------------------------------
+# -- ideal equals kernel, in every degree -----------------------------------
 
 
 @dataclass(frozen=True)
@@ -653,85 +659,72 @@ class DegreeComparison:
         return self.kernel_dim == self.ideal_dim
 
 
+@dataclass(frozen=True)
+class KernelIdealCheck:
+    """The certificate that I is the kernel of localization.
+    ``comparisons`` covers degrees 0..D, D the top degree of a standard
+    monomial of I at t = 0; it is empty when t is not regular or that
+    quotient is infinite-dimensional."""
+
+    relations_ok: bool
+    t_regular: bool
+    comparisons: tuple[DegreeComparison, ...]
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.relations_ok
+            and self.t_regular
+            and bool(self.comparisons)
+            and all(c.equal for c in self.comparisons)
+        )
+
+
 @lru_cache(maxsize=None)
-def kernel_ideal_comparisons(
-    ctx: SpringerContext, max_degree: int
-) -> tuple[DegreeComparison, ...]:
-    """For each degree d up to the bound, compare the dimension of the
-    degree-d slice of the equivariant ideal with the dimension of the
-    kernel of localization on degree-d polynomials.
+def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
+    """Prove that the equivariant ideal is the kernel of localization in
+    every degree, or report which step of the proof fails.
 
-    The ideal slice is spanned by monomial multiples of the generators;
-    its dimension is the exact rank of those (sparse, homogeneous) rows,
-    built degree by degree: the slice in degree d is spanned by the
-    variable multiples of a reduced basis of the slice in degree d - 1
-    together with the generators of degree d.  The kernel dimension
-    comes from the rank of the evaluation map onto the fixed points,
-    where a monomial's value vector is integral and independent of its
-    t-power.
+    The generators vanish at every fixed point, so I lies in the kernel.
+    When no leading monomial of I's basis involves t, t is a
+    nonzerodivisor on Q[x,t]/I (Bayer-Stillman), so the quotient's
+    degree-d dimension is the number of standard monomials of I at t = 0
+    of degree at most d, constant past D.  The kernel's quotient has
+    degree-d dimension equal to the rank of the values at the fixed points
+    of the x-monomials of degree at most d (a monomial's value vector is
+    integral and independent of its t-power); it never decreases, and it
+    never exceeds the ideal's since I lies in the kernel.  Equal
+    dimensions through D therefore stay equal in every degree, and
+    together with the inclusion they make the slices equal.
     """
-    if max_degree < 0:
-        raise ValueError("degree must be non-negative")
     n = ctx.n
-    order_key = DEFAULT_ORDER.key
-    gens_by_degree: dict[int, list[MPoly]] = {}
-    for g in equivariant_ideal(ctx).generators:
-        gens_by_degree.setdefault(g.total_degree(), []).append(g)
-
-    units = [
-        tuple(1 if i == v else 0 for i in range(ctx.nvars))
-        for v in range(ctx.nvars)
-    ]
-    ideal_dims = []
-    previous_rows: list[dict[Monomial, int]] = []
-    for d in range(max_degree + 1):
-        rref = SparseExactRREF(key=order_key)
-        for row in previous_rows:
-            for unit in units:
-                rref.add_row({monomial_mul(m, unit): c for m, c in row.items()})
-        for g in gens_by_degree.get(d, []):
-            rref.add_row(dict(g.terms))
-        ideal_dims.append(rref.rank)
-        previous_rows = rref.pivot_rows()
-
-    points = fixed_points(ctx)
-    loc = SparseExactRREF()
-    kernel_dims = []
-
-    def x_monomials(degree):
-        if degree == 0:
-            yield (0,) * n
-            return
-        for mono in x_monomials(degree - 1):
-            last = next((i for i in range(n - 1, -1, -1) if mono[i]), 0)
-            for i in range(last, n):
-                bumped = list(mono)
-                bumped[i] += 1
-                yield tuple(bumped)
-
-    for d in range(max_degree + 1):
-        for alpha in x_monomials(d):
-            row = {}
-            for idx, w in enumerate(points):
-                weight = 1
-                for i in range(n):
-                    if alpha[i]:
-                        weight *= w.w[i] ** alpha[i]
-                row[idx] = weight
-            loc.add_row(row)
-        space_dim = comb(d + n, n)
-        kernel_dims.append(space_dim - loc.rank)
-
-    return tuple(
-        DegreeComparison(degree=d, kernel_dim=kernel_dims[d], ideal_dim=ideal_dims[d])
-        for d in range(max_degree + 1)
+    t_regular = not any(lm[n] for lm in ideal_basis(ctx, "I").leading_monomials())
+    dimension, standard = groebner.quotient_dimension(_basis_at_t_zero(ctx))
+    comparisons = []
+    if t_regular and dimension is not None:
+        points = fixed_points(ctx)
+        loc = SparseExactRREF()
+        quotient_dim = 0
+        for d in range(max((sum(m) for m in standard), default=0) + 1):
+            # one row per x-monomial of degree d, a multiset of indices
+            for factors in combinations_with_replacement(range(n), d):
+                loc.add_row(
+                    {idx: prod(w.w[i] for i in factors) for idx, w in enumerate(points)}
+                )
+            quotient_dim += sum(1 for m in standard if sum(m) == d)
+            space_dim = comb(d + n, n)
+            comparisons.append(
+                DegreeComparison(
+                    degree=d,
+                    kernel_dim=space_dim - loc.rank,
+                    ideal_dim=space_dim - quotient_dim,
+                )
+            )
+    return KernelIdealCheck(
+        relations_ok=verify_relations(ctx).ok,
+        t_regular=t_regular,
+        comparisons=tuple(comparisons),
     )
-
-
-def default_degree_bound(ctx: SpringerContext) -> int:
-    """Twice the largest generator degree: covers every generator degree
-    and the first syzygy-sensitive degrees while staying desk-scale."""
-    return 2 * (ctx.k + 1)
 
 
 # -- ordinary cohomology checks ----------------------------------------------
@@ -753,24 +746,16 @@ class OrdinaryCheck:
         )
 
 
-def ordinary_presentation_check(
-    ctx: SpringerContext, order: MonomialOrder = DEFAULT_ORDER
-) -> OrdinaryCheck:
+def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
     """Groebner-based checks on the ordinary cohomology presentation:
     the quotient by J has dimension C(n, k), J agrees with Tanisaki's
     ideal, and J agrees with the t = 0 specialization of the equivariant
-    ideal."""
-    j_gens = list(ordinary_ideal(ctx).generators)
-    dimension, _ = groebner.quotient_dimension(j_gens, order)
-    tanisaki = groebner.ideal_equal(
-        j_gens, list(tanisaki_ideal(ctx).generators), order
-    )
-    specialized = groebner.ideal_equal(
-        j_gens, specialized_ordinary_generators(ctx), order
-    )
+    ideal.  Two ideals are equal exactly when their reduced bases are."""
+    j_basis = ideal_basis(ctx, "J")
+    dimension, _ = groebner.quotient_dimension(j_basis)
     return OrdinaryCheck(
         dimension=dimension,
         expected_dimension=comb(ctx.n, ctx.k),
-        tanisaki_equal=tanisaki.equal,
-        specialization_equal=specialized.equal,
+        tanisaki_equal=ideal_basis(ctx, "tanisaki").generators == j_basis.generators,
+        specialization_equal=_basis_at_t_zero(ctx).generators == j_basis.generators,
     )

@@ -153,10 +153,13 @@ def test_verify_trivial_context(capsys):
 
 
 def test_verify_full_small_sweep(capsys):
-    code, payload, _ = run_json(capsys, "verify", "--n-max", "4", "--degree-max", "6")
+    code, payload, _ = run_json(capsys, "verify", "--n-max", "4")
     assert code == 0
     assert len(payload["checks"]) == 8 * 8  # eight checks over eight contexts
     assert all(entry["status"] == "pass" for entry in payload["checks"])
+    kernel = [e for e in payload["checks"] if e["name"].startswith("kernel-ideal")]
+    assert len(kernel) == 8
+    assert all("all degrees" in e["details"] for e in kernel)
 
 
 def test_verify_check_subset_and_text_agreement(capsys):
@@ -197,18 +200,10 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
-def test_verify_degree_max_flag(capsys):
-    code, payload, _ = run_json(
-        capsys, "verify", "--n-max", "2", "--degree-max", "3", "--checks", "kernel-ideal"
-    )
-    assert code == 0
-    assert "d=3" in payload["checks"][-1]["details"]
-
-
-def test_verify_negative_degree_max_rejected(capsys):
-    # a negative bound would compare no degrees and pass vacuously
+def test_verify_degree_max_refused(capsys):
+    # kernel-ideal proves every degree, so there is no depth to set
     code, out, err = run(
-        capsys, "verify", "--n-max", "3", "--checks", "kernel-ideal", "--degree-max", "-1"
+        capsys, "verify", "--n-max", "3", "--checks", "kernel-ideal", "--degree-max", "6"
     )
     assert code == 2
     assert "--degree-max" in err

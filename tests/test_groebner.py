@@ -29,7 +29,7 @@ def test_already_reduced_input():
     x1, x2 = v(2, 0), v(2, 1)
     gb = buchberger([x1, x2])
     assert set(gb.generators) == {x1, x2}
-    assert gb.reduced
+    assert gb.nvars == 2
 
 
 def test_linear_elimination():
@@ -104,15 +104,15 @@ def test_ideal_unequal_with_witness():
 
 def test_quotient_dimension_point():
     for n in (1, 2, 4):
-        dim, standard = quotient_dimension([v(n, i) for i in range(n)])
+        dim, standard = quotient_dimension(buchberger([v(n, i) for i in range(n)]))
         assert dim == 1
         assert standard == [(0,) * n]
 
 
 def test_quotient_dimension_matches_rank_counts():
-    dim4, _ = quotient_dimension(j_generators(4, 2))
+    dim4, _ = quotient_dimension(buchberger(j_generators(4, 2)))
     assert dim4 == 6
-    dim5, _ = quotient_dimension(j_generators(5, 2))
+    dim5, _ = quotient_dimension(buchberger(j_generators(5, 2)))
     assert dim5 == 10
 
 
@@ -123,7 +123,7 @@ def test_quotient_dimension_counts_standard_tableaux():
 
     for n in range(1, 6):
         for k in range(n // 2 + 1):
-            dim, _ = quotient_dimension(j_generators(n, k))
+            dim, _ = quotient_dimension(buchberger(j_generators(n, k)))
             assert dim == sum(
                 hook_count(two_row_shape(n, ell)) for ell in range(k + 1)
             )
@@ -131,13 +131,23 @@ def test_quotient_dimension_counts_standard_tableaux():
 
 def test_quotient_dimension_infinite():
     x1 = v(2, 0)
-    dim, standard = quotient_dimension([x1])
+    dim, standard = quotient_dimension(buchberger([x1]))
     assert dim is None
     assert standard == []
 
 
+def test_zero_ideal_keeps_its_ring():
+    for nvars in (1, 2):
+        gb = buchberger([MPoly.zero(nvars)])
+        assert gb.generators == () and gb.nvars == nvars
+        assert quotient_dimension(gb) == (None, [])
+        assert normal_form(MPoly.one(nvars), gb) == MPoly.one(nvars)
+        with pytest.raises(ValueError):
+            normal_form(MPoly.one(nvars + 1), gb)
+
+
 def test_unit_ideal():
-    dim, standard = quotient_dimension([MPoly.one(2)])
+    dim, standard = quotient_dimension(buchberger([MPoly.one(2)]))
     assert dim == 0
     assert standard == []
 
@@ -146,7 +156,7 @@ def test_results_are_order_independent():
     for n, k in ((2, 1), (3, 1), (4, 2)):
         dims = set()
         for order in ORDERS:
-            dim, _ = quotient_dimension(j_generators(n, k), order)
+            dim, _ = quotient_dimension(buchberger(j_generators(n, k), order))
             dims.add(dim)
         assert len(dims) == 1
     ctx = SpringerContext(3, 1)

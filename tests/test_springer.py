@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from fractions import Fraction
@@ -6,7 +7,17 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow.polynomials import MPoly, format_poly, parse_poly, variable_names
+from tworow import springer
+from tworow.cli import main
+from tworow.linalg import SparseExactRREF
+from tworow.polynomials import (
+    DEFAULT_ORDER,
+    MPoly,
+    format_poly,
+    monomial_mul,
+    parse_poly,
+    variable_names,
+)
 from tworow.springer import (
     ConsistencyError,
     SpringerContext,
@@ -16,13 +27,13 @@ from tworow.springer import (
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
+    ideal_basis,
     kernel_ideal_comparisons,
     localize,
     localize_all,
     ordinary_ideal,
     ordinary_presentation_check,
     sample_monomials,
-    specialized_ordinary_generators,
     square_reduction,
     squarefree_monomials,
     standard_monomial_basis,
@@ -197,7 +208,8 @@ def test_tanisaki_generators_n3_k1():
 
 
 def test_specialized_generators_drop_t():
-    gens = specialized_ordinary_generators(SpringerContext(3, 1))
+    ideal = equivariant_ideal(SpringerContext(3, 1))
+    gens = [g.eval_last_var_zero() for g in ideal.generators]
     names = variable_names(3, include_t=False)
     assert gens[0] == parse_poly("x1 + x2 + x3", names)
     assert gens[1] == parse_poly("x1^2", names)
@@ -542,41 +554,110 @@ def test_sampled_monomials_are_deterministic():
 
 
 def test_degree_zero_trivial():
-    comparison = kernel_ideal_comparisons(SpringerContext(3, 1), 0)[0]
+    comparison = kernel_ideal_comparisons(SpringerContext(3, 1)).comparisons[0]
     assert comparison.kernel_dim == 0
     assert comparison.ideal_dim == 0
     assert comparison.equal
 
 
 def test_degree_one_n2():
-    comparison = kernel_ideal_comparisons(SpringerContext(2, 1), 1)[1]
+    comparison = kernel_ideal_comparisons(SpringerContext(2, 1)).comparisons[1]
     assert comparison.kernel_dim == 1
     assert comparison.ideal_dim == 1
 
 
 def test_kernel_matches_ideal_n4():
-    comparisons = kernel_ideal_comparisons(SpringerContext(4, 2), 6)
-    assert all(c.equal for c in comparisons)
+    check = kernel_ideal_comparisons(SpringerContext(4, 2))
+    assert check.ok and check.relations_ok and check.t_regular
+    assert [c.degree for c in check.comparisons] == [0, 1, 2]
 
 
 def test_kernel_dims_match_free_module_structure():
     # once every basis tableau fits in the degree, the quotient slice has
     # dimension C(n, k); below that only bottoms of size <= d contribute
     ctx = SpringerContext(4, 2)
-    from math import comb as binom
-
-    for comparison in kernel_ideal_comparisons(ctx, 5):
+    for comparison in kernel_ideal_comparisons(ctx).comparisons:
         d = comparison.degree
-        space = binom(d + 4, 4)
+        space = comb(d + 4, 4)
         quotient = sum(
             1 for tab in standard_monomial_basis(ctx) if tab.ell <= d
         )
         assert space - comparison.kernel_dim == quotient
+        assert space - comparison.ideal_dim == quotient
 
 
-def test_negative_degree_rejected():
-    with pytest.raises(ValueError):
-        kernel_ideal_comparisons(SpringerContext(2, 1), -1)
+def _ideal_slice_dims(ctx, max_degree):
+    """Dimensions of the degree-d slices of I for d = 0..max_degree, by
+    exact row reduction: the slice in degree d is spanned by the variable
+    multiples of a reduced basis of the slice in degree d - 1 together
+    with the generators of degree d.  This bounded route shares no code
+    with the certificate and is kept as its cross-check."""
+    gens_by_degree = {}
+    for g in equivariant_ideal(ctx).generators:
+        gens_by_degree.setdefault(g.total_degree(), []).append(g)
+    units = [tuple(int(i == v) for i in range(ctx.nvars)) for v in range(ctx.nvars)]
+    dims, previous_rows = [], []
+    for d in range(max_degree + 1):
+        rref = SparseExactRREF(key=DEFAULT_ORDER.key)
+        for row in previous_rows:
+            for unit in units:
+                rref.add_row({monomial_mul(m, unit): c for m, c in row.items()})
+        for g in gens_by_degree.get(d, []):
+            rref.add_row(dict(g.terms))
+        dims.append(rref.rank)
+        previous_rows = rref.pivot_rows()
+    return dims
+
+
+def test_ideal_slices_match_the_certificate():
+    for n in range(1, 6):
+        for k in range(n // 2 + 1):
+            ctx = SpringerContext(n, k)
+            comparisons = kernel_ideal_comparisons(ctx).comparisons
+            top = comparisons[-1].degree
+            quotient = comb(top + n, n) - comparisons[-1].ideal_dim
+            bound = 2 * (k + 1)
+            expected = [c.ideal_dim for c in comparisons]
+            expected += [comb(d + n, n) - quotient for d in range(top + 1, bound + 1)]
+            assert _ideal_slice_dims(ctx, bound) == expected, (n, k)
+
+
+@pytest.fixture
+def fresh_certificate_caches():
+    """Clear the cached basis of I and the certificates before and after
+    the test, so that a patched ideal reaches neither other tests nor it."""
+    ideal_basis.cache_clear()
+    kernel_ideal_comparisons.cache_clear()
+    yield
+    ideal_basis.cache_clear()
+    kernel_ideal_comparisons.cache_clear()
+
+
+def test_certificate_fails_closed(monkeypatch, capsys, fresh_certificate_caches):
+    # drop a quadratic relation: dropping "product i=1,2,3" at (4,2)
+    # would leave the same ideal and prove nothing
+    original = springer.equivariant_ideal
+
+    def weakened(ctx):
+        ideal = original(ctx)
+        if (ctx.n, ctx.k) != (4, 2):
+            return ideal
+        kept = [i for i, label in enumerate(ideal.labels) if label != "quadratic i=4"]
+        return dataclasses.replace(
+            ideal,
+            generators=tuple(ideal.generators[i] for i in kept),
+            labels=tuple(ideal.labels[i] for i in kept),
+        )
+
+    monkeypatch.setattr(springer, "equivariant_ideal", weakened)
+    check = kernel_ideal_comparisons(SpringerContext(4, 2))
+    assert check.relations_ok and check.t_regular and not check.ok
+    bad = [c for c in check.comparisons if not c.equal]
+    assert [(c.degree, c.ideal_dim, c.kernel_dim) for c in bad] == [(2, 8, 9)]
+    assert main(["verify", "--checks", "kernel-ideal", "--n-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL kernel-ideal[n=4,k=2]: mismatch at d=2 (ideal 8 vs kernel 9)" in out
+    assert out.count("FAIL") == 1
 
 
 # -- ordinary cohomology ------------------------------------------------------

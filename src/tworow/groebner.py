@@ -1,18 +1,24 @@
 """Buchberger's algorithm, normal forms, and quotient dimensions over Q.
 
-Instance sizes in this package are tiny (at most eight variables and a
-few dozen generators), so the implementation favours clarity: plain
-Buchberger with the two classical pair-pruning criteria, the normal
-selection strategy, and monic intermediate reducers to keep rational
-coefficients small.
+Instance sizes in this package are small (at most nine variables; the
+largest presentation ideal verified, (n, k) = (8, 4), has 65
+generators), so the implementation is plain Buchberger with the two
+classical pair-pruning criteria and monic intermediate reducers to keep
+rational coefficients small.  Pairs wait in a heap under the normal
+selection strategy (smallest lcm degree first, ties broken by the
+monomial order on the lcm), keyed once when the pair is created.
+Division works on one mutable term dict and takes each next leading
+term from a heap of its monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import Optional, Sequence
+from operator import add, le, sub
+from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     DEFAULT_ORDER,
@@ -40,24 +46,67 @@ class GroebnerBasis:
         return [g.leading_monomial(self.order) for g in self.generators]
 
 
-def _reduce_full(f: MPoly, reducers: Sequence[MPoly], order: MonomialOrder) -> MPoly:
-    """Remainder of f on full division by the reducers: no monomial of the
-    result is divisible by any reducer's leading monomial."""
-    lead = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in reducers]
-    p = f
-    remainder = MPoly.zero(f.nvars)
-    while p:
-        lm = p.leading_monomial(order)
-        lc = p.terms[lm]
-        for glm, glc, g in lead:
-            if monomial_divides(glm, lm):
-                p = p - g.times_monomial(monomial_div(lm, glm), lc / glc)
+def _descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple]:
+    """A sort key that ranks monomials from largest to smallest in the
+    order, so that a min-heap pops the largest monomial first."""
+    if order is MonomialOrder.LEX:
+        return lambda m: tuple(-e for e in m)
+    if order is MonomialOrder.GRLEX:
+        return lambda m: (-sum(m), tuple(-e for e in m))
+    return lambda m: (-sum(m), m[::-1])
+
+
+# A reducer split for division: its leading monomial, and its other terms
+# divided by its leading coefficient.
+Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
+
+
+def _split(g: MPoly, order: MonomialOrder) -> Reducer:
+    glm = max(g.terms, key=order.key)
+    tail = [(m, c) for m, c in g.terms.items() if m != glm]
+    lc = g.terms[glm]
+    if lc != 1:
+        tail = [(m, c / lc) for m, c in tail]
+    return glm, tail
+
+
+def _reduce_full(f: MPoly, reducers: Sequence[Reducer], order: MonomialOrder) -> MPoly:
+    """Remainder of f on full division by the split reducers: no monomial
+    of the result is divisible by any reducer's leading monomial.
+
+    The dividend is one mutable term dict.  Its monomials wait in a heap,
+    largest first; a monomial that cancels stays in the heap and is
+    skipped when popped.  A division step subtracts a multiple of the
+    reducer's tail in place."""
+    descending = _descending_key(order)
+    p = dict(f.terms)
+    heap = [(descending(m), m) for m in p]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = p.pop(lm, None)
+        if lc is None:
+            continue  # cancelled after it was pushed
+        for glm, tail in reducers:
+            if all(map(le, glm, lm)):
+                quotient = tuple(map(sub, lm, glm))
+                for m, c in tail:
+                    mono = tuple(map(add, quotient, m))
+                    old = p.get(mono)
+                    if old is None:
+                        p[mono] = -lc * c
+                        heappush(heap, (descending(mono), mono))
+                    else:
+                        new = old - lc * c
+                        if new:
+                            p[mono] = new
+                        else:
+                            del p[mono]
                 break
         else:
-            head = MPoly.from_monomial(lm, lc)
-            remainder = remainder + head
-            p = p - head
-    return remainder
+            remainder[lm] = lc
+    return MPoly._make(f.nvars, remainder)
 
 
 def _s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder) -> MPoly:
@@ -93,17 +142,22 @@ def buchberger(
         # the zero ideal
         return GroebnerBasis(generators=(), order=order, nvars=nvars)
 
-    lms = [g.leading_monomial(order) for g in basis]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    reducers = [_split(g, order) for g in basis]
+    lms = [glm for glm, _ in reducers]
+    queue = []  # (lcm degree, order key of the lcm, i, j, lcm), a heap
+    pending = set()  # the queued pairs, for the chain criterion
 
-    def pair_key(pair):
-        l = monomial_lcm(lms[pair[0]], lms[pair[1]])
-        return (monomial_degree(l), order.key(l))
+    def add_pairs(new):
+        for m in range(new):
+            l = monomial_lcm(lms[m], lms[new])
+            heappush(queue, (monomial_degree(l), order.key(l), m, new, l))
+            pending.add((m, new))
 
-    while pending:
-        i, j = min(pending, key=pair_key)
+    for new in range(1, len(basis)):
+        add_pairs(new)
+    while queue:
+        _, _, i, j, l = heappop(queue)
         pending.remove((i, j))
-        l = monomial_lcm(lms[i], lms[j])
         if l == monomial_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
         skip = False
@@ -115,13 +169,13 @@ def buchberger(
                 break
         if skip:
             continue
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j], order), basis, order)
+        remainder = _reduce_full(_s_polynomial(basis[i], basis[j], order), reducers, order)
         if remainder:
             remainder = remainder.monic(order)
             basis.append(remainder)
-            lms.append(remainder.leading_monomial(order))
-            new = len(basis) - 1
-            pending.update((m, new) for m in range(new))
+            reducers.append(_split(remainder, order))
+            lms.append(reducers[-1][0])
+            add_pairs(len(basis) - 1)
 
     return _interreduce(basis, order, nvars)
 
@@ -141,12 +195,13 @@ def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> Groebn
         if not covered:
             keep.append(i)
     minimal = [basis[i] for i in keep]
+    split = [_split(g, order) for g in minimal]
     # tail-reduce each against the others until stable
     changed = True
     while changed:
         changed = False
         for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
+            others = split[:i] + split[i + 1 :]
             if not others:
                 continue
             reduced = _reduce_full(minimal[i], others, order)
@@ -154,8 +209,9 @@ def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> Groebn
                 changed = True
                 if reduced:
                     minimal[i] = reduced.monic(order)
+                    split[i] = _split(minimal[i], order)
                 else:
-                    del minimal[i]
+                    del minimal[i], split[i]
                     break
     minimal.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return GroebnerBasis(generators=tuple(minimal), order=order, nvars=nvars)
@@ -168,7 +224,7 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
         raise ValueError("variable count mismatch with the basis")
     if not basis.generators:
         return f
-    return _reduce_full(f, basis.generators, basis.order)
+    return _reduce_full(f, [_split(g, basis.order) for g in basis.generators], basis.order)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 
 def integer_det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
@@ -122,24 +122,20 @@ def _content_reduce(row: dict[Hashable, int]) -> None:
 class SparseExactRREF:
     """Incrementally maintained reduced row-echelon form over Q.
 
-    Rows are sparse integer vectors indexed by arbitrary hashable column
-    keys; ``key`` orders the columns (the pivot of a row is its largest
-    column).  Keeping the form fully reduced means every stored row
-    touches only its own pivot plus non-pivot columns, which keeps the
-    rows short and insertions cheap.
+    Rows are sparse integer vectors indexed by mutually comparable
+    hashable column keys; the pivot of a row is its largest column.
+    Keeping the form fully reduced means every stored row touches only
+    its own pivot plus non-pivot columns, which keeps the rows short and
+    insertions cheap.
     """
 
-    def __init__(self, key: Optional[Callable[[Hashable], object]] = None):
-        self._key = key if key is not None else (lambda c: c)
+    def __init__(self):
         self._rows: dict[Hashable, dict[Hashable, int]] = {}
         self._touch: dict[Hashable, set[Hashable]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def pivot_rows(self) -> list[dict[Hashable, int]]:
-        return [dict(row) for row in self._rows.values()]
 
     def _index(self, row: dict, pivot: Hashable) -> None:
         for col in row:
@@ -178,7 +174,7 @@ class SparseExactRREF:
                 self._eliminate(r, self._rows[col], col)
         if not r:
             return False
-        pivot = max(r, key=self._key)
+        pivot = max(r)
         _content_reduce(r)
         if r[pivot] < 0:
             for c in r:

@@ -153,7 +153,7 @@ def test_criterion_6_square_reduction_telescopes():
 def test_criterion_7_ordinary_presentations():
     started = time.perf_counter()
     ok = True
-    for ctx in _contexts(6):
+    for ctx in [*_contexts(6), SpringerContext(7, 3)]:
         j_gens = list(ordinary_ideal(ctx).generators)
         dimension, _ = quotient_dimension(buchberger(j_gens))
         ok = ok and dimension == comb(ctx.n, ctx.k)
@@ -162,7 +162,7 @@ def test_criterion_7_ordinary_presentations():
         specialized = [g.eval_last_var_zero() for g in i_gens]  # t = 0
         ok = ok and ideal_equal(j_gens, specialized).equal
     _report(
-        "criterion 7 (ordinary presentation: dimension, Tanisaki, t=0, n <= 6)",
+        "criterion 7 (ordinary presentation: dimension, Tanisaki, t=0, n <= 6 and (7,3))",
         ok,
         time.perf_counter() - started,
         120,

@@ -1,18 +1,29 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tworow.groebner import (
     GroebnerBasis,
+    _descending_key,
+    _s_polynomial,
     buchberger,
     ideal_equal,
     normal_form,
     quotient_dimension,
 )
-from tworow.polynomials import MonomialOrder, MPoly
-from tworow.springer import SpringerContext, ordinary_ideal, tanisaki_ideal
+from tworow.polynomials import (
+    MonomialOrder,
+    MPoly,
+    monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
+from tworow.springer import SpringerContext, ideal_by_name, ordinary_ideal, tanisaki_ideal
 
 ORDERS = (MonomialOrder.GREVLEX, MonomialOrder.GRLEX, MonomialOrder.LEX)
 
@@ -209,8 +220,6 @@ def test_normal_form_is_linear(f, g, a):
 
 def test_spolynomials_of_basis_reduce_to_zero():
     # the defining property of a Groebner basis, checked directly
-    from tworow.groebner import _s_polynomial
-
     gb = buchberger(j_generators(4, 2))
     gens = gb.generators
     for i in range(len(gens)):
@@ -228,3 +237,138 @@ def test_reduced_basis_is_reduced():
             for j, lm in enumerate(lms):
                 if j != i:
                     assert not all(a <= b for a, b in zip(lm, mono))
+
+
+# A reference Buchberger, kept as a cross-check of the library's: the
+# same algorithm written the plain way, with each pair chosen by a scan
+# of the whole pending set and division through fresh MPoly
+# subtractions.  Reduced Groebner bases are unique, so both must return
+# the same generators in the same order.
+
+
+def _reference_reduce(f, reducers, order):
+    lead = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in reducers]
+    p = f
+    remainder = MPoly.zero(f.nvars)
+    while p:
+        lm = p.leading_monomial(order)
+        lc = p.terms[lm]
+        for glm, glc, g in lead:
+            if monomial_divides(glm, lm):
+                p = p - g.times_monomial(monomial_div(lm, glm), lc / glc)
+                break
+        else:
+            head = MPoly.from_monomial(lm, lc)
+            remainder = remainder + head
+            p = p - head
+    return remainder
+
+
+def _reference_interreduce(basis, order):
+    lms = [g.leading_monomial(order) for g in basis]
+    minimal = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            j != i and monomial_divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
+            for j in range(len(basis))
+        )
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(minimal)):
+            others = minimal[:i] + minimal[i + 1 :]
+            if not others:
+                continue
+            reduced = _reference_reduce(minimal[i], others, order)
+            if reduced != minimal[i]:
+                changed = True
+                if reduced:
+                    minimal[i] = reduced.monic(order)
+                else:
+                    del minimal[i]
+                    break
+    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return tuple(minimal)
+
+
+def _reference_buchberger(generators, order):
+    basis = [g.monic(order) for g in generators if g]
+    if not basis:
+        return ()
+    lms = [g.leading_monomial(order) for g in basis]
+    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+
+    def pair_key(pair):
+        l = monomial_lcm(lms[pair[0]], lms[pair[1]])
+        return (monomial_degree(l), order.key(l))
+
+    while pending:
+        i, j = min(pending, key=pair_key)
+        pending.remove((i, j))
+        l = monomial_lcm(lms[i], lms[j])
+        if l == monomial_mul(lms[i], lms[j]):
+            continue
+        if any(
+            m not in (i, j)
+            and monomial_divides(lms[m], l)
+            and (min(i, m), max(i, m)) not in pending
+            and (min(j, m), max(j, m)) not in pending
+            for m in range(len(basis))
+        ):
+            continue
+        remainder = _reference_reduce(_s_polynomial(basis[i], basis[j], order), basis, order)
+        if remainder:
+            basis.append(remainder.monic(order))
+            lms.append(basis[-1].leading_monomial(order))
+            new = len(basis) - 1
+            pending.update((m, new) for m in range(new))
+    return _reference_interreduce(basis, order)
+
+
+# generators of total degree at most 2: with higher degrees a lex basis
+# can take the plain reference a minute
+small_generators = st.lists(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+            lambda m: sum(m) <= 2
+        ),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=4,
+    ).map(lambda terms: MPoly(3, terms)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+@given(gens=small_generators)
+@settings(max_examples=60, deadline=None)
+def test_buchberger_matches_reference(order, gens):
+    assert buchberger(gens, order).generators == _reference_buchberger(gens, order)
+
+
+def test_presentation_bases_match_reference():
+    for n in range(1, 6):
+        for k in range(n // 2 + 1):
+            ctx = SpringerContext(n, k)
+            for name in ("I", "J", "tanisaki"):
+                gens = ideal_by_name(ctx, name).generators
+                expected = _reference_buchberger(gens, MonomialOrder.GREVLEX)
+                assert buchberger(gens).generators == expected, (n, k, name)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+@given(f=small_polys, gens=small_generators)
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_reference_division(order, f, gens):
+    gb = buchberger(gens, order)
+    assert normal_form(f, gb) == _reference_reduce(f, gb.generators, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+def test_descending_key_reverses_the_order(order):
+    monomials = [tuple(m) for m in product(range(3), repeat=3)]
+    descending = sorted(monomials, key=_descending_key(order))
+    assert descending == sorted(monomials, key=order.key, reverse=True)

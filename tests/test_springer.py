@@ -11,7 +11,6 @@ from tworow import springer
 from tworow.cli import main
 from tworow.linalg import SparseExactRREF
 from tworow.polynomials import (
-    DEFAULT_ORDER,
     MPoly,
     format_poly,
     monomial_mul,
@@ -589,8 +588,8 @@ def test_kernel_dims_match_free_module_structure():
 def _ideal_slice_dims(ctx, max_degree):
     """Dimensions of the degree-d slices of I for d = 0..max_degree, by
     exact row reduction: the slice in degree d is spanned by the variable
-    multiples of a reduced basis of the slice in degree d - 1 together
-    with the generators of degree d.  This bounded route shares no code
+    multiples of a basis of the slice in degree d - 1 together with the
+    generators of degree d.  This bounded route shares no code
     with the certificate and is kept as its cross-check."""
     gens_by_degree = {}
     for g in equivariant_ideal(ctx).generators:
@@ -598,14 +597,16 @@ def _ideal_slice_dims(ctx, max_degree):
     units = [tuple(int(i == v) for i in range(ctx.nvars)) for v in range(ctx.nvars)]
     dims, previous_rows = [], []
     for d in range(max_degree + 1):
-        rref = SparseExactRREF(key=DEFAULT_ORDER.key)
-        for row in previous_rows:
-            for unit in units:
-                rref.add_row({monomial_mul(m, unit): c for m, c in row.items()})
-        for g in gens_by_degree.get(d, []):
-            rref.add_row(dict(g.terms))
+        rref = SparseExactRREF()
+        candidates = [
+            {monomial_mul(m, unit): c for m, c in row.items()}
+            for row in previous_rows
+            for unit in units
+        ]
+        candidates += [dict(g.terms) for g in gens_by_degree.get(d, [])]
+        # the rows that raised the rank span the slice
+        previous_rows = [row for row in candidates if rref.add_row(row)]
         dims.append(rref.rank)
-        previous_rows = rref.pivot_rows()
     return dims
 
 

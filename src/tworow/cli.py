@@ -245,22 +245,29 @@ def _check_straighten(ctx):
 
 def _check_kernel_ideal(ctx):
     report = springer.kernel_ideal_comparisons(ctx)
-    bad = [c for c in report.comparisons if not c.equal]
+    counts = ", ".join(f"d={d}:{c}" for d, c in enumerate(report.graded_counts))
     if not report.relations_ok:
         detail = "a generator of I does not vanish at every fixed point"
     elif not report.t_regular:
-        detail = "t divides a leading monomial of the Groebner basis of I"
-    elif not report.comparisons:
-        detail = "the quotient by I at t = 0 is infinite-dimensional"
-    elif bad:
-        detail = "mismatch at " + ", ".join(
-            f"d={c.degree} (ideal {c.ideal_dim} vs kernel {c.kernel_dim})" for c in bad
+        detail = "t is not regular: t divides a leading monomial of the Groebner basis of I"
+    elif not report.tableau_basis:
+        detail = (
+            f"the standard monomials of I at t = 0 (quotient dim "
+            f"{report.quotient_dimension}) are not the {sum(report.graded_counts)} "
+            f"tableau monomials"
+        )
+    elif not report.core_nonsingular:
+        detail = "the basis image core is singular"
+    elif report.graded_counts != report.expected_counts:
+        detail = (
+            f"tableaux by bottom size ({counts}) differ from "
+            f"C(n,d) - C(n,d-1) {report.expected_counts}"
         )
     else:
-        dims = ", ".join(f"d={c.degree}:{c.ideal_dim}" for c in report.comparisons)
         detail = (
-            f"ideal and kernel dimensions agree in all degrees ({dims}; "
-            f"t regular, quotient constant past d={report.comparisons[-1].degree})"
+            f"I = kernel in all degrees (t regular, tableau monomials a free "
+            f"Q[t]-basis, core nonsingular); tableaux by bottom size {counts} "
+            f"= C(n,d) - C(n,d-1)"
         )
     return report.ok, detail
 

@@ -126,7 +126,9 @@ class SparseExactRREF:
     hashable column keys; the pivot of a row is its largest column.
     Keeping the form fully reduced means every stored row touches only
     its own pivot plus non-pivot columns, which keeps the rows short and
-    insertions cheap.
+    insertions cheap.  The library no longer calls it: the tests use it to
+    cross-check the kernel certificate, and the benchmark's tracer wraps
+    ``add_row`` by name.
     """
 
     def __init__(self):

@@ -28,18 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, prod
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations
+from math import comb
 from typing import Iterable, Mapping, Optional
 
-from .linalg import (
-    ScaledInverse,
-    SparseExactRREF,
-    integer_det_bareiss,
-    rational_inverse,
-    solve_rational,
-)
+from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
 from .polynomials import Monomial, MPoly, elementary_symmetric
 from .tableaux import (
     TwoRowFilling,
@@ -316,9 +310,12 @@ class RelationCheck:
         return not self.failures
 
 
+@lru_cache(maxsize=None)
 def verify_relations(ctx: SpringerContext) -> RelationCheck:
     """Every generator of the equivariant ideal must localize to zero at
-    every fixed point; failures are reported, never raised."""
+    every fixed point; failures are reported, never raised.  Computed once
+    per context and shared by the ``relations`` and ``kernel-ideal``
+    checks."""
     ideal = equivariant_ideal(ctx)
     points = fixed_points(ctx)
     failures = []
@@ -387,15 +384,19 @@ class BasisMatrix:
     row w, column T.  The determinant of the images therefore factors as
     ``core_determinant`` times a power of t, and a nonzero integer core is
     exactly linear independence over the fraction field of Q[t].
-    ``inverse`` is the core's exact inverse, factored once per context so
-    that every straightening solve is a substitution.
+    ``inverse`` is the core's exact inverse, built on the first
+    straightening solve and then kept, so that every solve is a
+    substitution; the determinant checks never build it.
     """
 
     fixed_points: tuple[FixedPoint, ...]
     tableaux: tuple[TwoRowFilling, ...]
     integer_core: tuple[tuple[int, ...], ...]
     core_determinant: int
-    inverse: ScaledInverse
+
+    @cached_property
+    def inverse(self) -> ScaledInverse:
+        return rational_inverse(self.integer_core)
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +426,6 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
         tableaux=tableaux,
         integer_core=tuple(core),
         core_determinant=core_det,
-        inverse=rational_inverse(core),
     )
 
 
@@ -441,7 +441,7 @@ def straighten_by_solve(
     Each homogeneous component of degree d restricts to a multiple of
     t^d at every fixed point, so the system splits into one rational
     solve per degree against the integer core of the basis matrix.  The
-    core is factored once per context (the basis matrix stores its exact
+    core is factored once per context (the basis matrix keeps its exact
     inverse), so each of these solves is a substitution.  A component
     forcing a negative t-power would mean the solution is not
     polynomial, which the presentation theory rules out; it raises
@@ -649,34 +649,29 @@ def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomi
 
 
 @dataclass(frozen=True)
-class DegreeComparison:
-    degree: int
-    kernel_dim: int
-    ideal_dim: int
-
-    @property
-    def equal(self) -> bool:
-        return self.kernel_dim == self.ideal_dim
-
-
-@dataclass(frozen=True)
 class KernelIdealCheck:
-    """The certificate that I is the kernel of localization.
-    ``comparisons`` covers degrees 0..D, D the top degree of a standard
-    monomial of I at t = 0; it is empty when t is not regular or that
-    quotient is infinite-dimensional."""
+    """The certificate that I is the kernel of localization, one field per
+    step of the proof.  ``quotient_dimension`` is that of Q[x]/(I at
+    t = 0), None when infinite; ``graded_counts`` holds #{T : ell(T) = d}
+    over the basis tableaux and ``expected_counts`` the closed form
+    C(n, d) - C(n, d - 1), for d = 0..k."""
 
     relations_ok: bool
     t_regular: bool
-    comparisons: tuple[DegreeComparison, ...]
+    tableau_basis: bool
+    quotient_dimension: Optional[int]
+    core_nonsingular: bool
+    graded_counts: tuple[int, ...]
+    expected_counts: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
         return (
             self.relations_ok
             and self.t_regular
-            and bool(self.comparisons)
-            and all(c.equal for c in self.comparisons)
+            and self.tableau_basis
+            and self.core_nonsingular
+            and self.graded_counts == self.expected_counts
         )
 
 
@@ -685,45 +680,40 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
     """Prove that the equivariant ideal is the kernel of localization in
     every degree, or report which step of the proof fails.
 
-    The generators vanish at every fixed point, so I lies in the kernel.
-    When no leading monomial of I's basis involves t, t is a
-    nonzerodivisor on Q[x,t]/I (Bayer-Stillman), so the quotient's
-    degree-d dimension is the number of standard monomials of I at t = 0
-    of degree at most d, constant past D.  The kernel's quotient has
-    degree-d dimension equal to the rank of the values at the fixed points
-    of the x-monomials of degree at most d (a monomial's value vector is
-    integral and independent of its t-power); it never decreases, and it
-    never exceeds the ideal's since I lies in the kernel.  Equal
-    dimensions through D therefore stay equal in every degree, and
-    together with the inclusion they make the slices equal.
+    1. The generators vanish at every fixed point, so I lies in the kernel.
+    2. No leading monomial of I's reduced grevlex basis (t last) involves
+       t, so t is a nonzerodivisor on Q[x,t]/I (Bayer-Stillman), and the
+       standard monomials of I are the m * t^j with m a standard monomial
+       of I at t = 0.
+    3. Those m are exactly the tableau monomials x_T.  The standard
+       monomials form a Q-basis of the quotient (Macaulay), so by 2 and 3
+       {x_T} is a free Q[t]-basis of Q[x,t]/I.
+    4. The integer core of the basis image matrix is nonsingular.
+       Localization sends sum c_T x_T to the vector with entry
+       sum_T c_T(t) * t^ell(T) * core[w][T] at w; the core is invertible
+       over Q, so that vector is zero only when every c_T is.  Localization
+       is therefore injective on Q[x,t]/I: ker = I in every degree.
+
+    The graded counts #{T : ell(T) = d} are the Betti numbers of the
+    Springer fiber and must equal C(n, d) - C(n, d - 1).
     """
     n = ctx.n
     t_regular = not any(lm[n] for lm in ideal_basis(ctx, "I").leading_monomials())
     dimension, standard = groebner.quotient_dimension(_basis_at_t_zero(ctx))
-    comparisons = []
-    if t_regular and dimension is not None:
-        points = fixed_points(ctx)
-        loc = SparseExactRREF()
-        quotient_dim = 0
-        for d in range(max((sum(m) for m in standard), default=0) + 1):
-            # one row per x-monomial of degree d, a multiset of indices
-            for factors in combinations_with_replacement(range(n), d):
-                loc.add_row(
-                    {idx: prod(w.w[i] for i in factors) for idx, w in enumerate(points)}
-                )
-            quotient_dim += sum(1 for m in standard if sum(m) == d)
-            space_dim = comb(d + n, n)
-            comparisons.append(
-                DegreeComparison(
-                    degree=d,
-                    kernel_dim=space_dim - loc.rank,
-                    ideal_dim=space_dim - quotient_dim,
-                )
-            )
+    tableaux = standard_monomial_basis(ctx)
+    tableau_monomials = {monomial_from_filling(tab)[:n] for tab in tableaux}
     return KernelIdealCheck(
         relations_ok=verify_relations(ctx).ok,
         t_regular=t_regular,
-        comparisons=tuple(comparisons),
+        tableau_basis=set(standard) == tableau_monomials,
+        quotient_dimension=dimension,
+        core_nonsingular=basis_image_matrix(ctx).core_determinant != 0,
+        graded_counts=tuple(
+            sum(1 for tab in tableaux if tab.ell == d) for d in range(ctx.k + 1)
+        ),
+        expected_counts=tuple(
+            comb(n, d) - (comb(n, d - 1) if d else 0) for d in range(ctx.k + 1)
+        ),
     )
 
 

@@ -2,7 +2,8 @@ import dataclasses
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -552,37 +553,24 @@ def test_sampled_monomials_are_deterministic():
 # -- kernel versus ideal ------------------------------------------------------
 
 
-def test_degree_zero_trivial():
-    comparison = kernel_ideal_comparisons(SpringerContext(3, 1)).comparisons[0]
-    assert comparison.kernel_dim == 0
-    assert comparison.ideal_dim == 0
-    assert comparison.equal
-
-
-def test_degree_one_n2():
-    comparison = kernel_ideal_comparisons(SpringerContext(2, 1)).comparisons[1]
-    assert comparison.kernel_dim == 1
-    assert comparison.ideal_dim == 1
-
-
-def test_kernel_matches_ideal_n4():
-    check = kernel_ideal_comparisons(SpringerContext(4, 2))
-    assert check.ok and check.relations_ok and check.t_regular
-    assert [c.degree for c in check.comparisons] == [0, 1, 2]
-
-
-def test_kernel_dims_match_free_module_structure():
-    # once every basis tableau fits in the degree, the quotient slice has
-    # dimension C(n, k); below that only bottoms of size <= d contribute
-    ctx = SpringerContext(4, 2)
-    for comparison in kernel_ideal_comparisons(ctx).comparisons:
-        d = comparison.degree
-        space = comb(d + 4, 4)
-        quotient = sum(
-            1 for tab in standard_monomial_basis(ctx) if tab.ell <= d
-        )
-        assert space - comparison.kernel_dim == quotient
-        assert space - comparison.ideal_dim == quotient
+def _kernel_slice_dims(ctx, max_degree):
+    """Dimensions of the degree-d slices of the localization kernel for
+    d = 0..max_degree: C(d + n, n) minus the rank of the value vectors at
+    the fixed points of the x-monomials of degree at most d (a monomial's
+    value vector is integral and independent of its t-power).  This was
+    the certificate's kernel side before the tableau basis replaced it;
+    it shares no code with the certificate and is kept as its cross-check."""
+    points = fixed_points(ctx)
+    rref = SparseExactRREF()
+    dims = []
+    for d in range(max_degree + 1):
+        # one row per x-monomial of degree d, a multiset of indices
+        for factors in combinations_with_replacement(range(ctx.n), d):
+            rref.add_row(
+                {idx: prod(w.w[i] for i in factors) for idx, w in enumerate(points)}
+            )
+        dims.append(comb(d + ctx.n, ctx.n) - rref.rank)
+    return dims
 
 
 def _ideal_slice_dims(ctx, max_degree):
@@ -610,40 +598,110 @@ def _ideal_slice_dims(ctx, max_degree):
     return dims
 
 
+def _free_module_slice_dims(ctx, max_degree):
+    """What a free Q[t]-module on the x_T gives for the degree-d slices of
+    I: C(d + n, n) minus #{T : ell(T) <= d}, read off the certificate's
+    graded counts."""
+    counts = kernel_ideal_comparisons(ctx).graded_counts
+    return [
+        comb(d + ctx.n, ctx.n) - sum(counts[: d + 1]) for d in range(max_degree + 1)
+    ]
+
+
+def test_degree_zero_trivial():
+    # only the empty tableau lives in degree 0, and constants localize
+    # injectively
+    ctx = SpringerContext(3, 1)
+    assert kernel_ideal_comparisons(ctx).graded_counts[0] == 1
+    assert _kernel_slice_dims(ctx, 0) == _ideal_slice_dims(ctx, 0) == [0]
+
+
+def test_degree_one_n2():
+    # x1, x2, t against the basis 1*t and x2: the linear relation spans
+    # the kernel
+    ctx = SpringerContext(2, 1)
+    assert kernel_ideal_comparisons(ctx).graded_counts == (1, 1)
+    assert _kernel_slice_dims(ctx, 1) == _ideal_slice_dims(ctx, 1) == [0, 1]
+
+
+def test_kernel_matches_ideal_n4():
+    check = kernel_ideal_comparisons(SpringerContext(4, 2))
+    assert check.ok and check.relations_ok and check.t_regular
+    assert check.tableau_basis and check.core_nonsingular
+    assert check.quotient_dimension == 6
+    assert check.graded_counts == check.expected_counts == (1, 3, 2)
+
+
+def test_kernel_dims_match_free_module_structure():
+    # once every basis tableau fits in the degree, the quotient slice has
+    # dimension C(n, k); below that only bottoms of size <= d contribute
+    ctx = SpringerContext(4, 2)
+    expected = [comb(d + 4, 4) - q for d, q in enumerate([1, 4, 6, 6, 6])]
+    assert _free_module_slice_dims(ctx, 4) == expected
+    assert _kernel_slice_dims(ctx, 4) == expected
+    assert _ideal_slice_dims(ctx, 4) == expected
+
+
+def test_kernel_slices_match_the_certificate():
+    # the localization rank in degree d is #{T : ell(T) <= d}
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            ctx = SpringerContext(n, k)
+            assert kernel_ideal_comparisons(ctx).ok, (n, k)
+            assert _kernel_slice_dims(ctx, k + 1) == _free_module_slice_dims(
+                ctx, k + 1
+            ), (n, k)
+
+
 def test_ideal_slices_match_the_certificate():
     for n in range(1, 6):
         for k in range(n // 2 + 1):
             ctx = SpringerContext(n, k)
-            comparisons = kernel_ideal_comparisons(ctx).comparisons
-            top = comparisons[-1].degree
-            quotient = comb(top + n, n) - comparisons[-1].ideal_dim
             bound = 2 * (k + 1)
-            expected = [c.ideal_dim for c in comparisons]
-            expected += [comb(d + n, n) - quotient for d in range(top + 1, bound + 1)]
-            assert _ideal_slice_dims(ctx, bound) == expected, (n, k)
+            assert _ideal_slice_dims(ctx, bound) == _free_module_slice_dims(
+                ctx, bound
+            ), (n, k)
 
 
 @pytest.fixture
 def fresh_certificate_caches():
-    """Clear the cached basis of I and the certificates before and after
-    the test, so that a patched ideal reaches neither other tests nor it."""
-    ideal_basis.cache_clear()
-    kernel_ideal_comparisons.cache_clear()
+    """Clear the cached basis of I, the relation reports and the
+    certificates before and after the test, so that a patched ideal
+    reaches neither other tests nor it."""
+    caches = (ideal_basis, verify_relations, kernel_ideal_comparisons)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    ideal_basis.cache_clear()
-    kernel_ideal_comparisons.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
-def test_certificate_fails_closed(monkeypatch, capsys, fresh_certificate_caches):
-    # drop a quadratic relation: dropping "product i=1,2,3" at (4,2)
-    # would leave the same ideal and prove nothing
+@pytest.mark.parametrize(
+    "dropped, failed_step",
+    [
+        # t stays regular, but x4^2 becomes standard: quotient dim 7
+        ("quadratic i=4", "quotient dim 7) are not the 6 tableau monomials"),
+        # steps 1, 3 and 4 imply t regular (by graded Nakayama the x_T
+        # generate Q[x,t]/I over Q[t]), so this ideal fails step 3 as well;
+        # the report names t regularity, the first step to fail
+        ("quadratic i=1", "t is not regular"),
+        ("linear", "quotient dim 11) are not the 6 tableau monomials"),
+    ],
+    ids=["drop-quadratic-4", "drop-quadratic-1", "drop-linear"],
+)
+def test_certificate_fails_closed(
+    dropped, failed_step, monkeypatch, capsys, fresh_certificate_caches
+):
+    # dropping "product i=1,2,3" at (4,2) would leave the same ideal and
+    # prove nothing, so each case drops a linear or quadratic relation
     original = springer.equivariant_ideal
 
     def weakened(ctx):
         ideal = original(ctx)
         if (ctx.n, ctx.k) != (4, 2):
             return ideal
-        kept = [i for i, label in enumerate(ideal.labels) if label != "quadratic i=4"]
+        kept = [i for i, label in enumerate(ideal.labels) if label != dropped]
+        assert len(kept) == len(ideal.labels) - 1
         return dataclasses.replace(
             ideal,
             generators=tuple(ideal.generators[i] for i in kept),
@@ -652,13 +710,15 @@ def test_certificate_fails_closed(monkeypatch, capsys, fresh_certificate_caches)
 
     monkeypatch.setattr(springer, "equivariant_ideal", weakened)
     check = kernel_ideal_comparisons(SpringerContext(4, 2))
-    assert check.relations_ok and check.t_regular and not check.ok
-    bad = [c for c in check.comparisons if not c.equal]
-    assert [(c.degree, c.ideal_dim, c.kernel_dim) for c in bad] == [(2, 8, 9)]
+    assert check.relations_ok and not check.ok
+    assert not check.tableau_basis
+    assert check.t_regular == (dropped != "quadratic i=1")
     assert main(["verify", "--checks", "kernel-ideal", "--n-max", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL kernel-ideal[n=4,k=2]: mismatch at d=2 (ideal 8 vs kernel 9)" in out
     assert out.count("FAIL") == 1
+    fail_line = next(line for line in out.splitlines() if line.startswith("FAIL"))
+    assert fail_line.startswith("FAIL kernel-ideal[n=4,k=2]: ")
+    assert failed_step in fail_line
 
 
 # -- ordinary cohomology ------------------------------------------------------

@@ -318,7 +318,12 @@ def _cmd_verify(args) -> int:
             ctx = SpringerContext(n=n, k=k)
             for name in selected:
                 tick = time.perf_counter()
-                ok, details = _CHECKS[name](ctx)
+                try:
+                    ok, details = _CHECKS[name](ctx)
+                except ConsistencyError as exc:
+                    # one contradicted check fails on its own line; the
+                    # others still run and report
+                    ok, details = False, f"consistency error: {exc}"
                 elapsed_ms = int((time.perf_counter() - tick) * 1000)
                 all_ok = all_ok and ok
                 entries.append(

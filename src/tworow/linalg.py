@@ -48,30 +48,46 @@ def rational_inverse(
     matrix: Sequence[Sequence[Fraction | int]],
 ) -> Optional[ScaledInverse]:
     """The exact inverse of a square rational matrix as (adj, d), or None
-    when the matrix is singular.  Exact Gauss-Jordan elimination against
-    the identity; callers that solve against one fixed matrix many times
-    keep the result (the basis image matrix of a context stores it)."""
+    when the matrix is singular; d is the least positive integer that
+    clears the inverse's denominators.  Fraction-free Gauss-Jordan on the
+    integer matrix [s A | I], s the lcm of A's denominators: every entry
+    stays a minor of [s A | I], so each Bareiss division by the previous
+    pivot is exact.  Callers that solve against one fixed matrix many
+    times keep the result (the basis image matrix of a context stores
+    it)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    s = lcm(1, *(v.denominator for row in rows for v in row))
     a = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
+        [v.numerator * (s // v.denominator) for v in row]
+        + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
     ]
+    prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:
             return None
         a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        pivot_line = a[col]
+        pivot = pivot_line[col]
         for r in range(n):
-            if r != col and a[r][col]:
+            if r != col:
                 factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    d = lcm(*(v.denominator for row in a for v in row[n:]))
-    adj = tuple(tuple(int(v * d) for v in row[n:]) for row in a)
-    return adj, d
+                a[r] = [
+                    (pivot * v - factor * p) // prev for v, p in zip(a[r], pivot_line)
+                ]
+        prev = pivot
+    # the left block is now prev * I, so (s A)^-1 = right / prev and
+    # A^-1 = s * right / prev; reduce to lowest terms with d > 0
+    d = prev
+    adj = [[s * v for v in row[n:]] for row in a]
+    g = gcd(d, *(v for row in adj for v in row))
+    if d < 0:
+        g = -g
+    return tuple(tuple(v // g for v in row) for row in adj), d // g
 
 
 def solve_rational(

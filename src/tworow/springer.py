@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
@@ -310,19 +310,49 @@ class RelationCheck:
         return not self.failures
 
 
+def _monomial_values(ctx: SpringerContext, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The integer values prod w(i)^alpha_i of the x-monomial with
+    exponents alpha over x1..xn, one per fixed point in the order of
+    ``fixed_points``."""
+    support = [(i, e) for i, e in enumerate(alpha) if e]
+    return tuple(prod([w.w[i] ** e for i, e in support]) for w in fixed_points(ctx))
+
+
+def _component_values(ctx: SpringerContext, component: MPoly) -> tuple[list[int], int]:
+    """The values of a homogeneous component at every fixed point.
+
+    Restriction sends a degree-d component to v_w * t^d, where v_w is
+    its value at x = (w(1), ..., w(n)), t = 1.  Returns integers s_w and
+    a common denominator D > 0 with v_w = s_w / D: an integer combination
+    of the values of its monomials.  ``localize`` computes the same
+    values one point at a time."""
+    n = ctx.n
+    scale = lcm(1, *(c.denominator for c in component.terms.values()))
+    sums = [0] * len(fixed_points(ctx))
+    for mono, c in component.terms.items():
+        factor = c.numerator * (scale // c.denominator)
+        row = _monomial_values(ctx, mono[:n])
+        sums = [s + factor * v for s, v in zip(sums, row)]
+    return sums, scale
+
+
 @lru_cache(maxsize=None)
 def verify_relations(ctx: SpringerContext) -> RelationCheck:
     """Every generator of the equivariant ideal must localize to zero at
-    every fixed point; failures are reported, never raised.  Computed once
-    per context and shared by the ``relations`` and ``kernel-ideal``
+    every fixed point; failures are reported, never raised.  A generator
+    localizes to zero at w exactly when each of its homogeneous
+    components does, so each component is checked on its own.  Computed
+    once per context and shared by the ``relations`` and ``kernel-ideal``
     checks."""
     ideal = equivariant_ideal(ctx)
     points = fixed_points(ctx)
     failures = []
     for label, g in zip(ideal.labels, ideal.generators):
-        for w in points:
-            if localize(g, w):
-                failures.append((label, w.ell))
+        nonzero = [False] * len(points)
+        for component in g.homogeneous_components().values():
+            sums, _ = _component_values(ctx, component)
+            nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
+        failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
     return RelationCheck(
         generators_checked=len(ideal.generators),
         fixed_points_checked=len(points),
@@ -383,10 +413,12 @@ class BasisMatrix:
     j) * t^(size of bottom); ``integer_core`` holds the integer factor in
     row w, column T.  The determinant of the images therefore factors as
     ``core_determinant`` times a power of t, and a nonzero integer core is
-    exactly linear independence over the fraction field of Q[t].
-    ``inverse`` is the core's exact inverse, built on the first
-    straightening solve and then kept, so that every solve is a
-    substitution; the determinant checks never build it.
+    exactly linear independence over the fraction field of Q[t].  A
+    singular core is returned as it is, with ``core_determinant`` 0, so
+    that the checks reading it fail by name.  ``inverse`` is the core's
+    exact inverse (None when singular), built on the first straightening
+    solve and then kept, so that every solve is a substitution; the
+    determinant checks never build it.
     """
 
     fixed_points: tuple[FixedPoint, ...]
@@ -395,7 +427,7 @@ class BasisMatrix:
     core_determinant: int
 
     @cached_property
-    def inverse(self) -> ScaledInverse:
+    def inverse(self) -> Optional[ScaledInverse]:
         return rational_inverse(self.integer_core)
 
 
@@ -407,29 +439,36 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
         raise ConsistencyError(
             f"{len(points)} fixed points vs {len(tableaux)} basis tableaux"
         )
-    core = []
-    for w in points:
-        core_row = []
-        for tab in tableaux:
-            weight = 1
-            for j in tab.bottom:
-                weight *= w.value(j)
-            core_row.append(weight)
-        core.append(tuple(core_row))
-    core_det = integer_det_bareiss(core)
-    if core_det == 0:
-        raise ConsistencyError(
-            f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
-        )
+    # column T holds the values of x_T
+    columns = [
+        _monomial_values(ctx, monomial_from_filling(tab)[: ctx.n]) for tab in tableaux
+    ]
+    core = tuple(zip(*columns))
     return BasisMatrix(
         fixed_points=points,
         tableaux=tableaux,
-        integer_core=tuple(core),
-        core_determinant=core_det,
+        integer_core=core,
+        core_determinant=integer_det_bareiss(core),
     )
 
 
 # -- straightening, route one: solve against the localized basis -------------
+
+
+def _coefficient_polys(
+    accum: Mapping[TwoRowFilling, Mapping[int, Fraction]],
+) -> dict[TwoRowFilling, TPoly]:
+    """Build each tableau's Q[t] coefficient once, from its map of
+    t-power to rational coefficient, and drop the zero ones."""
+    result = {}
+    for tab, powers in accum.items():
+        dense = [0] * (max(powers) + 1)
+        for power, coeff in powers.items():
+            dense[power] = coeff
+        cpoly = TPoly(dense)
+        if cpoly:
+            result[tab] = cpoly
+    return result
 
 
 def straighten_by_solve(
@@ -439,24 +478,27 @@ def straighten_by_solve(
     equivariant ideal, found by solving the localization system.
 
     Each homogeneous component of degree d restricts to a multiple of
-    t^d at every fixed point, so the system splits into one rational
-    solve per degree against the integer core of the basis matrix.  The
-    core is factored once per context (the basis matrix keeps its exact
-    inverse), so each of these solves is a substitution.  A component
-    forcing a negative t-power would mean the solution is not
-    polynomial, which the presentation theory rules out; it raises
-    ConsistencyError rather than returning a wrong answer.
+    t^d at every fixed point, read off as integer monomial values, so the
+    system splits into one rational solve per degree against the integer
+    core of the basis matrix.  The core is factored once per context
+    (the basis matrix keeps its exact inverse), so each of these solves
+    is a substitution.  A component forcing a negative t-power would mean
+    the solution is not polynomial, which the presentation theory rules
+    out; it raises ConsistencyError rather than returning a wrong answer,
+    as does a singular core.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
     bm = basis_image_matrix(ctx)
-    result: dict[TwoRowFilling, TPoly] = {}
+    inverse = bm.inverse
+    if inverse is None:
+        raise ConsistencyError(
+            f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
+        )
+    accum: dict[TwoRowFilling, dict[int, Fraction]] = {}
     for degree, component in f.homogeneous_components().items():
-        values = []
-        for w in bm.fixed_points:
-            restricted = localize(component, w)
-            values.append(restricted.coefficient(degree))
-        gamma = solve_rational(bm.inverse, values)
+        sums, scale = _component_values(ctx, component)
+        gamma = solve_rational(inverse, [Fraction(s, scale) for s in sums])
         for tab, coeff in zip(bm.tableaux, gamma):
             if not coeff:
                 continue
@@ -464,10 +506,8 @@ def straighten_by_solve(
                 raise ConsistencyError(
                     "straightening produced a non-polynomial coefficient"
                 )
-            result[tab] = result.get(tab, TPoly.zero()) + TPoly.term(
-                coeff, degree - tab.ell
-            )
-    return {tab: c for tab, c in result.items() if c}
+            accum.setdefault(tab, {})[degree - tab.ell] = coeff
+    return _coefficient_polys(accum)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
@@ -476,10 +516,13 @@ def straighten_by_solve(
 @lru_cache(maxsize=None)
 def _rewrite_memo(
     ctx: SpringerContext,
-) -> dict[tuple[int, ...], tuple[tuple[TwoRowFilling, TPoly], ...]]:
+) -> dict[tuple[int, ...], tuple[tuple[TwoRowFilling, Fraction], ...]]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents.  Only complete values are stored, so threads sharing the
-    memo may compute an entry twice but never read a partial one."""
+    exponents alpha: pairs (T, c) with x^alpha = sum of
+    c * t^(|alpha| - ell(T)) * x_T modulo the ideal.  I is homogeneous
+    with t in degree 1, so the t-power is implied.  Only complete values
+    are stored, so threads sharing the memo may compute an entry twice
+    but never read a partial one."""
     return {}
 
 
@@ -543,38 +586,61 @@ def _rewrite_expansion(ctx: SpringerContext, alpha: tuple[int, ...]) -> MPoly:
 
 
 def _straighten_x_monomial(
-    ctx: SpringerContext, alpha: tuple[int, ...], active: set[tuple[int, ...]]
-) -> tuple[tuple[TwoRowFilling, TPoly], ...]:
+    ctx: SpringerContext, alpha: tuple[int, ...]
+) -> tuple[tuple[TwoRowFilling, Fraction], ...]:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
-    coordinates, memoized per context.  ``active`` holds the monomials
-    this call chain is still expanding; meeting one again is a cycle."""
+    coordinates, memoized per context.
+
+    An explicit work stack drives the rewriting, so no power is too high
+    for the interpreter's recursion limit.  ``expanding`` maps each
+    monomial this call has rewritten but not yet finished to its
+    expansion; those monomials form the chain from alpha to the top of
+    the stack, so meeting one again is a cycle.  It is private to the
+    call, and only finished values reach the memo."""
     memo = _rewrite_memo(ctx)
-    cached = memo.get(alpha)
-    if cached is not None:
-        return cached
-    if alpha in active:
-        raise ConsistencyError(f"rewriting cycled on {alpha}")
+    value = memo.get(alpha)
+    if value is not None:
+        return value
     n, k = ctx.n, ctx.k
-    squarefree = all(e <= 1 for e in alpha)
-    if squarefree and sum(alpha) <= k:
-        filling = filling_from_monomial(alpha + (0,), n)
-        if is_standard(filling):
-            value = ((filling, TPoly.one()),)
-            memo[alpha] = value
-            return value
-    active.add(alpha)
-    expansion = _rewrite_expansion(ctx, alpha)
-    accum: dict[TwoRowFilling, TPoly] = {}
-    for mono, coeff in expansion.terms.items():
-        sub_alpha = mono[:n]
-        t_power = mono[n]
-        for tab, cpoly in _straighten_x_monomial(ctx, sub_alpha, active):
-            contribution = cpoly * TPoly.term(coeff, t_power)
-            accum[tab] = accum.get(tab, TPoly.zero()) + contribution
-    active.remove(alpha)
-    value = tuple((tab, c) for tab, c in accum.items() if c)
-    memo[alpha] = value
-    return value
+    expanding: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    stack = [alpha]
+    while stack:
+        beta = stack[-1]
+        if beta in memo:
+            stack.pop()
+            continue
+        terms = expanding.pop(beta, None)
+        if terms is not None:
+            # every monomial of the expansion has been finished above beta
+            accum: dict[TwoRowFilling, Fraction] = {}
+            for sub, coeff in terms:
+                for tab, c in memo[sub]:
+                    accum[tab] = accum.get(tab, 0) + coeff * c
+            memo[beta] = tuple((tab, c) for tab, c in accum.items() if c)
+            stack.pop()
+            continue
+        if all(e <= 1 for e in beta) and sum(beta) <= k:
+            filling = filling_from_monomial(beta + (0,), n)
+            if is_standard(filling):
+                memo[beta] = ((filling, Fraction(1)),)
+                stack.pop()
+                continue
+        degree = sum(beta)
+        terms = []
+        for mono, coeff in _rewrite_expansion(ctx, beta).terms.items():
+            if sum(mono) != degree:
+                raise ConsistencyError(
+                    f"rewriting {beta} left degree {degree} for n={n}, k={k}"
+                )
+            terms.append((mono[:n], coeff))
+        expanding[beta] = terms
+        for sub in dict.fromkeys(sub for sub, _ in terms):
+            if sub in memo:
+                continue
+            if sub in expanding:
+                raise ConsistencyError(f"rewriting cycled on {sub}")
+            stack.append(sub)
+    return memo[alpha]
 
 
 def straighten_by_rewrite(
@@ -592,15 +658,15 @@ def straighten_by_rewrite(
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
-    result: dict[TwoRowFilling, TPoly] = {}
-    active: set[tuple[int, ...]] = set()
+    n = ctx.n
+    accum: dict[TwoRowFilling, dict[int, Fraction]] = {}
     for mono, coeff in f.terms.items():
-        alpha = mono[: ctx.n]
-        t_power = mono[ctx.n]
-        for tab, cpoly in _straighten_x_monomial(ctx, alpha, active):
-            contribution = cpoly * TPoly.term(coeff, t_power)
-            result[tab] = result.get(tab, TPoly.zero()) + contribution
-    return {tab: c for tab, c in result.items() if c}
+        degree = sum(mono)
+        for tab, c in _straighten_x_monomial(ctx, mono[:n]):
+            powers = accum.setdefault(tab, {})
+            power = degree - tab.ell
+            powers[power] = powers.get(power, 0) + coeff * c
+    return _coefficient_polys(accum)
 
 
 def basis_combination(

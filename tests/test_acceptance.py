@@ -111,7 +111,9 @@ def test_criterion_4_straightening_routes_agree():
     started = time.perf_counter()
     ok = True
     straightened = 0
-    for ctx in [*_contexts(5), SpringerContext(6, 3), SpringerContext(7, 3)]:
+    for ctx in [
+        *_contexts(5), SpringerContext(6, 3), SpringerContext(7, 3), SpringerContext(8, 4)
+    ]:
         monos = squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
         for mono in monos:
             p = MPoly.from_monomial(mono)
@@ -119,7 +121,7 @@ def test_criterion_4_straightening_routes_agree():
             ok = ok and solved == straighten_by_rewrite(p, ctx)
             straightened += 1
     _report(
-        "criterion 4 (both straightening routes agree, n <= 5, (6,3), (7,3))",
+        "criterion 4 (both straightening routes agree, n <= 5, (6,3), (7,3), (8,4))",
         ok,
         time.perf_counter() - started,
         60,
@@ -154,7 +156,7 @@ def test_criterion_6_square_reduction_telescopes():
 def test_criterion_7_ordinary_presentations():
     started = time.perf_counter()
     ok = True
-    for ctx in [*_contexts(6), SpringerContext(7, 3)]:
+    for ctx in [*_contexts(6), SpringerContext(7, 3), SpringerContext(8, 4)]:
         j_gens = list(ordinary_ideal(ctx).generators)
         dimension, _ = quotient_dimension(buchberger(j_gens))
         ok = ok and dimension == comb(ctx.n, ctx.k)
@@ -163,7 +165,8 @@ def test_criterion_7_ordinary_presentations():
         specialized = [g.eval_last_var_zero() for g in i_gens]  # t = 0
         ok = ok and ideal_equal(j_gens, specialized).equal
     _report(
-        "criterion 7 (ordinary presentation: dimension, Tanisaki, t=0, n <= 6 and (7,3))",
+        "criterion 7 (ordinary presentation: dimension, Tanisaki, t=0, n <= 6, (7,3) "
+        "and (8,4))",
         ok,
         time.perf_counter() - started,
         120,

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tworow.cli import main
+from tworow import springer
+from tworow.cli import CHECK_NAMES, main
 
 
 def run(capsys, *argv):
@@ -105,6 +106,15 @@ def test_straighten_single_methods(capsys):
         assert table == {((1, 2), ()): "3*t", ((1,), (2,)): "-1"}
 
 
+def test_straighten_high_power_needs_no_recursion(capsys):
+    # the rewriting chain for x1^3000 is 3000 steps deep
+    code, out, err = run(
+        capsys, "straighten", "--n", "2", "--k", "1", "--poly", "x1^3000", "--method", "both"
+    )
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "methods agree: True"
+
+
 def test_straighten_parse_error(capsys):
     code, _, err = run(capsys, "straighten", "--n", "2", "--k", "1", "--poly", "x1 + ?")
     assert code == 2
@@ -192,6 +202,55 @@ def test_verify_k_policy_max(capsys):
         "fixed-points[n=3,k=1]",
         "fixed-points[n=4,k=2]",
     ]
+
+
+@pytest.fixture
+def fresh_basis_caches():
+    caches = (springer.basis_image_matrix, springer.kernel_ideal_comparisons)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_verify_singular_core_fails_two_checks(capsys, monkeypatch, fresh_basis_caches):
+    # a singular core at (4,2), the only 6 x 6 core up to n = 4, must fail
+    # the two checks that read the determinant, each on its own line,
+    # while every other check still runs and passes
+    original = springer.integer_det_bareiss
+    monkeypatch.setattr(
+        springer, "integer_det_bareiss", lambda m: 0 if len(m) == 6 else original(m)
+    )
+    code, payload, _ = run_json(capsys, "verify", "--n-max", "4", "--k", "max")
+    assert code == 1
+    expected = [
+        f"{name}[n={n},k={n // 2}]" for n in range(1, 5) for name in CHECK_NAMES
+    ]
+    assert [e["name"] for e in payload["checks"]] == expected
+    failed = {e["name"]: e["details"] for e in payload["checks"] if e["status"] == "fail"}
+    assert failed == {
+        "basis-determinant[n=4,k=2]": "integer core determinant 0",
+        "kernel-ideal[n=4,k=2]": "the basis image core is singular",
+    }
+
+
+def test_verify_consistency_error_fails_one_check(capsys, monkeypatch):
+    def contradicted(ctx):
+        raise springer.ConsistencyError(f"contradiction at n={ctx.n}")
+
+    monkeypatch.setattr(springer, "verify_square_reduction", contradicted)
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--k", "max")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 2 * len(CHECK_NAMES) + 1
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == [
+        "FAIL square-reduction[n=1,k=0]",
+        "FAIL square-reduction[n=2,k=1]",
+    ]
+    assert "consistency error: contradiction at n=2" in fails[1]
+    assert lines[-1].startswith(f"# {2 * len(CHECK_NAMES)} checks, 2 failed")
 
 
 def test_verify_unknown_check(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +62,17 @@ def test_solve_rational():
     assert rational_inverse([[1, 1], [2, 2]]) is None
 
 
+def test_rational_inverse_lowest_terms():
+    # a zero pivot forces a row swap; the determinant -6 is negative, and
+    # the inverse [[0, 1/3], [1/2, 0]] has least common denominator 6
+    assert rational_inverse([[0, 2], [3, 0]]) == (((0, 2), (3, 0)), 6)
+    assert rational_inverse([[0, -1], [1, 0]]) == (((0, 1), (-1, 0)), 1)
+    # denominators of the matrix are cleared and reduced away again
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rational_inverse([[half, 0], [0, third]]) == (((2, 0), (0, 3)), 1)
+    assert rational_inverse([[4]]) == (((1,),), 4)
+
+
 def _is_solution(matrix, x, b):
     return all(sum(a * v for a, v in zip(row, x)) == rhs for row, rhs in zip(matrix, b))
 
@@ -90,6 +101,8 @@ def test_solve_rational_residual_is_exact(system):
         return
     adj, d = inverse
     assert d > 0 and all(isinstance(v, int) for row in adj for v in row)
+    # d is the least common denominator of the inverse
+    assert gcd(d, *(v for row in adj for v in row)) == 1
     for b in rhss:
         x = solve_rational(inverse, b)
         assert all(isinstance(v, Fraction) for v in x)

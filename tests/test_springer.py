@@ -275,6 +275,69 @@ def test_relations_n4_k2_counts():
     assert report.fixed_points_checked == 6
 
 
+@st.composite
+def _homogeneous(draw, n):
+    """A homogeneous polynomial in x1..xn, t with rational coefficients."""
+    degree = draw(st.integers(0, 4))
+
+    def monomial(cuts):
+        cuts = sorted(cuts)
+        bounds = [0, *cuts, degree]
+        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+    monos = st.lists(st.integers(0, degree), min_size=n, max_size=n).map(monomial)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = draw(st.dictionaries(monos, coeffs, min_size=1, max_size=5))
+    return degree, MPoly(n + 1, terms)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_monomial_values_match_localize(n, k, data):
+    # integer monomial values read over one common denominator give the
+    # t^d coefficient that localize computes point by point
+    ctx = SpringerContext(n, k)
+    degree, f = data.draw(_homogeneous(n))
+    sums, scale = springer._component_values(ctx, f)
+    assert scale > 0
+    assert [Fraction(s, scale) for s in sums] == [
+        localize(f, w).coefficient(degree) for w in fixed_points(ctx)
+    ]
+    for mono in f.terms:
+        assert springer._monomial_values(ctx, mono[:n]) == tuple(
+            localize(MPoly.from_monomial(mono[:n] + (0,)), w).coefficient(sum(mono[:n]))
+            for w in fixed_points(ctx)
+        )
+
+
+def test_relations_fail_closed_on_inhomogeneous_generator(
+    monkeypatch, fresh_certificate_caches
+):
+    # x1 - t^2 localizes to w(1) t - t^2, which is nonzero at every fixed
+    # point; at t = 1 it vanishes where w(1) = 1, so each homogeneous
+    # component must be checked on its own
+    ctx = SpringerContext(4, 2)
+    original = springer.equivariant_ideal
+    extra = poly("x1 - t^2", 4)
+
+    def widened(context):
+        ideal = original(context)
+        return dataclasses.replace(
+            ideal,
+            generators=ideal.generators + (extra,),
+            labels=ideal.labels + ("inhomogeneous",),
+        )
+
+    monkeypatch.setattr(springer, "equivariant_ideal", widened)
+    points = fixed_points(ctx)
+    assert any(w.value(1) == 1 for w in points)
+    report = verify_relations(ctx)
+    assert not report.ok
+    assert report.failures == tuple(("inhomogeneous", w.ell) for w in points)
+    assert not kernel_ideal_comparisons(ctx).relations_ok
+
+
 # -- square rewriting ---------------------------------------------------------
 
 
@@ -504,15 +567,57 @@ def test_rewrite_cancellation_coefficient_is_factorial():
     assert MPoly.from_monomial(target) - expansion == d * Fraction(1, 2)
 
 
+def test_rewrite_memo_entries_have_polynomial_t_powers():
+    # each entry (T, c) stands for c * t^(|alpha| - ell(T)) * x_T, so the
+    # implied t-power must never be negative
+    for n, k in ((4, 2), (5, 2), (6, 3)):
+        ctx = SpringerContext(n, k)
+        for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
+            straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
+        memo = springer._rewrite_memo(ctx)
+        assert memo
+        for alpha, value in memo.items():
+            assert all(tab.ell <= sum(alpha) and c for tab, c in value), alpha
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        # a step that returns its own monomial never terminates
+        (lambda ctx, alpha: MPoly.from_monomial(alpha + (0,)), "cycled"),
+        # a step that leaves the degree breaks the implied t-powers
+        (lambda ctx, alpha: MPoly.from_monomial(alpha + (1,)), "left degree"),
+    ],
+    ids=["cycle", "inhomogeneous"],
+)
+def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
+    ctx = SpringerContext(3, 1)
+    monkeypatch.setattr(springer, "_rewrite_expansion", broken)
+    springer._rewrite_memo.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=message):
+            straighten_by_rewrite(poly("x1^2", 3), ctx)
+        assert (2, 0, 0) not in springer._rewrite_memo(ctx)
+    finally:
+        springer._rewrite_memo.cache_clear()
+
+
 def test_rewrite_memo_is_thread_safe():
-    # threads sharing the rewrite memo from a cold start must neither see
-    # one another's half-finished entries as cycles nor get other answers
+    # threads sharing the rewrite memo from a cold start must neither
+    # see one another's half-finished entries as cycles nor get other
+    # answers
     from tworow.springer import _rewrite_memo
 
     ctx = SpringerContext(5, 2)
     polys = [MPoly.from_monomial(m) for m in sample_monomials(ctx, 30, 6)]
+
+    def straighten_all():
+        return [
+            (straighten_by_rewrite(p, ctx), straighten_by_solve(p, ctx)) for p in polys
+        ]
+
     _rewrite_memo.cache_clear()
-    expected = [straighten_by_rewrite(p, ctx) for p in polys]
+    expected = straighten_all()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -525,7 +630,7 @@ def test_rewrite_memo_is_thread_safe():
             def work():
                 start.wait(timeout=10)
                 try:
-                    results.append([straighten_by_rewrite(p, ctx) for p in polys])
+                    results.append(straighten_all())
                 except ConsistencyError as exc:
                     errors.append(exc)
 

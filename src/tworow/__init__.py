@@ -2,8 +2,6 @@
 presentations of two-row Springer varieties."""
 
 from .polynomials import (
-    DEFAULT_ORDER,
-    MonomialOrder,
     MPoly,
     PolyParseError,
     elementary_symmetric,

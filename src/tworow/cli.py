@@ -35,6 +35,10 @@ CHECK_NAMES = (
     "hook-identity",
 )
 
+# the most items a listing command prints; larger requests are refused
+# before anything is enumerated, since they could not finish
+LISTING_LIMIT = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -45,6 +49,11 @@ def _context(n: int, k: int) -> SpringerContext:
         return SpringerContext(n=n, k=k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_listing_size(count: int, what: str) -> None:
+    if count > LISTING_LIMIT:
+        raise UsageError(f"{what} would list more than {LISTING_LIMIT} items")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -60,6 +69,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_fixed_points(args) -> int:
     ctx = _context(args.n, args.k)
+    _check_listing_size(comb(ctx.n, ctx.k), f"C({ctx.n},{ctx.k}) fixed points")
     points = springer.fixed_points(ctx)
     payload = {
         "command": args.command_echo,
@@ -77,6 +87,10 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_generators(args) -> int:
     ctx = _context(args.n, args.k)
+    # every presentation ideal has 1 + n + C(n, k+1) generators
+    _check_listing_size(
+        1 + ctx.n + comb(ctx.n, ctx.k + 1), f"1 + {ctx.n} + C({ctx.n},{ctx.k + 1}) generators"
+    )
     try:
         ideal = springer.ideal_by_name(ctx, args.ideal)
     except ValueError as exc:
@@ -302,13 +316,15 @@ def _cmd_verify(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     selected = CHECK_NAMES
-    if args.checks:
+    if args.checks is not None:
         selected = tuple(name.strip() for name in args.checks.split(","))
         unknown = [name for name in selected if name not in _CHECKS]
         if unknown:
             raise UsageError(
                 f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
             )
+        if len(set(selected)) != len(selected):
+            raise UsageError(f"--checks names a check twice: {args.checks!r}")
     started = time.perf_counter()
     entries = []
     all_ok = True

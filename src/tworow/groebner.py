@@ -1,12 +1,13 @@
 """Buchberger's algorithm, normal forms, and quotient dimensions over Q.
 
-Instance sizes in this package are small (at most nine variables; the
-largest presentation ideal verified, (n, k) = (8, 4), has 65
-generators), so the implementation is plain Buchberger with the two
+Instance sizes in this package are small (at most ten variables; the
+largest presentation ideal verified in CI, I at (n, k) = (9, 4), has
+136 generators), so the implementation is plain Buchberger with the two
 classical pair-pruning criteria and monic intermediate reducers to keep
-rational coefficients small.  Pairs wait in a heap under the normal
-selection strategy (smallest lcm degree first, ties broken by the
-monomial order on the lcm), keyed once when the pair is created.
+rational coefficients small.  The monomial order is always grevlex with
+t last (see ``polynomials``).  Pairs wait in a heap under the normal
+selection strategy (smallest lcm degree first, ties broken by grevlex
+on the lcm), keyed once when the pair is created.
 Division works on one mutable term dict and takes each next leading
 term from a heap of its monomials.
 """
@@ -18,13 +19,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import add, le, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .polynomials import (
-    DEFAULT_ORDER,
     Monomial,
-    MonomialOrder,
     MPoly,
+    grevlex_descending_key,
+    grevlex_key,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -39,21 +40,10 @@ class GroebnerBasis:
     divisible by another generator's leading monomial."""
 
     generators: tuple[MPoly, ...]
-    order: MonomialOrder
     nvars: int  # the ring's variable count, kept for the zero ideal too
 
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.generators]
-
-
-def _descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple]:
-    """A sort key that ranks monomials from largest to smallest in the
-    order, so that a min-heap pops the largest monomial first."""
-    if order is MonomialOrder.LEX:
-        return lambda m: tuple(-e for e in m)
-    if order is MonomialOrder.GRLEX:
-        return lambda m: (-sum(m), tuple(-e for e in m))
-    return lambda m: (-sum(m), m[::-1])
+        return [g.leading_monomial() for g in self.generators]
 
 
 # A reducer split for division: its leading monomial, and its other terms
@@ -61,8 +51,8 @@ def _descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple]:
 Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
 
 
-def _split(g: MPoly, order: MonomialOrder) -> Reducer:
-    glm = max(g.terms, key=order.key)
+def _split(g: MPoly) -> Reducer:
+    glm = g.leading_monomial()
     tail = [(m, c) for m, c in g.terms.items() if m != glm]
     lc = g.terms[glm]
     if lc != 1:
@@ -70,7 +60,7 @@ def _split(g: MPoly, order: MonomialOrder) -> Reducer:
     return glm, tail
 
 
-def _reduce_full(f: MPoly, reducers: Sequence[Reducer], order: MonomialOrder) -> MPoly:
+def _reduce_full(f: MPoly, reducers: Sequence[Reducer]) -> MPoly:
     """Remainder of f on full division by the split reducers: no monomial
     of the result is divisible by any reducer's leading monomial.
 
@@ -78,9 +68,8 @@ def _reduce_full(f: MPoly, reducers: Sequence[Reducer], order: MonomialOrder) ->
     largest first; a monomial that cancels stays in the heap and is
     skipped when popped.  A division step subtracts a multiple of the
     reducer's tail in place."""
-    descending = _descending_key(order)
     p = dict(f.terms)
-    heap = [(descending(m), m) for m in p]
+    heap = [(grevlex_descending_key(m), m) for m in p]
     heapify(heap)
     remainder = {}
     while heap:
@@ -96,7 +85,7 @@ def _reduce_full(f: MPoly, reducers: Sequence[Reducer], order: MonomialOrder) ->
                     old = p.get(mono)
                     if old is None:
                         p[mono] = -lc * c
-                        heappush(heap, (descending(mono), mono))
+                        heappush(heap, (grevlex_descending_key(mono), mono))
                     else:
                         new = old - lc * c
                         if new:
@@ -109,22 +98,20 @@ def _reduce_full(f: MPoly, reducers: Sequence[Reducer], order: MonomialOrder) ->
     return MPoly._make(f.nvars, remainder)
 
 
-def _s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder) -> MPoly:
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
+def _s_polynomial(f: MPoly, g: MPoly) -> MPoly:
+    lf = f.leading_monomial()
+    lg = g.leading_monomial()
     l = monomial_lcm(lf, lg)
-    return f.times_monomial(monomial_div(l, lf), 1 / f.leading_coefficient(order)) - g.times_monomial(
-        monomial_div(l, lg), 1 / g.leading_coefficient(order)
+    return f.times_monomial(monomial_div(l, lf), 1 / f.leading_coefficient()) - g.times_monomial(
+        monomial_div(l, lg), 1 / g.leading_coefficient()
     )
 
 
-def buchberger(
-    generators: Sequence[MPoly], order: MonomialOrder = DEFAULT_ORDER
-) -> GroebnerBasis:
+def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal the generators span.
 
     Pair selection follows the normal strategy (smallest lcm degree
-    first, ties broken by the monomial order on the lcm).  A pair is
+    first, ties broken by grevlex on the lcm).  A pair is
     skipped when the leading monomials are coprime, or when a third
     basis element divides the pair's lcm and both of its pairs with the
     current pair's members have already been treated.
@@ -137,20 +124,20 @@ def buchberger(
         if g.nvars != nvars:
             raise ValueError("generators live in different polynomial rings")
         if g:
-            basis.append(g.monic(order))
+            basis.append(g.monic())
     if not basis:
         # the zero ideal
-        return GroebnerBasis(generators=(), order=order, nvars=nvars)
+        return GroebnerBasis(generators=(), nvars=nvars)
 
-    reducers = [_split(g, order) for g in basis]
+    reducers = [_split(g) for g in basis]
     lms = [glm for glm, _ in reducers]
-    queue = []  # (lcm degree, order key of the lcm, i, j, lcm), a heap
+    queue = []  # (lcm degree, grevlex key of the lcm, i, j, lcm), a heap
     pending = set()  # the queued pairs, for the chain criterion
 
     def add_pairs(new):
         for m in range(new):
             l = monomial_lcm(lms[m], lms[new])
-            heappush(queue, (monomial_degree(l), order.key(l), m, new, l))
+            heappush(queue, (monomial_degree(l), grevlex_key(l), m, new, l))
             pending.add((m, new))
 
     for new in range(1, len(basis)):
@@ -169,21 +156,21 @@ def buchberger(
                 break
         if skip:
             continue
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j], order), reducers, order)
+        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), reducers)
         if remainder:
-            remainder = remainder.monic(order)
+            remainder = remainder.monic()
             basis.append(remainder)
-            reducers.append(_split(remainder, order))
+            reducers.append(_split(remainder))
             lms.append(reducers[-1][0])
             add_pairs(len(basis) - 1)
 
-    return _interreduce(basis, order, nvars)
+    return _interreduce(basis, nvars)
 
 
-def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> GroebnerBasis:
+def _interreduce(basis: list[MPoly], nvars: int) -> GroebnerBasis:
     # minimalize: drop a generator when another one's leading monomial
     # strictly divides its own (ties broken by position)
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [g.leading_monomial() for g in basis]
     keep = []
     for i in range(len(basis)):
         covered = any(
@@ -195,7 +182,7 @@ def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> Groebn
         if not covered:
             keep.append(i)
     minimal = [basis[i] for i in keep]
-    split = [_split(g, order) for g in minimal]
+    split = [_split(g) for g in minimal]
     # tail-reduce each against the others until stable
     changed = True
     while changed:
@@ -204,17 +191,17 @@ def _interreduce(basis: list[MPoly], order: MonomialOrder, nvars: int) -> Groebn
             others = split[:i] + split[i + 1 :]
             if not others:
                 continue
-            reduced = _reduce_full(minimal[i], others, order)
+            reduced = _reduce_full(minimal[i], others)
             if reduced != minimal[i]:
                 changed = True
                 if reduced:
-                    minimal[i] = reduced.monic(order)
-                    split[i] = _split(minimal[i], order)
+                    minimal[i] = reduced.monic()
+                    split[i] = _split(minimal[i])
                 else:
                     del minimal[i], split[i]
                     break
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(generators=tuple(minimal), order=order, nvars=nvars)
+    minimal.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    return GroebnerBasis(generators=tuple(minimal), nvars=nvars)
 
 
 def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
@@ -224,7 +211,7 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
         raise ValueError("variable count mismatch with the basis")
     if not basis.generators:
         return f
-    return _reduce_full(f, [_split(g, basis.order) for g in basis.generators], basis.order)
+    return _reduce_full(f, [_split(g) for g in basis.generators])
 
 
 @dataclass(frozen=True)
@@ -234,18 +221,14 @@ class IdealComparison:
     witness_side: Optional[str] = None  # "left" or "right": which input owns the witness
 
 
-def ideal_equal(
-    gens_a: Sequence[MPoly],
-    gens_b: Sequence[MPoly],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> IdealComparison:
+def ideal_equal(gens_a: Sequence[MPoly], gens_b: Sequence[MPoly]) -> IdealComparison:
     """Decide whether two generator lists span the same ideal.
 
     On failure the witness is a generator of one side with a nonzero
     normal form against the other side's Groebner basis.
     """
-    gb_a = buchberger(gens_a, order)
-    gb_b = buchberger(gens_b, order)
+    gb_a = buchberger(gens_a)
+    gb_b = buchberger(gens_b)
     for g in gens_a:
         if g and normal_form(g, gb_b):
             return IdealComparison(equal=False, witness=g, witness_side="left")
@@ -278,5 +261,5 @@ def quotient_dimension(basis: GroebnerBasis) -> tuple[Optional[int], list[Monomi
     for mono in product(*(range(b) for b in bounds)):
         if not any(monomial_divides(lm, mono) for lm in lms):
             standard.append(mono)
-    standard.sort(key=basis.order.key)
+    standard.sort(key=grevlex_key)
     return len(standard), standard

@@ -39,32 +39,23 @@ def integer_det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-# The inverse of a square rational matrix as (adj, d): an integer matrix
+# The inverse of a square integer matrix as (adj, d): an integer matrix
 # and a positive integer with matrix^-1 = adj / d.
 ScaledInverse = tuple[tuple[tuple[int, ...], ...], int]
 
 
-def rational_inverse(
-    matrix: Sequence[Sequence[Fraction | int]],
-) -> Optional[ScaledInverse]:
-    """The exact inverse of a square rational matrix as (adj, d), or None
+def rational_inverse(matrix: Sequence[Sequence[int]]) -> Optional[ScaledInverse]:
+    """The exact inverse of a square integer matrix as (adj, d), or None
     when the matrix is singular; d is the least positive integer that
-    clears the inverse's denominators.  Fraction-free Gauss-Jordan on the
-    integer matrix [s A | I], s the lcm of A's denominators: every entry
-    stays a minor of [s A | I], so each Bareiss division by the previous
-    pivot is exact.  Callers that solve against one fixed matrix many
-    times keep the result (the basis image matrix of a context stores
-    it)."""
+    clears the inverse's denominators.  Fraction-free Gauss-Jordan on
+    [A | I]: every entry stays a minor of [A | I], so each Bareiss
+    division by the previous pivot is exact.  Callers that solve against
+    one fixed matrix many times keep the result (the basis image matrix
+    of a context stores it)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    s = lcm(1, *(v.denominator for row in rows for v in row))
-    a = [
-        [v.numerator * (s // v.denominator) for v in row]
-        + [int(i == j) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)
@@ -80,10 +71,10 @@ def rational_inverse(
                     (pivot * v - factor * p) // prev for v, p in zip(a[r], pivot_line)
                 ]
         prev = pivot
-    # the left block is now prev * I, so (s A)^-1 = right / prev and
-    # A^-1 = s * right / prev; reduce to lowest terms with d > 0
+    # the left block is now prev * I, so A^-1 = right / prev; reduce to
+    # lowest terms with d > 0
     d = prev
-    adj = [[s * v for v in row[n:]] for row in a]
+    adj = [row[n:] for row in a]
     g = gcd(d, *(v for row in adj for v in row))
     if d < 0:
         g = -g

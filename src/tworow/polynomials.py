@@ -1,16 +1,20 @@
-"""Sparse multivariate polynomials over Q with selectable monomial orders.
+"""Sparse multivariate polynomials over Q, ordered by grevlex.
 
 Monomials are exponent tuples of a fixed length.  By convention the
 equivariant contexts use n+1 slots, positions 0..n-1 for x1..xn and the
 last position for t; ordinary (non-equivariant) ideals simply use n
 slots.  All variables have weight one, so every generator handled by
 this package is homogeneous in the total degree.
+
+The one monomial order is grevlex with x1 > x2 > ... > xn > t.  The
+kernel certificate in ``springer`` relies on it: for homogeneous f with
+t the last variable, t divides the leading monomial of f only if it
+divides every term (Bayer-Stillman), which fails in grlex and lex.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Union
@@ -41,27 +45,17 @@ def monomial_degree(a: Monomial) -> int:
     return sum(a)
 
 
-class MonomialOrder(Enum):
-    """Total orders on monomials with precedence x1 > x2 > ... > xn > t.
-
-    The graded orders refine total degree; all three are well-orders on
-    the exponent tuples, which is what Buchberger's algorithm needs.
-    """
-
-    GREVLEX = "grevlex"
-    GRLEX = "grlex"
-    LEX = "lex"
-
-    def key(self, m: Monomial):
-        """Sort key; larger key means larger monomial."""
-        if self is MonomialOrder.LEX:
-            return m
-        if self is MonomialOrder.GRLEX:
-            return (sum(m), m)
-        return (sum(m), tuple(-e for e in reversed(m)))
+def grevlex_key(m: Monomial) -> tuple:
+    """Sort key for grevlex with x1 > x2 > ... > t; a larger key means a
+    larger monomial: higher total degree, then the smaller exponent in
+    the last variable where two monomials differ."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-DEFAULT_ORDER = MonomialOrder.GREVLEX
+def grevlex_descending_key(m: Monomial) -> tuple:
+    """The reverse of grevlex_key: smaller for larger monomials, so that
+    a min-heap pops the largest monomial first."""
+    return (-sum(m), m[::-1])
 
 
 class MPoly:
@@ -159,18 +153,18 @@ class MPoly:
             parts.setdefault(sum(mono), {})[mono] = c
         return {d: MPoly._make(self.nvars, t) for d, t in sorted(parts.items())}
 
-    def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
 
-    def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "MPoly":
+    def monic(self) -> "MPoly":
         if not self.terms:
             return self
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         if lc == 1:
             return self
         return MPoly._make(self.nvars, {m: c / lc for m, c in self.terms.items()})
@@ -264,11 +258,11 @@ class MPoly:
         }
         return MPoly._make(self.nvars - 1, out)
 
-    def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
-        """Terms as (monomial, coefficient) pairs, descending in the order."""
+    def sorted_terms(self):
+        """Terms as (monomial, coefficient) pairs, descending in grevlex."""
         return [
             (m, self.terms[m])
-            for m in sorted(self.terms, key=order.key, reverse=True)
+            for m in sorted(self.terms, key=grevlex_key, reverse=True)
         ]
 
     def __repr__(self) -> str:
@@ -305,8 +299,8 @@ def elementary_symmetric(nvars: int, degree: int, positions: Iterable[int]) -> M
 #
 # Grammar: terms joined by '+'/'-'; a term is a '*'-separated product of an
 # optional rational coefficient ("5", "3/2") and powers "x1^2", "t" (an
-# exponent of 1 may be omitted).  Canonical printing sorts terms by the
-# active monomial order, descending, e.g. "3/2*x1^2*t - x2*x3 + 5*t^2".
+# exponent of 1 may be omitted).  Canonical printing sorts terms
+# descending in grevlex, e.g. "3/2*x1^2*t - x2*x3 + 5*t^2".
 
 
 def variable_names(n_x: int, include_t: bool = True) -> tuple[str, ...]:
@@ -421,19 +415,15 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
     return result
 
 
-def format_poly(
-    p: MPoly,
-    names: Iterable[str],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> str:
-    """Canonical text for a polynomial: terms descending in the order."""
+def format_poly(p: MPoly, names: Iterable[str]) -> str:
+    """Canonical text for a polynomial: terms descending in grevlex."""
     names = tuple(names)
     if len(names) != p.nvars:
         raise ValueError(f"expected {p.nvars} variable names, got {len(names)}")
     if not p.terms:
         return "0"
     pieces = []
-    for mono, coeff in p.sorted_terms(order):
+    for mono, coeff in p.sorted_terms():
         mag = abs(coeff)
         factors = []
         for i, e in enumerate(mono):

@@ -263,9 +263,7 @@ def _basis_at_t_zero(ctx: SpringerContext) -> groebner.GroebnerBasis:
     keeps its leading monomial (Bayer-Stillman: in(I + (t)) = in(I) + (t))."""
     basis = ideal_basis(ctx, "I")
     specialized = (g.eval_last_var_zero() for g in basis.generators)
-    return groebner.GroebnerBasis(
-        generators=tuple(g for g in specialized if g), order=basis.order, nvars=ctx.n
-    )
+    return groebner.GroebnerBasis(generators=tuple(g for g in specialized if g), nvars=ctx.n)
 
 
 # -- localization ------------------------------------------------------------

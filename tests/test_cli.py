@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from tworow import springer
-from tworow.cli import CHECK_NAMES, main
+from tworow.cli import CHECK_NAMES, LISTING_LIMIT, main
 
 
 def run(capsys, *argv):
@@ -257,6 +258,39 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "2", "--checks", "nope")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_empty_check_name_refused(capsys):
+    # an empty list or a stray comma names no check; it must not mean "all"
+    for checks in ("", "ordinary,"):
+        code, out, err = run(capsys, "verify", "--n-max", "2", "--checks", checks)
+        assert code == 2, checks
+        assert out == ""
+        assert "unknown checks ['']" in err
+
+
+def test_verify_duplicate_check_refused(capsys):
+    code, out, err = run(capsys, "verify", "--n-max", "2", "--checks", "ordinary,ordinary")
+    assert code == 2
+    assert out == ""
+    assert "twice" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixed-points", "--n", "1000", "--k", "500"),  # C(1000,500) points
+        ("generators", "--n", "1000", "--k", "2"),  # C(1000,3) product relations
+    ],
+    ids=["fixed-points", "generators"],
+)
+def test_listing_too_large_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"more than {LISTING_LIMIT} items" in err
 
 
 def test_verify_degree_max_refused(capsys):

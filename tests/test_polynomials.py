@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tworow.polynomials import (
-    MonomialOrder,
     MPoly,
     PolyParseError,
     elementary_symmetric,
     format_poly,
+    grevlex_key,
     parse_poly,
     variable_names,
 )
@@ -76,18 +76,18 @@ def test_homogeneous_components():
 
 
 def test_monomial_order_precedence():
-    # x1 beats x2 beats t in all three orders
+    # x1 beats x2 beats t
     x1m, x2m, tm = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    for order in MonomialOrder:
-        assert order.key(x1m) > order.key(x2m) > order.key(tm)
+    assert grevlex_key(x1m) > grevlex_key(x2m) > grevlex_key(tm)
 
 
 def test_grevlex_grlex_differ():
-    # x1*x3^2 vs x2^3: grlex prefers the x1 term, grevlex the x2 term
+    # x1*x3^2 vs x2^3: grlex (degree, then lex) prefers the x1 term,
+    # grevlex the x2 term
     a, b = (1, 0, 2), (0, 3, 0)
-    assert MonomialOrder.GRLEX.key(a) > MonomialOrder.GRLEX.key(b)
-    assert MonomialOrder.GREVLEX.key(a) < MonomialOrder.GREVLEX.key(b)
-    assert MonomialOrder.LEX.key(a) > MonomialOrder.LEX.key(b)
+    assert (sum(a), a) > (sum(b), b)
+    assert grevlex_key(a) < grevlex_key(b)
+    assert MPoly(3, {a: 1, b: 1}).leading_monomial() == b
 
 
 def test_format_canonical():
@@ -134,6 +134,7 @@ monomials3 = st.tuples(
 polys3 = st.dictionaries(monomials3, coefficients, max_size=5).map(
     lambda terms: MPoly(3, terms)
 )
+nonzero = coefficients.filter(bool)
 
 
 @given(polys3, polys3, polys3)
@@ -175,3 +176,22 @@ def test_parse_format_round_trip(p):
     assert parse_poly(text, NAMES3) == p
     # the printer is the identity on its own canonical output
     assert format_poly(parse_poly(text, NAMES3), NAMES3) == text
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=80)
+def test_t_divides_leading_monomial_only_if_it_divides_every_term(degree, data):
+    # Bayer-Stillman, the fact the kernel certificate rests on: for a
+    # homogeneous f in Q[x1,x2,x3,t], t | lm(f) implies t | f.  It fails
+    # in grlex: lm(x1*t + x2^2) would be x1*t.
+    monos = [
+        (a, b, c, degree - a - b - c)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+        for c in range(degree + 1 - a - b)
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, unique=True))
+    coeffs = data.draw(st.lists(nonzero, min_size=len(chosen), max_size=len(chosen)))
+    f = MPoly(4, dict(zip(chosen, coeffs)))
+    if f.leading_monomial()[-1]:
+        assert all(m[-1] for m in f.terms)

@@ -35,9 +35,13 @@ CHECK_NAMES = (
     "hook-identity",
 )
 
-# the most items a listing command prints; larger requests are refused
-# before anything is enumerated, since they could not finish
-LISTING_LIMIT = 10**6
+# the most exponent entries a listing command may build, 10-15 s of work
+# on a 2-vCPU VM; larger requests are refused before anything is built
+LISTING_LIMIT = 10**7
+
+# the highest total degree ``straighten`` accepts: x1^3000 takes well
+# under a second at (2,1), and its coefficients still print
+STRAIGHTEN_DEGREE_LIMIT = 3000
 
 
 class UsageError(Exception):
@@ -51,9 +55,9 @@ def _context(n: int, k: int) -> SpringerContext:
         raise UsageError(str(exc)) from exc
 
 
-def _check_listing_size(count: int, what: str) -> None:
-    if count > LISTING_LIMIT:
-        raise UsageError(f"{what} would list more than {LISTING_LIMIT} items")
+def _check_listing_size(entries: int, what: str) -> None:
+    if entries > LISTING_LIMIT:
+        raise UsageError(f"{what} would build more than {LISTING_LIMIT} exponent entries")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -69,7 +73,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_fixed_points(args) -> int:
     ctx = _context(args.n, args.k)
-    _check_listing_size(comb(ctx.n, ctx.k), f"C({ctx.n},{ctx.k}) fixed points")
+    # each of the C(n, k) points is a permutation of n entries
+    _check_listing_size(comb(ctx.n, ctx.k) * ctx.n, f"C({ctx.n},{ctx.k}) fixed points")
     points = springer.fixed_points(ctx)
     payload = {
         "command": args.command_echo,
@@ -87,10 +92,14 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_generators(args) -> int:
     ctx = _context(args.n, args.k)
-    # every presentation ideal has 1 + n + C(n, k+1) generators
-    _check_listing_size(
-        1 + ctx.n + comb(ctx.n, ctx.k + 1), f"1 + {ctx.n} + C({ctx.n},{ctx.k + 1}) generators"
-    )
+    # every presentation ideal has 1 + n + C(n, k+1) generators of up to
+    # 2^(k+1) terms each, except Tanisaki's n generators e2 of C(n-1, 2)
+    # terms; each term holds up to n + 1 exponents
+    n, k = ctx.n, ctx.k
+    terms = (1 + n + comb(n, k + 1)) * 2 ** (k + 1)
+    if args.ideal == "tanisaki":
+        terms += n * comb(n - 1, 2)
+    _check_listing_size(terms * (n + 1), f"1 + {n} + C({n},{k + 1}) generators")
     try:
         ideal = springer.ideal_by_name(ctx, args.ideal)
     except ValueError as exc:
@@ -174,6 +183,8 @@ def _cmd_straighten(args) -> int:
         poly = parse_poly(args.poly, names)
     except PolyParseError as exc:
         raise UsageError(f"cannot parse polynomial: {exc}") from exc
+    if poly.total_degree() > STRAIGHTEN_DEGREE_LIMIT:
+        raise UsageError(f"polynomial degree exceeds the limit of {STRAIGHTEN_DEGREE_LIMIT}")
     results = {}
     if args.method in ("oracle", "both"):
         results["oracle"] = springer.straighten_by_solve(poly, ctx)
@@ -182,17 +193,22 @@ def _cmd_straighten(args) -> int:
     agree = None
     if args.method == "both":
         agree = results["oracle"] == results["paper"]
-    shown = results.get("oracle", results.get("paper"))
+    try:
+        rendered = format_poly(poly, names)
+        coefficients = _format_coefficients(results.get("oracle", results.get("paper")))
+    except ValueError as exc:
+        # str() refuses integers longer than sys.get_int_max_str_digits()
+        raise UsageError("a coefficient has too many digits to print") from exc
     payload = {
         "command": args.command_echo,
         "context": {"n": ctx.n, "k": ctx.k},
-        "polynomial": format_poly(poly, names),
+        "polynomial": rendered,
         "method": args.method,
-        "coefficients": _format_coefficients(shown),
+        "coefficients": coefficients,
     }
     if agree is not None:
         payload["agree"] = agree
-    lines = [f"# straighten {format_poly(poly, names)}  (n={ctx.n}, k={ctx.k}, method={args.method})"]
+    lines = [f"# straighten {rendered}  (n={ctx.n}, k={ctx.k}, method={args.method})"]
     for entry in payload["coefficients"]:
         tab = json.dumps(entry["tableau"], separators=(",", ":"))
         lines.append(f"{tab} : {entry['coefficient']}")

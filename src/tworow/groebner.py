@@ -3,13 +3,16 @@
 Instance sizes in this package are small (at most ten variables; the
 largest presentation ideal verified in CI, I at (n, k) = (9, 4), has
 136 generators), so the implementation is plain Buchberger with the two
-classical pair-pruning criteria and monic intermediate reducers to keep
-rational coefficients small.  The monomial order is always grevlex with
-t last (see ``polynomials``).  Pairs wait in a heap under the normal
-selection strategy (smallest lcm degree first, ties broken by grevlex
-on the lcm), keyed once when the pair is created.
-Division works on one mutable term dict and takes each next leading
-term from a heap of its monomials.
+classical pair-pruning criteria.  The monomial order is always grevlex
+with t last (see ``polynomials``).  From the input generators to the
+returned basis, every basis element is a monic reducer split once into
+its leading monomial and its tail; monic reducers keep rational
+coefficients small.  S-polynomials are built from the two tails, and
+division works on one mutable term dict, taking each next leading term
+from a heap of its monomials.  Pairs wait in a heap under the normal
+selection strategy (smallest lcm degree first, ties broken by grevlex on
+the lcm), keyed once when the pair is created.  One pass at the end
+makes the basis reduced: minimalize, then reduce each tail once.
 """
 
 from __future__ import annotations
@@ -46,29 +49,29 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.generators]
 
 
-# A reducer split for division: its leading monomial, and its other terms
-# divided by its leading coefficient.
+# A polynomial as a term dict, and a monic polynomial split for division:
+# its leading monomial, and its other terms divided by its leading coefficient.
+Terms = dict[Monomial, Fraction]
 Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
 
 
-def _split(g: MPoly) -> Reducer:
-    glm = g.leading_monomial()
-    tail = [(m, c) for m, c in g.terms.items() if m != glm]
-    lc = g.terms[glm]
+def _split(terms: Terms) -> Reducer:
+    lm = max(terms, key=grevlex_key)
+    lc = terms[lm]
+    tail = [(m, c) for m, c in terms.items() if m != lm]
     if lc != 1:
         tail = [(m, c / lc) for m, c in tail]
-    return glm, tail
+    return lm, tail
 
 
-def _reduce_full(f: MPoly, reducers: Sequence[Reducer]) -> MPoly:
-    """Remainder of f on full division by the split reducers: no monomial
-    of the result is divisible by any reducer's leading monomial.
+def _reduce_full(p: Terms, reducers: Sequence[Reducer]) -> Terms:
+    """Remainder of the term dict p on full division by the reducers: no
+    monomial of the result is divisible by any reducer's leading
+    monomial.  The result's terms come in descending grevlex order.
 
-    The dividend is one mutable term dict.  Its monomials wait in a heap,
-    largest first; a monomial that cancels stays in the heap and is
-    skipped when popped.  A division step subtracts a multiple of the
-    reducer's tail in place."""
-    p = dict(f.terms)
+    p is consumed: division steps subtract multiples of a reducer's tail
+    from it in place.  Its monomials wait in a heap, largest first; a
+    monomial that cancels stays in the heap and is skipped when popped."""
     heap = [(grevlex_descending_key(m), m) for m in p]
     heapify(heap)
     remainder = {}
@@ -95,16 +98,23 @@ def _reduce_full(f: MPoly, reducers: Sequence[Reducer]) -> MPoly:
                 break
         else:
             remainder[lm] = lc
-    return MPoly._make(f.nvars, remainder)
+    return remainder
 
 
-def _s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
+def _s_polynomial(f: Reducer, g: Reducer) -> Terms:
+    """The S-polynomial of two monic reducers.  Their leading terms
+    cancel by construction, so it is the difference of the two tails,
+    each shifted up to the lcm of the leading monomials."""
+    (lf, tail_f), (lg, tail_g) = f, g
     l = monomial_lcm(lf, lg)
-    return f.times_monomial(monomial_div(l, lf), 1 / f.leading_coefficient()) - g.times_monomial(
-        monomial_div(l, lg), 1 / g.leading_coefficient()
-    )
+    shift_f, shift_g = monomial_div(l, lf), monomial_div(l, lg)
+    s = {tuple(map(add, shift_f, m)): c for m, c in tail_f}
+    for m, c in tail_g:
+        mono = tuple(map(add, shift_g, m))
+        c = s.pop(mono, 0) - c
+        if c:
+            s[mono] = c
+    return s
 
 
 def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
@@ -114,29 +124,22 @@ def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
     first, ties broken by grevlex on the lcm).  A pair is
     skipped when the leading monomials are coprime, or when a third
     basis element divides the pair's lcm and both of its pairs with the
-    current pair's members have already been treated.
+    current pair's members have already been treated.  One pass of
+    interreduction then makes the basis reduced.
     """
     if not generators:
         raise ValueError("empty generator list")
     nvars = generators[0].nvars
-    basis = []
-    for g in generators:
-        if g.nvars != nvars:
-            raise ValueError("generators live in different polynomial rings")
-        if g:
-            basis.append(g.monic())
-    if not basis:
-        # the zero ideal
-        return GroebnerBasis(generators=(), nvars=nvars)
-
-    reducers = [_split(g) for g in basis]
-    lms = [glm for glm, _ in reducers]
+    if any(g.nvars != nvars for g in generators):
+        raise ValueError("generators live in different polynomial rings")
+    basis = [_split(g.terms) for g in generators if g]
     queue = []  # (lcm degree, grevlex key of the lcm, i, j, lcm), a heap
     pending = set()  # the queued pairs, for the chain criterion
 
     def add_pairs(new):
+        lm = basis[new][0]
         for m in range(new):
-            l = monomial_lcm(lms[m], lms[new])
+            l = monomial_lcm(basis[m][0], lm)
             heappush(queue, (monomial_degree(l), grevlex_key(l), m, new, l))
             pending.add((m, new))
 
@@ -145,63 +148,41 @@ def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
     while queue:
         _, _, i, j, l = heappop(queue)
         pending.remove((i, j))
-        if l == monomial_mul(lms[i], lms[j]):
+        if l == monomial_mul(basis[i][0], basis[j][0]):
             continue  # coprime leading monomials
-        skip = False
-        for m in range(len(basis)):
-            if m in (i, j) or not monomial_divides(lms[m], l):
-                continue
-            if (min(i, m), max(i, m)) not in pending and (min(j, m), max(j, m)) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), reducers)
+        if any(
+            m not in (i, j)
+            and monomial_divides(glm, l)
+            and (min(i, m), max(i, m)) not in pending
+            and (min(j, m), max(j, m)) not in pending
+            for m, (glm, _) in enumerate(basis)
+        ):
+            continue  # the chain criterion
+        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), basis)
         if remainder:
-            remainder = remainder.monic()
-            basis.append(remainder)
-            reducers.append(_split(remainder))
-            lms.append(reducers[-1][0])
+            basis.append(_split(remainder))
             add_pairs(len(basis) - 1)
 
-    return _interreduce(basis, nvars)
-
-
-def _interreduce(basis: list[MPoly], nvars: int) -> GroebnerBasis:
-    # minimalize: drop a generator when another one's leading monomial
-    # strictly divides its own (ties broken by position)
-    lms = [g.leading_monomial() for g in basis]
-    keep = []
-    for i in range(len(basis)):
-        covered = any(
-            j != i
-            and monomial_divides(lms[j], lms[i])
-            and (lms[j] != lms[i] or j < i)
-            for j in range(len(basis))
+    # minimalize: drop an element when another one's leading monomial
+    # divides its own, keeping the first of equal leading monomials
+    lms = [glm for glm, _ in basis]
+    minimal = [
+        basis[i]
+        for i, lm in enumerate(lms)
+        if not any(
+            j != i and monomial_divides(d, lm) and (d != lm or j < i) for j, d in enumerate(lms)
         )
-        if not covered:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    split = [_split(g) for g in minimal]
-    # tail-reduce each against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = split[:i] + split[i + 1 :]
-            if not others:
-                continue
-            reduced = _reduce_full(minimal[i], others)
-            if reduced != minimal[i]:
-                changed = True
-                if reduced:
-                    minimal[i] = reduced.monic()
-                    split[i] = _split(minimal[i])
-                else:
-                    del minimal[i], split[i]
-                    break
-    minimal.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return GroebnerBasis(generators=tuple(minimal), nvars=nvars)
+    ]
+    minimal.sort(key=lambda r: grevlex_key(r[0]))
+    # reduce each tail once, smallest leading monomial first: only the
+    # smaller elements, already reduced, can divide a tail's monomials,
+    # and none divides a leading monomial, so this is the reduced basis
+    reduced = []
+    for i, (glm, tail) in enumerate(minimal):
+        rest = _reduce_full(dict(tail), minimal[:i])
+        minimal[i] = (glm, list(rest.items()))
+        reduced.append(MPoly._make(nvars, {glm: Fraction(1), **rest}))
+    return GroebnerBasis(generators=tuple(reduced), nvars=nvars)
 
 
 def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
@@ -209,9 +190,8 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     when f lies in the ideal."""
     if f.nvars != basis.nvars:
         raise ValueError("variable count mismatch with the basis")
-    if not basis.generators:
-        return f
-    return _reduce_full(f, [_split(g) for g in basis.generators])
+    reducers = [_split(g.terms) for g in basis.generators]
+    return MPoly._make(f.nvars, _reduce_full(dict(f.terms), reducers))
 
 
 @dataclass(frozen=True)

@@ -158,17 +158,6 @@ class MPoly:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "MPoly":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        return MPoly._make(self.nvars, {m: c / lc for m, c in self.terms.items()})
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "MPoly") -> None:
@@ -343,6 +332,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(value: str, pos: int) -> int:
+    try:
+        return int(value)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise PolyParseError(f"integer of {len(value)} digits is too long", pos) from None
+
+
 def parse_poly(text: str, names: Iterable[str]) -> MPoly:
     """Parse polynomial text over the given variable names."""
     names = tuple(names)
@@ -373,7 +369,7 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
             kind, value, pos = peek()
             if kind == "int":
                 i += 1
-                num = int(value)
+                num = _integer(value, pos)
                 kind2, value2, _ = peek()
                 if kind2 == "op" and value2 == "/":
                     i += 1
@@ -381,7 +377,7 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
                     if kind3 != "int":
                         raise PolyParseError("expected denominator", pos3)
                     i += 1
-                    den = int(value3)
+                    den = _integer(value3, pos3)
                     if den == 0:
                         raise PolyParseError("zero denominator", pos3)
                     coeff *= Fraction(num, den)
@@ -399,7 +395,7 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
                     if kind3 != "int":
                         raise PolyParseError("expected exponent", pos3)
                     i += 1
-                    exp = int(value3)
+                    exp = _integer(value3, pos3)
                 mono[index[value]] += exp
             else:
                 raise PolyParseError("expected a coefficient or variable", pos)

@@ -205,7 +205,6 @@ def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     )
 
 
-@lru_cache(maxsize=None)
 def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The ordinary presentation ideal J in Q[x1..xn]."""
     n = ctx.n
@@ -222,7 +221,6 @@ def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     )
 
 
-@lru_cache(maxsize=None)
 def tanisaki_ideal(ctx: SpringerContext) -> IdealPresentation:
     """Tanisaki's elementary-symmetric presentation ideal for the two-row
     shape: e1 of everything, e2 of every (n-1)-subset, and e_{k+1} of
@@ -739,7 +737,6 @@ class KernelIdealCheck:
         )
 
 
-@lru_cache(maxsize=None)
 def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
     """Prove that the equivariant ideal is the kernel of localization in
     every degree, or report which step of the proof fails.

@@ -1,10 +1,11 @@
 import json
+import sys
 import time
 
 import pytest
 
 from tworow import springer
-from tworow.cli import CHECK_NAMES, LISTING_LIMIT, main
+from tworow.cli import CHECK_NAMES, LISTING_LIMIT, STRAIGHTEN_DEGREE_LIMIT, main
 
 
 def run(capsys, *argv):
@@ -117,9 +118,40 @@ def test_straighten_high_power_needs_no_recursion(capsys):
 
 
 def test_straighten_parse_error(capsys):
-    code, _, err = run(capsys, "straighten", "--n", "2", "--k", "1", "--poly", "x1 + ?")
+    # integers past Python's digit limit (4300 by default) are parse errors
+    for poly in ("x1 + ?", "7" * 5000 + "*x1", "x1^" + "7" * 5000):
+        code, out, err = run(capsys, "straighten", "--n", "2", "--k", "1", "--poly", poly)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse polynomial:") and "position" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--poly", "x1^16000", "--method", "paper"), ("--poly", "x1^100000000")],
+    ids=["x1^16000", "x1^100000000"],
+)
+def test_straighten_degree_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "straighten", "--n", "2", "--k", "1", *argv)
+    assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert "position" in err
+    assert out == ""
+    assert err == f"error: polynomial degree exceeds the limit of {STRAIGHTEN_DEGREE_LIMIT}\n"
+
+
+def test_straighten_unprintable_coefficient(capsys):
+    # the coefficients of x1^3000 at (2,1) have about 900 digits: more
+    # than the lowest digit limit Python allows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "straighten", "--n", "2", "--k", "1", "--poly", "x1^3000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a coefficient has too many digits to print\n"
 
 
 def test_straighten_unknown_variable(capsys):
@@ -207,12 +239,9 @@ def test_verify_k_policy_max(capsys):
 
 @pytest.fixture
 def fresh_basis_caches():
-    caches = (springer.basis_image_matrix, springer.kernel_ideal_comparisons)
-    for cache in caches:
-        cache.cache_clear()
+    springer.basis_image_matrix.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    springer.basis_image_matrix.cache_clear()
 
 
 def test_verify_singular_core_fails_two_checks(capsys, monkeypatch, fresh_basis_caches):
@@ -281,8 +310,12 @@ def test_verify_duplicate_check_refused(capsys):
     [
         ("fixed-points", "--n", "1000", "--k", "500"),  # C(1000,500) points
         ("generators", "--n", "1000", "--k", "2"),  # C(1000,3) product relations
+        # 500,501 generators, few enough items, but of 1,001 slots each
+        ("generators", "--n", "1000", "--k", "1"),
+        # 150 generators e2 of 11,026 terms each
+        ("generators", "--n", "150", "--k", "1", "--ideal", "tanisaki"),
     ],
-    ids=["fixed-points", "generators"],
+    ids=["fixed-points", "generators", "generators-k1", "tanisaki"],
 )
 def test_listing_too_large_refused_at_once(capsys, argv):
     started = time.perf_counter()
@@ -290,7 +323,7 @@ def test_listing_too_large_refused_at_once(capsys, argv):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert f"more than {LISTING_LIMIT} items" in err
+    assert f"more than {LISTING_LIMIT} exponent entries" in err
 
 
 def test_verify_degree_max_refused(capsys):

@@ -123,6 +123,13 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", NAMES3)
     with pytest.raises(PolyParseError):
         parse_poly("x1 & x2", NAMES3)
+    # int() refuses strings past Python's digit limit (4300 by default)
+    digits = "7" * 5000
+    for text, position in ((f"{digits}*x1", 0), (f"x1^{digits}", 3), (f"1/{digits}", 2)):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text, NAMES3)
+        assert info.value.position == position
+        assert "5000 digits" in str(info.value)
 
 
 coefficients = st.fractions(

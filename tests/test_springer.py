@@ -770,10 +770,10 @@ def test_ideal_slices_match_the_certificate():
 
 @pytest.fixture
 def fresh_certificate_caches():
-    """Clear the cached basis of I, the relation reports and the
-    certificates before and after the test, so that a patched ideal
-    reaches neither other tests nor it."""
-    caches = (ideal_basis, verify_relations, kernel_ideal_comparisons)
+    """Clear the cached basis of I and the relation reports before and
+    after the test, so that a patched ideal reaches neither other tests
+    nor it."""
+    caches = (ideal_basis, verify_relations)
     for cache in caches:
         cache.cache_clear()
     yield

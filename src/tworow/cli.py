@@ -43,6 +43,10 @@ LISTING_LIMIT = 10**7
 # under a second at (2,1), and its coefficients still print
 STRAIGHTEN_DEGREE_LIMIT = 3000
 
+# the largest basis core C(n, k) that ``straighten --method oracle|both``
+# builds and inverts: C(10, 5), so that (10, 5) still runs
+STRAIGHTEN_CORE_LIMIT = 252
+
 
 class UsageError(Exception):
     pass
@@ -178,6 +182,11 @@ def _format_coefficients(coefficients) -> list[dict]:
 
 def _cmd_straighten(args) -> int:
     ctx = _context(args.n, args.k)
+    if args.method in ("oracle", "both") and comb(ctx.n, ctx.k) > STRAIGHTEN_CORE_LIMIT:
+        raise UsageError(
+            f"C({ctx.n},{ctx.k}) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} "
+            f"for --method {args.method}; use --method paper"
+        )
     names = variable_names(ctx.n)
     try:
         poly = parse_poly(args.poly, names)

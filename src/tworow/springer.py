@@ -29,12 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
-from math import comb, lcm, prod
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
-from .polynomials import Monomial, MPoly, elementary_symmetric
+from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_mul
 from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
@@ -179,14 +179,25 @@ def _pair_relation(ctx: SpringerContext, i: int) -> MPoly:
     return (xi + xprev - (ctx.n - ctx.k + i) * t) * (xi - xprev - t)
 
 
+def _product_terms(ctx: SpringerContext, indices: tuple[int, ...]) -> dict[Monomial, int]:
+    """The product of (x_{i_j} - (i_j - j) t) over the chosen indices,
+    j counting from zero, as integer terms: one per choice of x_{i_j} or
+    -(i_j - j) t from each factor."""
+    factors = [((idx - 1, 1), (ctx.n, j - idx)) for j, idx in enumerate(indices)]
+    terms: dict[Monomial, int] = {}
+    for choice in product(*factors):
+        mono = [0] * ctx.nvars
+        for pos, _ in choice:
+            mono[pos] += 1
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + prod(c for _, c in choice)
+    return terms
+
+
 def _product_relation(ctx: SpringerContext, indices: tuple[int, ...]) -> MPoly:
     """The product of (x_{i_j} - (i_j - j) t) over the chosen indices,
     j counting from zero, expanded."""
-    t = ctx.t()
-    result = MPoly.one(ctx.nvars)
-    for j, idx in enumerate(indices):
-        result = result * (ctx.x(idx) - (idx - j) * t)
-    return result
+    return MPoly(ctx.nvars, _product_terms(ctx, indices))
 
 
 @lru_cache(maxsize=None)
@@ -359,18 +370,31 @@ def verify_relations(ctx: SpringerContext) -> RelationCheck:
 # -- the square rewriting rule -----------------------------------------------
 
 
+def _square_terms(ctx: SpringerContext, i: int) -> list[tuple[Monomial, int]]:
+    """What x_i^2 equals modulo the ideal, as integer terms:
+    (n-k+i+1) t x_i + t (x_1 + ... + x_{i-1}) - ((n-k+1) + ... + (n-k+i)) t^2.
+    """
+    n, k = ctx.n, ctx.k
+
+    def t_times(pos: int) -> Monomial:
+        mono = [0] * ctx.nvars
+        mono[pos] += 1
+        mono[n] += 1
+        return tuple(mono)
+
+    terms = [(t_times(i - 1), n - k + i + 1)]
+    terms.extend((t_times(p - 1), 1) for p in range(1, i))
+    terms.append((t_times(n), -sum(n - k + p for p in range(1, i + 1))))
+    return terms
+
+
 def square_reduction(ctx: SpringerContext, i: int) -> MPoly:
     """What x_i^2 equals modulo the ideal:
     (n-k+i+1) t x_i + t (x_1 + ... + x_{i-1}) - ((n-k+1) + ... + (n-k+i)) t^2.
     """
     if not 1 <= i <= ctx.n:
         raise ValueError(f"index {i} out of range 1..{ctx.n}")
-    t = ctx.t()
-    rhs = (ctx.n - ctx.k + i + 1) * (t * ctx.x(i))
-    for p in range(1, i):
-        rhs = rhs + t * ctx.x(p)
-    total = sum(ctx.n - ctx.k + p for p in range(1, i + 1))
-    return rhs - total * (t * t)
+    return MPoly(ctx.nvars, dict(_square_terms(ctx, i)))
 
 
 def verify_square_reduction(ctx: SpringerContext) -> bool:
@@ -512,80 +536,105 @@ def straighten_by_solve(
 @lru_cache(maxsize=None)
 def _rewrite_memo(
     ctx: SpringerContext,
-) -> dict[tuple[int, ...], tuple[tuple[TwoRowFilling, Fraction], ...]]:
+) -> dict[tuple[int, ...], tuple[tuple[tuple[TwoRowFilling, int], ...], int]]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents alpha: pairs (T, c) with x^alpha = sum of
-    c * t^(|alpha| - ell(T)) * x_T modulo the ideal.  I is homogeneous
-    with t in degree 1, so the t-power is implied.  Only complete values
-    are stored, so threads sharing the memo may compute an entry twice
-    but never read a partial one."""
+    exponents alpha: integer numerators per tableau over one denominator,
+    ((T, a_T), ...), D, with x^alpha = sum of
+    (a_T / D) * t^(|alpha| - ell(T)) * x_T modulo the ideal, in lowest
+    terms and D > 0.  I is homogeneous with t in degree 1, so the t-power
+    is implied.  Only complete values are stored, so threads sharing the
+    memo may compute an entry twice but never read a partial one."""
     return {}
 
 
-def _rewrite_expansion(ctx: SpringerContext, alpha: tuple[int, ...]) -> MPoly:
+def _power_terms(
+    weights: Mapping[int, int], j: int, base: Monomial
+) -> dict[Monomial, int]:
+    """(sum of weights[p] * x_p)^j * x^base as integer terms, expanded by
+    the multinomial theorem; p runs over monomial slots, t included."""
+    total = factorial(j)
+    terms: dict[Monomial, int] = {}
+    for chosen in combinations_with_replacement(sorted(weights), j):
+        mono = list(base)
+        coeff = total
+        for p in set(chosen):
+            e = chosen.count(p)
+            mono[p] += e
+            coeff = coeff // factorial(e) * weights[p] ** e
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + coeff
+    return terms
+
+
+def _cancel(
+    relation: dict[Monomial, int], target: Monomial, ctx: SpringerContext
+) -> tuple[list[tuple[Monomial, int]], int]:
+    """Solve an integer relation lying in the ideal for its target
+    monomial: (terms, divisor) with x^target = sum c * x^m / divisor."""
+    coefficient = relation.pop(target, 0)
+    if not coefficient:
+        raise ConsistencyError(
+            f"vanishing coefficient while straightening {target[:-1]} "
+            f"for n={ctx.n}, k={ctx.k}"
+        )
+    sign = -1 if coefficient > 0 else 1
+    return [(m, sign * c) for m, c in relation.items() if c], abs(coefficient)
+
+
+def _rewrite_expansion(
+    ctx: SpringerContext, alpha: tuple[int, ...]
+) -> tuple[list[tuple[Monomial, int]], int]:
     """One rewriting step on the x-monomial with exponents alpha, which
-    must not already be a basis monomial.  Returns a polynomial equal to
-    it modulo the ideal in which every x-monomial is strictly smaller:
-    lower x-degree, or the same degree with a longer strictly increasing
-    column prefix.
+    must not already be a basis monomial.  Returns (terms, divisor), with
+    x^alpha = sum of c * x^m / divisor modulo the ideal: each m a full
+    monomial (t last), each c an integer, the divisor a positive integer,
+    and every x-part of an m strictly smaller than alpha: lower x-degree,
+    or the same degree with a longer strictly increasing column prefix.
     """
     n, k = ctx.n, ctx.k
+    target = alpha + (0,)
     # a repeated variable: apply the square rule at the first one
     for pos in range(n):
         if alpha[pos] >= 2:
-            rest = list(alpha)
-            rest[pos] -= 2
-            rest_mono = tuple(rest) + (0,)
-            return square_reduction(ctx, pos + 1).times_monomial(rest_mono)
+            rest = target[:pos] + (alpha[pos] - 2,) + target[pos + 1 :]
+            return [(monomial_mul(m, rest), c) for m, c in _square_terms(ctx, pos + 1)], 1
     support = tuple(i + 1 for i in range(n) if alpha[i])
     ell = len(support)
     if ell >= k + 1:
         # eliminate the product of the k+1 smallest support variables
-        chosen = support[: k + 1]
-        chosen_mono = [0] * ctx.nvars
-        for i in chosen:
-            chosen_mono[i - 1] = 1
-        head = MPoly.from_monomial(tuple(chosen_mono))
-        remainder_mono = [0] * ctx.nvars
+        remainder = [0] * ctx.nvars
         for i in support[k + 1 :]:
-            remainder_mono[i - 1] = 1
-        return (head - _product_relation(ctx, chosen)).times_monomial(
-            tuple(remainder_mono)
-        )
+            remainder[i - 1] = 1
+        relation = {
+            monomial_mul(m, remainder): c
+            for m, c in _product_terms(ctx, support[: k + 1]).items()
+        }
+        return _cancel(relation, target, ctx)
     # squarefree with a non-standard filling: cancel the monomial through
-    # the j-th power of the linear relation, j the first bad column
-    filling = filling_from_monomial(alpha + (0,), n)
+    # the j-th power of the linear relation, j the first bad column.  The
+    # relation splits as head + rest with head the first j - 1 top entries,
+    # so rest^j - (-head)^j lies in the ideal; both sides multiply the
+    # monomial of the bottom entries past column j
+    filling = filling_from_monomial(alpha, n)
     top, bottom = filling.top, filling.bottom
     j = next(r for r in range(ell) if top[r] > bottom[r]) + 1  # 1-based
-    head_sum = MPoly.zero(ctx.nvars)
-    for r in range(j - 1):
-        head_sum = head_sum + ctx.x(top[r])
-    rest_sum = -Fraction(n * (n + 1), 2) * ctx.t()
-    for b in bottom:
-        rest_sum = rest_sum + ctx.x(b)
-    for r in range(j - 1, len(top)):
-        rest_sum = rest_sum + ctx.x(top[r])
-    tail_mono = [0] * ctx.nvars
+    tail = [0] * ctx.nvars
     for b in bottom[j:]:
-        tail_mono[b - 1] = 1
-    tail = tuple(tail_mono)
-    # both sides multiply the monomial of the bottom entries past column j;
-    # the difference lies in the ideal because head_sum + rest_sum does
-    difference = (rest_sum ** j).times_monomial(tail) - ((-head_sum) ** j).times_monomial(tail)
-    target = monomial_from_filling(filling)
-    coefficient = difference.coefficient(target)
-    if not coefficient:
-        raise ConsistencyError(
-            f"vanishing coefficient while straightening {alpha} for n={n}, k={k}"
-        )
-    return MPoly.from_monomial(target) - difference * (1 / coefficient)
+        tail[b - 1] = 1
+    rest = {p - 1: 1 for p in bottom + top[j - 1 :]}
+    rest[n] = -(n * (n + 1) // 2)
+    relation = _power_terms(rest, j, tuple(tail))
+    for m, c in _power_terms({p - 1: -1 for p in top[: j - 1]}, j, tuple(tail)).items():
+        relation[m] = relation.get(m, 0) - c
+    return _cancel(relation, target, ctx)
 
 
 def _straighten_x_monomial(
     ctx: SpringerContext, alpha: tuple[int, ...]
-) -> tuple[tuple[TwoRowFilling, Fraction], ...]:
+) -> tuple[tuple[tuple[TwoRowFilling, int], ...], int]:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
-    coordinates, memoized per context.
+    coordinates, memoized per context as integer numerators over one
+    denominator.
 
     An explicit work stack drives the rewriting, so no power is too high
     for the interpreter's recursion limit.  ``expanding`` maps each
@@ -598,39 +647,48 @@ def _straighten_x_monomial(
     if value is not None:
         return value
     n, k = ctx.n, ctx.k
-    expanding: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    expanding: dict[tuple[int, ...], tuple[list[tuple[tuple[int, ...], int]], int]] = {}
     stack = [alpha]
     while stack:
         beta = stack[-1]
         if beta in memo:
             stack.pop()
             continue
-        terms = expanding.pop(beta, None)
-        if terms is not None:
-            # every monomial of the expansion has been finished above beta
-            accum: dict[TwoRowFilling, Fraction] = {}
-            for sub, coeff in terms:
-                for tab, c in memo[sub]:
-                    accum[tab] = accum.get(tab, 0) + coeff * c
-            memo[beta] = tuple((tab, c) for tab, c in accum.items() if c)
+        step = expanding.pop(beta, None)
+        if step is not None:
+            # every monomial of the expansion has been finished above beta;
+            # bring their entries to one denominator, then to lowest terms
+            terms, divisor = step
+            entries = [(memo[sub], c) for sub, c in terms]
+            scale = lcm(*(den for (_, den), _ in entries))
+            accum: dict[TwoRowFilling, int] = {}
+            for (numerators, den), c in entries:
+                factor = c * (scale // den)
+                for tab, a in numerators:
+                    accum[tab] = accum.get(tab, 0) + factor * a
+            denominator = divisor * scale
+            common = gcd(denominator, *accum.values())
+            memo[beta] = (
+                tuple((tab, a // common) for tab, a in accum.items() if a),
+                denominator // common,
+            )
             stack.pop()
             continue
         if all(e <= 1 for e in beta) and sum(beta) <= k:
-            filling = filling_from_monomial(beta + (0,), n)
+            filling = filling_from_monomial(beta, n)
             if is_standard(filling):
-                memo[beta] = ((filling, Fraction(1)),)
+                memo[beta] = (((filling, 1),), 1)
                 stack.pop()
                 continue
         degree = sum(beta)
-        terms = []
-        for mono, coeff in _rewrite_expansion(ctx, beta).terms.items():
+        terms, divisor = _rewrite_expansion(ctx, beta)
+        for mono, _ in terms:
             if sum(mono) != degree:
                 raise ConsistencyError(
                     f"rewriting {beta} left degree {degree} for n={n}, k={k}"
                 )
-            terms.append((mono[:n], coeff))
-        expanding[beta] = terms
-        for sub in dict.fromkeys(sub for sub, _ in terms):
+        expanding[beta] = ([(mono[:n], c) for mono, c in terms], divisor)
+        for sub in dict.fromkeys(mono[:n] for mono, _ in terms):
             if sub in memo:
                 continue
             if sub in expanding:
@@ -650,7 +708,8 @@ def straighten_by_rewrite(
     non-standard filling are cancelled through a power of the linear
     relation, which strictly grows the increasing column prefix.  Each
     step therefore terminates, and the result agrees with the linear
-    algebra route.
+    algebra route.  Every step and every memo entry is in integers; a
+    Fraction is built only to add to the output coefficients.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
@@ -658,10 +717,11 @@ def straighten_by_rewrite(
     accum: dict[TwoRowFilling, dict[int, Fraction]] = {}
     for mono, coeff in f.terms.items():
         degree = sum(mono)
-        for tab, c in _straighten_x_monomial(ctx, mono[:n]):
+        numerators, den = _straighten_x_monomial(ctx, mono[:n])
+        for tab, a in numerators:
             powers = accum.setdefault(tab, {})
             power = degree - tab.ell
-            powers[power] = powers.get(power, 0) + coeff * c
+            powers[power] = powers.get(power, 0) + coeff * Fraction(a, den)
     return _coefficient_polys(accum)
 
 

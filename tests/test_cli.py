@@ -5,7 +5,13 @@ import time
 import pytest
 
 from tworow import springer
-from tworow.cli import CHECK_NAMES, LISTING_LIMIT, STRAIGHTEN_DEGREE_LIMIT, main
+from tworow.cli import (
+    CHECK_NAMES,
+    LISTING_LIMIT,
+    STRAIGHTEN_CORE_LIMIT,
+    STRAIGHTEN_DEGREE_LIMIT,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -138,6 +144,29 @@ def test_straighten_degree_refused_at_once(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: polynomial degree exceeds the limit of {STRAIGHTEN_DEGREE_LIMIT}\n"
+
+
+@pytest.mark.parametrize("n, k", [(1000, 1), (16, 8)], ids=["n1000-k1", "n16-k8"])
+def test_straighten_core_refused_at_once(capsys, n, k):
+    # the default --method both would build and invert a C(n,k)-square core
+    started = time.perf_counter()
+    code, out, err = run(capsys, "straighten", "--n", str(n), "--k", str(k), "--poly", "x1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: C({n},{k}) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} "
+        "for --method both; use --method paper\n"
+    )
+
+
+def test_straighten_paper_method_needs_no_core(capsys):
+    # C(10,5) = 252 is at the limit, and the rewriting route builds no core
+    code, out, _ = run(
+        capsys, "straighten", "--n", "10", "--k", "5", "--method", "paper", "--poly", "x1"
+    )
+    assert code == 0
+    assert "method=paper" in out
 
 
 def test_straighten_unprintable_coefficient(capsys):

@@ -3,7 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +43,7 @@ from tworow.springer import (
     verify_relations,
     verify_square_reduction,
 )
-from tworow.tableaux import TwoRowFilling
+from tworow.tableaux import TwoRowFilling, filling_from_monomial, monomial_from_filling
 from tworow.tpoly import TPoly
 
 
@@ -561,32 +561,113 @@ def test_rewrite_cancellation_coefficient_is_factorial():
     # independent reconstruction of the cancelling combination
     d = (poly("x2 + x3 + x4 - 10*t", 4) ** 2) - (poly("x1", 4) ** 2)
     assert d.coefficient(target) == factorial(2)
-    # the implementation must divide by that computed coefficient
-    expansion = _rewrite_expansion(ctx, (0, 1, 1, 0))
-    assert expansion.coefficient(target) == 0
-    assert MPoly.from_monomial(target) - expansion == d * Fraction(1, 2)
+    # the step must divide by that computed coefficient
+    terms, divisor = _rewrite_expansion(ctx, (0, 1, 1, 0))
+    assert divisor == factorial(2)
+    assert target not in dict(terms)
+    assert MPoly(5, dict(terms)) == MPoly.from_monomial(target, divisor) - d
+
+
+def _reference_rewrite_expansion(ctx, alpha):
+    """One rewriting step built from MPoly products and powers, with the
+    square rule and the product relation written out independently of
+    the library's integer terms."""
+    n, k = ctx.n, ctx.k
+    t = ctx.t()
+    for pos in range(n):
+        if alpha[pos] >= 2:
+            i = pos + 1
+            rhs = (n - k + i + 1) * (t * ctx.x(i))
+            for p in range(1, i):
+                rhs = rhs + t * ctx.x(p)
+            rhs = rhs - sum(n - k + p for p in range(1, i + 1)) * (t * t)
+            rest = list(alpha) + [0]
+            rest[pos] -= 2
+            return rhs * MPoly.from_monomial(tuple(rest))
+    support = tuple(i + 1 for i in range(n) if alpha[i])
+    if len(support) >= k + 1:
+        chosen = support[: k + 1]
+        relation = MPoly.one(ctx.nvars)
+        head = MPoly.one(ctx.nvars)
+        for j, idx in enumerate(chosen):
+            relation = relation * (ctx.x(idx) - (idx - j) * t)
+            head = head * ctx.x(idx)
+        remainder = MPoly.one(ctx.nvars)
+        for idx in support[k + 1 :]:
+            remainder = remainder * ctx.x(idx)
+        return (head - relation) * remainder
+    filling = filling_from_monomial(alpha + (0,), n)
+    top, bottom = filling.top, filling.bottom
+    j = next(r for r in range(len(bottom)) if top[r] > bottom[r]) + 1
+    head_sum = MPoly.zero(ctx.nvars)
+    for r in range(j - 1):
+        head_sum = head_sum + ctx.x(top[r])
+    rest_sum = -Fraction(n * (n + 1), 2) * t
+    for idx in bottom + top[j - 1 :]:
+        rest_sum = rest_sum + ctx.x(idx)
+    tail = MPoly.one(ctx.nvars)
+    for b in bottom[j:]:
+        tail = tail * ctx.x(b)
+    difference = (rest_sum**j - (-head_sum) ** j) * tail
+    target = monomial_from_filling(filling)
+    return MPoly.from_monomial(target) - difference * (1 / difference.coefficient(target))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(1, 7) for k in range(n // 2 + 1)] + [(7, 3)]
+)
+def test_rewrite_steps_match_reference(n, k, monkeypatch):
+    # every step the rewrite takes, as integer terms over a divisor, equals
+    # the MPoly construction of the same step
+    ctx = SpringerContext(n, k)
+    steps = {}
+
+    def recording(ctx, alpha):
+        steps[alpha] = step = expand(ctx, alpha)
+        return step
+
+    expand = springer._rewrite_expansion
+    monkeypatch.setattr(springer, "_rewrite_expansion", recording)
+    springer._rewrite_memo.cache_clear()
+    try:
+        for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
+            straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
+    finally:
+        springer._rewrite_memo.cache_clear()
+    for alpha, (terms, divisor) in steps.items():
+        assert divisor > 0 and all(isinstance(c, int) for _, c in terms), alpha
+        expected = _reference_rewrite_expansion(ctx, alpha)
+        assert MPoly(ctx.nvars, dict(terms)) * Fraction(1, divisor) == expected, alpha
+    if (n, k) == (7, 3):
+        # the square rule, the product relation and powers j = 1, 2, 3
+        assert any(max(alpha) >= 2 for alpha in steps)
+        assert any(max(alpha) <= 1 and sum(alpha) > k for alpha in steps)
+        assert {1, 2, 6} <= {divisor for _, divisor in steps.values()}
 
 
 def test_rewrite_memo_entries_have_polynomial_t_powers():
-    # each entry (T, c) stands for c * t^(|alpha| - ell(T)) * x_T, so the
-    # implied t-power must never be negative
+    # each entry ((T, a), ...), D stands for a / D * t^(|alpha| - ell(T)) * x_T:
+    # the implied t-power is never negative, and the fraction is in lowest
+    # terms with D > 0
     for n, k in ((4, 2), (5, 2), (6, 3)):
         ctx = SpringerContext(n, k)
         for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
             straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
         memo = springer._rewrite_memo(ctx)
         assert memo
-        for alpha, value in memo.items():
-            assert all(tab.ell <= sum(alpha) and c for tab, c in value), alpha
+        for alpha, (numerators, denominator) in memo.items():
+            assert all(tab.ell <= sum(alpha) and a for tab, a in numerators), alpha
+            assert denominator > 0, alpha
+            assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
 
 
 @pytest.mark.parametrize(
     "broken, message",
     [
         # a step that returns its own monomial never terminates
-        (lambda ctx, alpha: MPoly.from_monomial(alpha + (0,)), "cycled"),
+        (lambda ctx, alpha: ([(alpha + (0,), 1)], 1), "cycled"),
         # a step that leaves the degree breaks the implied t-powers
-        (lambda ctx, alpha: MPoly.from_monomial(alpha + (1,)), "left degree"),
+        (lambda ctx, alpha: ([(alpha + (1,), 1)], 1), "left degree"),
     ],
     ids=["cycle", "inhomogeneous"],
 )
@@ -597,7 +678,7 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
     try:
         with pytest.raises(ConsistencyError, match=message):
             straighten_by_rewrite(poly("x1^2", 3), ctx)
-        assert (2, 0, 0) not in springer._rewrite_memo(ctx)
+        assert not springer._rewrite_memo(ctx)
     finally:
         springer._rewrite_memo.cache_clear()
 

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from math import comb
+from math import comb, isqrt
 
 from . import springer, tableaux
 from .polynomials import (
@@ -136,11 +136,20 @@ def _cmd_tableaux(args) -> int:
             shape = tableaux.Partition(parts)
         except ValueError as exc:
             raise UsageError(f"bad shape {args.shape!r}: {exc}") from exc
+        # each hook scans the rows and the hook product grows per box, so the
+        # work is quadratic in the size: a column of 20,000 boxes takes 25 s
+        if shape.size**2 > LISTING_LIMIT:
+            raise UsageError(f"shape has more than {isqrt(LISTING_LIMIT)} boxes")
         hooks = [
             [tableaux.hook_length(shape, r, c) for c in range(1, shape.parts[r - 1] + 1)]
             for r in range(1, len(shape.parts) + 1)
         ]
         count = tableaux.hook_count(shape)
+        try:
+            count_text = str(count)
+        except ValueError as exc:
+            # str() refuses integers longer than sys.get_int_max_str_digits()
+            raise UsageError("the tableau count has too many digits to print") from exc
         payload = {
             "command": args.command_echo,
             "context": {"n": shape.size, "k": None},
@@ -148,25 +157,27 @@ def _cmd_tableaux(args) -> int:
             "hook_lengths": hooks,
             "standard_tableau_count": count,
         }
-        lines = [f"# shape {list(shape.parts)}: {count} standard tableaux"]
+        lines = [f"# shape {list(shape.parts)}: {count_text} standard tableaux"]
         for row in hooks:
             lines.append("hooks: " + " ".join(map(str, row)))
         _emit(args, payload, lines)
         return 0
     if args.n is None or args.ell is None:
         raise UsageError("provide either --shape or both --n and --ell")
-    try:
-        found = tableaux.enumerate_standard_tableaux(args.n, args.ell)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    n, ell = args.n, args.ell
+    if not 0 <= ell <= n - ell:
+        raise UsageError(f"need 0 <= ell <= n - ell, got n={n}, ell={ell}")
+    # each of the C(n, ell) candidate bottom rows builds a filling of n entries
+    _check_listing_size(comb(n, ell) * n, f"C({n},{ell}) candidate fillings")
+    found = tableaux.enumerate_standard_tableaux(n, ell)
     payload = {
         "command": args.command_echo,
-        "context": {"n": args.n, "k": None},
-        "ell": args.ell,
+        "context": {"n": n, "k": None},
+        "ell": ell,
         "count": len(found),
         "tableaux": [[list(f.top), list(f.bottom)] for f in found],
     }
-    lines = [f"# standard tableaux of shape ({args.n - args.ell},{args.ell}): {len(found)}"]
+    lines = [f"# standard tableaux of shape ({n - ell},{ell}): {len(found)}"]
     lines.extend(f.text() for f in found)
     _emit(args, payload, lines)
     return 0

@@ -39,7 +39,6 @@ from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
     filling_from_monomial,
-    is_standard,
     monomial_from_filling,
 )
 from .tpoly import TPoly
@@ -194,12 +193,6 @@ def _product_terms(ctx: SpringerContext, indices: tuple[int, ...]) -> dict[Monom
     return terms
 
 
-def _product_relation(ctx: SpringerContext, indices: tuple[int, ...]) -> MPoly:
-    """The product of (x_{i_j} - (i_j - j) t) over the chosen indices,
-    j counting from zero, expanded."""
-    return MPoly(ctx.nvars, _product_terms(ctx, indices))
-
-
 @lru_cache(maxsize=None)
 def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The equivariant presentation ideal I in Q[x1..xn, t]."""
@@ -209,7 +202,7 @@ def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
         gens.append(_pair_relation(ctx, i))
         labels.append(f"quadratic i={i}")
     for subset in combinations(range(1, ctx.n + 1), ctx.k + 1):
-        gens.append(_product_relation(ctx, subset))
+        gens.append(MPoly(ctx.nvars, _product_terms(ctx, subset)))
         labels.append("product i=" + ",".join(map(str, subset)))
     return IdealPresentation(
         name="I", context=ctx, generators=tuple(gens), labels=tuple(labels)
@@ -389,9 +382,7 @@ def _square_terms(ctx: SpringerContext, i: int) -> list[tuple[Monomial, int]]:
 
 
 def square_reduction(ctx: SpringerContext, i: int) -> MPoly:
-    """What x_i^2 equals modulo the ideal:
-    (n-k+i+1) t x_i + t (x_1 + ... + x_{i-1}) - ((n-k+1) + ... + (n-k+i)) t^2.
-    """
+    """What x_i^2 equals modulo the ideal, ``_square_terms`` as a polynomial."""
     if not 1 <= i <= ctx.n:
         raise ValueError(f"index {i} out of range 1..{ctx.n}")
     return MPoly(ctx.nvars, dict(_square_terms(ctx, i)))
@@ -431,18 +422,17 @@ class BasisMatrix:
 
     The restriction of x_T at w is (product of w(j) over bottom entries
     j) * t^(size of bottom); ``integer_core`` holds the integer factor in
-    row w, column T.  The determinant of the images therefore factors as
-    ``core_determinant`` times a power of t, and a nonzero integer core is
-    exactly linear independence over the fraction field of Q[t].  A
-    singular core is returned as it is, with ``core_determinant`` 0, so
-    that the checks reading it fail by name.  ``inverse`` is the core's
-    exact inverse (None when singular), built on the first straightening
-    solve and then kept, so that every solve is a substitution; the
-    determinant checks never build it.
+    row w, column T: rows in the order of ``fixed_points``, columns in
+    that of ``standard_monomial_basis``.  The determinant of the images
+    therefore factors as ``core_determinant`` times a power of t, and a
+    nonzero integer core is exactly linear independence over the fraction
+    field of Q[t].  A singular core is returned as it is, with
+    ``core_determinant`` 0, so that the checks reading it fail by name.
+    ``inverse`` is the core's exact inverse (None when singular), built on
+    the first straightening solve and then kept, so that every solve is a
+    substitution; the determinant checks never build it.
     """
 
-    fixed_points: tuple[FixedPoint, ...]
-    tableaux: tuple[TwoRowFilling, ...]
     integer_core: tuple[tuple[int, ...], ...]
     core_determinant: int
 
@@ -464,31 +454,34 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
         _monomial_values(ctx, monomial_from_filling(tab)[: ctx.n]) for tab in tableaux
     ]
     core = tuple(zip(*columns))
-    return BasisMatrix(
-        fixed_points=points,
-        tableaux=tableaux,
-        integer_core=core,
-        core_determinant=integer_det_bareiss(core),
-    )
+    return BasisMatrix(integer_core=core, core_determinant=integer_det_bareiss(core))
 
 
 # -- straightening, route one: solve against the localized basis -------------
 
 
 def _coefficient_polys(
-    accum: Mapping[TwoRowFilling, Mapping[int, Fraction]],
+    ctx: SpringerContext, by_degree: Mapping[int, Iterable[tuple[int, Fraction]]]
 ) -> dict[TwoRowFilling, TPoly]:
-    """Build each tableau's Q[t] coefficient once, from its map of
-    t-power to rational coefficient, and drop the zero ones."""
-    result = {}
-    for tab, powers in accum.items():
-        dense = [0] * (max(powers) + 1)
-        for power, coeff in powers.items():
-            dense[power] = coeff
-        cpoly = TPoly(dense)
-        if cpoly:
-            result[tab] = cpoly
-    return result
+    """Lift basis coordinates to Q[t] coefficients.  ``by_degree`` maps a
+    degree d to nonzero rationals c at basis positions p, each standing
+    for c * t^(d - ell(T_p)) * x_{T_p} with T_p the p-th tableau of
+    ``standard_monomial_basis``.  A negative t-power would mean the
+    coefficient is not polynomial, which the presentation theory rules
+    out; it raises ConsistencyError rather than returning a wrong answer."""
+    basis = standard_monomial_basis(ctx)
+    dense: dict[int, list] = {}
+    for degree, coordinates in by_degree.items():
+        for p, c in coordinates:
+            power = degree - basis[p].ell
+            if power < 0:
+                raise ConsistencyError(
+                    "straightening produced a non-polynomial coefficient"
+                )
+            row = dense.setdefault(p, [])
+            row.extend([0] * (power + 1 - len(row)))
+            row[power] = c
+    return {basis[p]: TPoly(row) for p, row in dense.items()}
 
 
 def straighten_by_solve(
@@ -502,49 +495,64 @@ def straighten_by_solve(
     system splits into one rational solve per degree against the integer
     core of the basis matrix.  The core is factored once per context
     (the basis matrix keeps its exact inverse), so each of these solves
-    is a substitution.  A component forcing a negative t-power would mean
-    the solution is not polynomial, which the presentation theory rules
-    out; it raises ConsistencyError rather than returning a wrong answer,
-    as does a singular core.
+    is a substitution.  A singular core raises ConsistencyError, as does
+    a solution with a negative t-power (see ``_coefficient_polys``).
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
-    bm = basis_image_matrix(ctx)
-    inverse = bm.inverse
+    inverse = basis_image_matrix(ctx).inverse
     if inverse is None:
         raise ConsistencyError(
             f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
         )
-    accum: dict[TwoRowFilling, dict[int, Fraction]] = {}
+    by_degree = {}
     for degree, component in f.homogeneous_components().items():
         sums, scale = _component_values(ctx, component)
         gamma = solve_rational(inverse, [Fraction(s, scale) for s in sums])
-        for tab, coeff in zip(bm.tableaux, gamma):
-            if not coeff:
-                continue
-            if degree < tab.ell:
-                raise ConsistencyError(
-                    "straightening produced a non-polynomial coefficient"
-                )
-            accum.setdefault(tab, {})[degree - tab.ell] = coeff
-    return _coefficient_polys(accum)
+        by_degree[degree] = [(p, c) for p, c in enumerate(gamma) if c]
+    return _coefficient_polys(ctx, by_degree)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
 
 
+Coordinates = tuple[tuple[tuple[int, int], ...], int]
+
+
 @lru_cache(maxsize=None)
-def _rewrite_memo(
-    ctx: SpringerContext,
-) -> dict[tuple[int, ...], tuple[tuple[tuple[TwoRowFilling, int], ...], int]]:
+def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents alpha: integer numerators per tableau over one denominator,
-    ((T, a_T), ...), D, with x^alpha = sum of
-    (a_T / D) * t^(|alpha| - ell(T)) * x_T modulo the ideal, in lowest
-    terms and D > 0.  I is homogeneous with t in degree 1, so the t-power
-    is implied.  Only complete values are stored, so threads sharing the
-    memo may compute an entry twice but never read a partial one."""
-    return {}
+    exponents alpha: integer numerators per basis position over one
+    denominator, ((p, a_p), ...), D, with x^alpha = sum of
+    (a_p / D) * t^(|alpha| - ell(T_p)) * x_{T_p} modulo the ideal, T_p
+    the p-th tableau of ``standard_monomial_basis``, in lowest terms and
+    D > 0.  I is homogeneous with t in degree 1, so the t-power is
+    implied.  The memo starts with every basis monomial at its own
+    position, ((p, 1),), 1, where the rewriting stops.  Only complete
+    values are stored, so threads sharing the memo may compute an entry
+    twice but never read a partial one."""
+    return {
+        monomial_from_filling(tab)[: ctx.n]: (((p, 1),), 1)
+        for p, tab in enumerate(standard_monomial_basis(ctx))
+    }
+
+
+def _combine(
+    entries: list[tuple[Coordinates, int | Fraction]], divisor: int = 1
+) -> Coordinates:
+    """The sum of c * (numerators / D) over entries ((numerators, D), c),
+    divided by the divisor, as integer numerators per basis position over
+    one positive denominator, in lowest terms; zero numerators are
+    dropped."""
+    scale = lcm(*(den * c.denominator for (_, den), c in entries))
+    accum: dict[int, int] = {}
+    for (numerators, den), c in entries:
+        factor = c.numerator * (scale // (den * c.denominator))
+        for p, a in numerators:
+            accum[p] = accum.get(p, 0) + factor * a
+    denominator = divisor * scale
+    common = gcd(denominator, *accum.values())
+    return tuple((p, a // common) for p, a in accum.items() if a), denominator // common
 
 
 def _power_terms(
@@ -629,12 +637,10 @@ def _rewrite_expansion(
     return _cancel(relation, target, ctx)
 
 
-def _straighten_x_monomial(
-    ctx: SpringerContext, alpha: tuple[int, ...]
-) -> tuple[tuple[tuple[TwoRowFilling, int], ...], int]:
+def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coordinates:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
-    coordinates, memoized per context as integer numerators over one
-    denominator.
+    coordinates, memoized per context as integer numerators per basis
+    position over one denominator.
 
     An explicit work stack drives the rewriting, so no power is too high
     for the interpreter's recursion limit.  ``expanding`` maps each
@@ -643,9 +649,6 @@ def _straighten_x_monomial(
     the stack, so meeting one again is a cycle.  It is private to the
     call, and only finished values reach the memo."""
     memo = _rewrite_memo(ctx)
-    value = memo.get(alpha)
-    if value is not None:
-        return value
     n, k = ctx.n, ctx.k
     expanding: dict[tuple[int, ...], tuple[list[tuple[tuple[int, ...], int]], int]] = {}
     stack = [alpha]
@@ -656,30 +659,11 @@ def _straighten_x_monomial(
             continue
         step = expanding.pop(beta, None)
         if step is not None:
-            # every monomial of the expansion has been finished above beta;
-            # bring their entries to one denominator, then to lowest terms
+            # every monomial of the expansion has been finished above beta
             terms, divisor = step
-            entries = [(memo[sub], c) for sub, c in terms]
-            scale = lcm(*(den for (_, den), _ in entries))
-            accum: dict[TwoRowFilling, int] = {}
-            for (numerators, den), c in entries:
-                factor = c * (scale // den)
-                for tab, a in numerators:
-                    accum[tab] = accum.get(tab, 0) + factor * a
-            denominator = divisor * scale
-            common = gcd(denominator, *accum.values())
-            memo[beta] = (
-                tuple((tab, a // common) for tab, a in accum.items() if a),
-                denominator // common,
-            )
+            memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
             stack.pop()
             continue
-        if all(e <= 1 for e in beta) and sum(beta) <= k:
-            filling = filling_from_monomial(beta, n)
-            if is_standard(filling):
-                memo[beta] = (((filling, 1),), 1)
-                stack.pop()
-                continue
         degree = sum(beta)
         terms, divisor = _rewrite_expansion(ctx, beta)
         for mono, _ in terms:
@@ -708,21 +692,22 @@ def straighten_by_rewrite(
     non-standard filling are cancelled through a power of the linear
     relation, which strictly grows the increasing column prefix.  Each
     step therefore terminates, and the result agrees with the linear
-    algebra route.  Every step and every memo entry is in integers; a
-    Fraction is built only to add to the output coefficients.
+    algebra route.  Every step and every memo entry is in integers; the
+    terms of each degree are combined in integers too, and one Fraction
+    is built per tableau and degree of the output.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
     n = ctx.n
-    accum: dict[TwoRowFilling, dict[int, Fraction]] = {}
+    entries: dict[int, list[tuple[Coordinates, Fraction]]] = {}
     for mono, coeff in f.terms.items():
-        degree = sum(mono)
-        numerators, den = _straighten_x_monomial(ctx, mono[:n])
-        for tab, a in numerators:
-            powers = accum.setdefault(tab, {})
-            power = degree - tab.ell
-            powers[power] = powers.get(power, 0) + coeff * Fraction(a, den)
-    return _coefficient_polys(accum)
+        value = _straighten_x_monomial(ctx, mono[:n])
+        entries.setdefault(sum(mono), []).append((value, coeff))
+    by_degree = {}
+    for degree, terms in entries.items():
+        numerators, den = _combine(terms)
+        by_degree[degree] = [(p, Fraction(a, den)) for p, a in numerators]
+    return _coefficient_polys(ctx, by_degree)
 
 
 def basis_combination(

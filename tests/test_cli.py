@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tworow import springer
+from tworow import cli, springer
 from tworow.cli import (
     CHECK_NAMES,
     LISTING_LIMIT,
@@ -201,6 +201,41 @@ def test_tableaux_hooks(capsys):
     assert code == 0
     assert payload["hook_lengths"][1][0] == 6
     assert payload["standard_tableau_count"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # C(10,3) candidate bottom rows of 10 entries each
+        (("--n", "10", "--ell", "3"), "C(10,3) candidate fillings would build more than 200"),
+        # 15 boxes weigh 15^2 = 225
+        (("--shape", "8,7"), "shape has more than 14 boxes"),
+    ],
+    ids=["enumeration", "shape"],
+)
+def test_tableaux_too_large_refused(capsys, monkeypatch, argv, message):
+    # a small limit stands in for the real one, so nothing oversized runs;
+    # listings within it still succeed
+    monkeypatch.setattr(cli, "LISTING_LIMIT", 200)
+    code, out, err = run(capsys, "tableaux", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert run(capsys, "tableaux", "--n", "4", "--ell", "2")[0] == 0
+    assert run(capsys, "tableaux", "--shape", "4,3,2,1,1")[0] == 0
+
+
+def test_tableaux_unprintable_count(capsys):
+    # the shape (1200,1200) has a Catalan number of tableaux, over 700 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "tableaux", "--shape", "1200,1200")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the tableau count has too many digits to print\n"
 
 
 def test_tableaux_requires_arguments(capsys):

@@ -43,7 +43,12 @@ from tworow.springer import (
     verify_relations,
     verify_square_reduction,
 )
-from tworow.tableaux import TwoRowFilling, filling_from_monomial, monomial_from_filling
+from tworow.tableaux import (
+    TwoRowFilling,
+    filling_from_monomial,
+    is_standard,
+    monomial_from_filling,
+)
 from tworow.tpoly import TPoly
 
 
@@ -373,9 +378,10 @@ def test_telescoping_identity():
 
 
 def test_basis_matrix_n2():
-    bm = basis_image_matrix(SpringerContext(2, 1))
-    assert [t.bottom for t in bm.tableaux] == [(), (2,)]
-    assert [w.w for w in bm.fixed_points] == [(2, 1), (1, 2)]
+    ctx = SpringerContext(2, 1)
+    bm = basis_image_matrix(ctx)
+    assert [t.bottom for t in standard_monomial_basis(ctx)] == [(), (2,)]
+    assert [w.w for w in fixed_points(ctx)] == [(2, 1), (1, 2)]
     assert bm.integer_core == ((1, 1), (1, 2))
     assert bm.core_determinant == 1
     assert bm.inverse == (((2, -1), (-1, 1)), 1)
@@ -395,8 +401,8 @@ def test_basis_matrix_determinant_factorization(cofactor_det):
     for n, k in ((3, 1), (4, 2), (5, 2)):
         ctx = SpringerContext(n, k)
         bm = basis_image_matrix(ctx)
-        for w, core_row in zip(bm.fixed_points, bm.integer_core):
-            for tab, weight in zip(bm.tableaux, core_row):
+        for w, core_row in zip(fixed_points(ctx), bm.integer_core):
+            for tab, weight in zip(standard_monomial_basis(ctx), core_row):
                 mono = [0] * ctx.nvars
                 for j in tab.bottom:
                     mono[j - 1] = 1
@@ -482,8 +488,8 @@ def test_straighten_matches_oracle_solve(cofactor_det):
     p = ctx.x(1) * ctx.x(1) * ctx.x(2) - 3 * ctx.t() * ctx.x(3) + ctx.x(2)
     expected = {}
     for degree, component in p.homogeneous_components().items():
-        values = [localize(component, w).coefficient(degree) for w in bm.fixed_points]
-        for col, tab in enumerate(bm.tableaux):
+        values = [localize(component, w).coefficient(degree) for w in fixed_points(ctx)]
+        for col, tab in enumerate(standard_monomial_basis(ctx)):
             replaced = [row[:col] + [v] + row[col + 1 :] for row, v in zip(core, values)]
             coeff = Fraction(cofactor_det(replaced), det)
             if coeff:
@@ -646,19 +652,61 @@ def test_rewrite_steps_match_reference(n, k, monkeypatch):
 
 
 def test_rewrite_memo_entries_have_polynomial_t_powers():
-    # each entry ((T, a), ...), D stands for a / D * t^(|alpha| - ell(T)) * x_T:
-    # the implied t-power is never negative, and the fraction is in lowest
-    # terms with D > 0
+    # each entry ((p, a), ...), D stands for a / D * t^(|alpha| - ell(T_p)) * x_T_p,
+    # T_p the p-th basis tableau: the implied t-power is never negative,
+    # and the fraction is in lowest terms with D > 0
     for n, k in ((4, 2), (5, 2), (6, 3)):
         ctx = SpringerContext(n, k)
+        basis = standard_monomial_basis(ctx)
         for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
             straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
         memo = springer._rewrite_memo(ctx)
-        assert memo
+        assert len(memo) > len(basis)
         for alpha, (numerators, denominator) in memo.items():
-            assert all(tab.ell <= sum(alpha) and a for tab, a in numerators), alpha
+            assert all(basis[p].ell <= sum(alpha) and a for p, a in numerators), alpha
             assert denominator > 0, alpha
             assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
+
+
+def _seeded_memo(ctx):
+    # each basis monomial x_T, read off the bottom row of T, at the
+    # position of T with coefficient 1
+    memo = {}
+    for p, tab in enumerate(standard_monomial_basis(ctx)):
+        alpha = [0] * ctx.n
+        for j in tab.bottom:
+            alpha[j - 1] = 1
+        memo[tuple(alpha)] = (((p, 1),), 1)
+    return memo
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+def test_fresh_rewrite_memo_is_the_basis(n, k):
+    ctx = SpringerContext(n, k)
+    springer._rewrite_memo.cache_clear()
+    try:
+        memo = springer._rewrite_memo(ctx)
+        assert memo == _seeded_memo(ctx)
+        # the keys are the squarefree monomials with standard fillings
+        standard = {
+            mono[:n]
+            for mono in squarefree_monomials(ctx, k)
+            if is_standard(filling_from_monomial(mono, n))
+        }
+        assert set(memo) == standard and len(memo) == comb(n, k)
+    finally:
+        springer._rewrite_memo.cache_clear()
+
+
+def test_coefficient_lift_refuses_negative_t_power():
+    # a degree-0 coordinate at x2, whose tableau has ell = 1, would need t^-1
+    ctx = SpringerContext(2, 1)
+    assert standard_monomial_basis(ctx)[1].ell == 1
+    with pytest.raises(ConsistencyError, match="non-polynomial"):
+        springer._coefficient_polys(ctx, {0: [(1, Fraction(1))]})
+    assert springer._coefficient_polys(ctx, {1: [(1, Fraction(1))]}) == {
+        standard_monomial_basis(ctx)[1]: TPoly.one()
+    }
 
 
 @pytest.mark.parametrize(
@@ -678,7 +726,8 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
     try:
         with pytest.raises(ConsistencyError, match=message):
             straighten_by_rewrite(poly("x1^2", 3), ctx)
-        assert not springer._rewrite_memo(ctx)
+        # no entry of the failed rewrite reached the memo
+        assert springer._rewrite_memo(ctx) == _seeded_memo(ctx)
     finally:
         springer._rewrite_memo.cache_clear()
 

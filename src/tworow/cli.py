@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from math import comb, isqrt
+from math import comb
 
 from . import springer, tableaux
 from .polynomials import (
@@ -46,6 +46,10 @@ STRAIGHTEN_DEGREE_LIMIT = 3000
 # the largest basis core C(n, k) that ``straighten --method oracle|both``
 # builds and inverts: C(10, 5), so that (10, 5) still runs
 STRAIGHTEN_CORE_LIMIT = 252
+
+# the most boxes ``tableaux --shape`` takes: the count multiplies one big
+# integer by each hook in turn, and the shape (80000,80000) takes 10-15 s
+SHAPE_BOX_LIMIT = 160_000
 
 
 class UsageError(Exception):
@@ -136,10 +140,11 @@ def _cmd_tableaux(args) -> int:
             shape = tableaux.Partition(parts)
         except ValueError as exc:
             raise UsageError(f"bad shape {args.shape!r}: {exc}") from exc
-        # each hook scans the rows and the hook product grows per box, so the
-        # work is quadratic in the size: a column of 20,000 boxes takes 25 s
-        if shape.size**2 > LISTING_LIMIT:
-            raise UsageError(f"shape has more than {isqrt(LISTING_LIMIT)} boxes")
+        # each box's hook scans the rows below it
+        if shape.size * len(shape.parts) > LISTING_LIMIT:
+            raise UsageError(f"shape's boxes times rows exceed {LISTING_LIMIT}")
+        if shape.size > SHAPE_BOX_LIMIT:
+            raise UsageError(f"shape has more than {SHAPE_BOX_LIMIT} boxes")
         hooks = [
             [tableaux.hook_length(shape, r, c) for c in range(1, shape.parts[r - 1] + 1)]
             for r in range(1, len(shape.parts) + 1)
@@ -165,8 +170,10 @@ def _cmd_tableaux(args) -> int:
     if args.n is None or args.ell is None:
         raise UsageError("provide either --shape or both --n and --ell")
     n, ell = args.n, args.ell
-    if not 0 <= ell <= n - ell:
-        raise UsageError(f"need 0 <= ell <= n - ell, got n={n}, ell={ell}")
+    try:
+        tableaux.two_row_shape(n, ell)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # each of the C(n, ell) candidate bottom rows builds a filling of n entries
     _check_listing_size(comb(n, ell) * n, f"C({n},{ell}) candidate fillings")
     found = tableaux.enumerate_standard_tableaux(n, ell)

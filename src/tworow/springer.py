@@ -28,10 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd, lcm, prod
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
 from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_mul
@@ -39,6 +39,7 @@ from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
     filling_from_monomial,
+    is_standard,
     monomial_from_filling,
 )
 from .tpoly import TPoly
@@ -461,27 +462,28 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 
 
 def _coefficient_polys(
-    ctx: SpringerContext, by_degree: Mapping[int, Iterable[tuple[int, Fraction]]]
+    tableau_of: Callable[[int], TwoRowFilling],
+    by_degree: Mapping[int, Iterable[tuple[int, Fraction]]],
 ) -> dict[TwoRowFilling, TPoly]:
     """Lift basis coordinates to Q[t] coefficients.  ``by_degree`` maps a
-    degree d to nonzero rationals c at basis positions p, each standing
-    for c * t^(d - ell(T_p)) * x_{T_p} with T_p the p-th tableau of
-    ``standard_monomial_basis``.  A negative t-power would mean the
-    coefficient is not polynomial, which the presentation theory rules
+    degree d to nonzero rationals c at basis keys q, each standing for
+    c * t^(d - ell(T)) * x_T with T = tableau_of(q): the solve route keys
+    a tableau by its position in ``standard_monomial_basis``, the rewrite
+    route by the bit set of its bottom row.  A negative t-power would mean
+    the coefficient is not polynomial, which the presentation theory rules
     out; it raises ConsistencyError rather than returning a wrong answer."""
-    basis = standard_monomial_basis(ctx)
     dense: dict[int, list] = {}
     for degree, coordinates in by_degree.items():
-        for p, c in coordinates:
-            power = degree - basis[p].ell
+        for q, c in coordinates:
+            power = degree - tableau_of(q).ell
             if power < 0:
                 raise ConsistencyError(
                     "straightening produced a non-polynomial coefficient"
                 )
-            row = dense.setdefault(p, [])
+            row = dense.setdefault(q, [])
             row.extend([0] * (power + 1 - len(row)))
             row[power] = c
-    return {basis[p]: TPoly(row) for p, row in dense.items()}
+    return {tableau_of(q): TPoly(row) for q, row in dense.items()}
 
 
 def straighten_by_solve(
@@ -510,7 +512,7 @@ def straighten_by_solve(
         sums, scale = _component_values(ctx, component)
         gamma = solve_rational(inverse, [Fraction(s, scale) for s in sums])
         by_degree[degree] = [(p, c) for p, c in enumerate(gamma) if c]
-    return _coefficient_polys(ctx, by_degree)
+    return _coefficient_polys(standard_monomial_basis(ctx).__getitem__, by_degree)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
@@ -522,37 +524,42 @@ Coordinates = tuple[tuple[tuple[int, int], ...], int]
 @lru_cache(maxsize=None)
 def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents alpha: integer numerators per basis position over one
-    denominator, ((p, a_p), ...), D, with x^alpha = sum of
-    (a_p / D) * t^(|alpha| - ell(T_p)) * x_{T_p} modulo the ideal, T_p
-    the p-th tableau of ``standard_monomial_basis``, in lowest terms and
-    D > 0.  I is homogeneous with t in degree 1, so the t-power is
-    implied.  The memo starts with every basis monomial at its own
-    position, ((p, 1),), 1, where the rewriting stops.  Only complete
-    values are stored, so threads sharing the memo may compute an entry
-    twice but never read a partial one."""
-    return {
-        monomial_from_filling(tab)[: ctx.n]: (((p, 1),), 1)
-        for p, tab in enumerate(standard_monomial_basis(ctx))
-    }
+    exponents alpha: integer numerators per basis monomial over one
+    denominator, ((b, a_b), ...), D, with x^alpha = sum of
+    (a_b / D) * t^(|alpha| - ell(T_b)) * x_{T_b} modulo the ideal, in
+    lowest terms and D > 0, where T_b = _bottom_row_filling(n, b) is the
+    standard tableau whose bottom row is the bit set b.  I is homogeneous
+    with t in degree 1, so the t-power is implied.  Entries are made only
+    as the rewriting reaches them, so the cost of a straightening does
+    not grow with the C(n, k) basis monomials.  Only complete values are
+    stored, so threads sharing the memo may compute an entry twice but
+    never read a partial one."""
+    return {}
+
+
+@lru_cache(maxsize=None)
+def _bottom_row_filling(n: int, b: int) -> TwoRowFilling:
+    """The filling of 1..n whose bottom row is the bit set b: entry j
+    for each bit j - 1."""
+    return filling_from_monomial([b >> i & 1 for i in range(n)], n)
 
 
 def _combine(
     entries: list[tuple[Coordinates, int | Fraction]], divisor: int = 1
 ) -> Coordinates:
     """The sum of c * (numerators / D) over entries ((numerators, D), c),
-    divided by the divisor, as integer numerators per basis position over
-    one positive denominator, in lowest terms; zero numerators are
+    divided by the divisor, as integer numerators per basis key over one
+    positive denominator, in lowest terms; zero numerators are
     dropped."""
     scale = lcm(*(den * c.denominator for (_, den), c in entries))
     accum: dict[int, int] = {}
     for (numerators, den), c in entries:
         factor = c.numerator * (scale // (den * c.denominator))
-        for p, a in numerators:
-            accum[p] = accum.get(p, 0) + factor * a
+        for q, a in numerators:
+            accum[q] = accum.get(q, 0) + factor * a
     denominator = divisor * scale
     common = gcd(denominator, *accum.values())
-    return tuple((p, a // common) for p, a in accum.items() if a), denominator // common
+    return tuple((q, a // common) for q, a in accum.items() if a), denominator // common
 
 
 def _power_terms(
@@ -640,7 +647,7 @@ def _rewrite_expansion(
 def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coordinates:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
     coordinates, memoized per context as integer numerators per basis
-    position over one denominator.
+    monomial over one denominator.
 
     An explicit work stack drives the rewriting, so no power is too high
     for the interpreter's recursion limit.  ``expanding`` maps each
@@ -664,6 +671,12 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
             memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
             stack.pop()
             continue
+        if all(e <= 1 for e in beta) and sum(beta) <= k:
+            b = sum(e << i for i, e in enumerate(beta))
+            if is_standard(_bottom_row_filling(n, b)):
+                memo[beta] = (((b, 1),), 1)
+                stack.pop()
+                continue
         degree = sum(beta)
         terms, divisor = _rewrite_expansion(ctx, beta)
         for mono, _ in terms:
@@ -706,8 +719,8 @@ def straighten_by_rewrite(
     by_degree = {}
     for degree, terms in entries.items():
         numerators, den = _combine(terms)
-        by_degree[degree] = [(p, Fraction(a, den)) for p, a in numerators]
-    return _coefficient_polys(ctx, by_degree)
+        by_degree[degree] = [(b, Fraction(a, den)) for b, a in numerators]
+    return _coefficient_polys(partial(_bottom_row_filling, ctx.n), by_degree)
 
 
 def basis_combination(

@@ -169,6 +169,24 @@ def test_straighten_paper_method_needs_no_core(capsys):
     assert "method=paper" in out
 
 
+def test_straighten_paper_method_cost_ignores_basis_size(capsys, monkeypatch):
+    # C(40,20) is about 1.4 * 10^11: the rewriting route must reach only
+    # the basis monomials it needs, never list the basis
+    def refuse(n, ell):
+        raise AssertionError("the rewriting route enumerated the basis")
+
+    monkeypatch.setattr(springer, "enumerate_standard_tableaux", refuse)
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "straighten", "--n", "40", "--k", "20", "--method", "paper", "--poly", "x1"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    # x1 = 820 t - (x2 + ... + x40), from the linear relation
+    assert lines[1].endswith(" : 820*t") and len(lines) == 41
+
+
 def test_straighten_unprintable_coefficient(capsys):
     # the coefficients of x1^3000 at (2,1) have about 900 digits: more
     # than the lowest digit limit Python allows
@@ -208,21 +226,32 @@ def test_tableaux_hooks(capsys):
     [
         # C(10,3) candidate bottom rows of 10 entries each
         (("--n", "10", "--ell", "3"), "C(10,3) candidate fillings would build more than 200"),
-        # 15 boxes weigh 15^2 = 225
-        (("--shape", "8,7"), "shape has more than 14 boxes"),
+        # 41 boxes in 5 rows weigh 205 hook scans
+        (("--shape", "9,8,8,8,8"), "shape's boxes times rows exceed 200"),
+        (("--shape", "101"), "shape has more than 100 boxes"),
     ],
-    ids=["enumeration", "shape"],
+    ids=["enumeration", "hook-scans", "boxes"],
 )
 def test_tableaux_too_large_refused(capsys, monkeypatch, argv, message):
-    # a small limit stands in for the real one, so nothing oversized runs;
-    # listings within it still succeed
+    # small limits stand in for the real ones, so nothing oversized runs;
+    # listings within them still succeed
     monkeypatch.setattr(cli, "LISTING_LIMIT", 200)
+    monkeypatch.setattr(cli, "SHAPE_BOX_LIMIT", 100)
     code, out, err = run(capsys, "tableaux", *argv)
     assert code == 2
     assert out == ""
     assert message in err
     assert run(capsys, "tableaux", "--n", "4", "--ell", "2")[0] == 0
     assert run(capsys, "tableaux", "--shape", "4,3,2,1,1")[0] == 0
+    assert run(capsys, "tableaux", "--shape", "50,50")[0] == 0
+
+
+def test_tableaux_large_two_row_shape(capsys):
+    # two rows keep the hook scans short: (2000,2000) is well within both
+    # limits, and its count of about 1,200 digits prints
+    code, out, _ = run(capsys, "tableaux", "--shape", "2000,2000")
+    assert code == 0
+    assert out.startswith("# shape [2000, 2000]: ")
 
 
 def test_tableaux_unprintable_count(capsys):

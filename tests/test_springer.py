@@ -46,7 +46,6 @@ from tworow.springer import (
 from tworow.tableaux import (
     TwoRowFilling,
     filling_from_monomial,
-    is_standard,
     monomial_from_filling,
 )
 from tworow.tpoly import TPoly
@@ -652,48 +651,38 @@ def test_rewrite_steps_match_reference(n, k, monkeypatch):
 
 
 def test_rewrite_memo_entries_have_polynomial_t_powers():
-    # each entry ((p, a), ...), D stands for a / D * t^(|alpha| - ell(T_p)) * x_T_p,
-    # T_p the p-th basis tableau: the implied t-power is never negative,
-    # and the fraction is in lowest terms with D > 0
+    # each entry ((b, a), ...), D stands for a / D * t^(|alpha| - ell(T_b)) * x_T_b,
+    # T_b the basis tableau whose bottom row has the bit set b: the implied
+    # t-power is never negative, and the fraction is in lowest terms with
+    # D > 0
     for n, k in ((4, 2), (5, 2), (6, 3)):
         ctx = SpringerContext(n, k)
-        basis = standard_monomial_basis(ctx)
+        basis = {
+            sum(1 << (j - 1) for j in tab.bottom): tab for tab in standard_monomial_basis(ctx)
+        }
         for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
             straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
         memo = springer._rewrite_memo(ctx)
         assert len(memo) > len(basis)
         for alpha, (numerators, denominator) in memo.items():
-            assert all(basis[p].ell <= sum(alpha) and a for p, a in numerators), alpha
+            assert all(basis[b].ell <= sum(alpha) and a for b, a in numerators), alpha
             assert denominator > 0, alpha
             assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
+        assert all(springer._bottom_row_filling(n, b) == tab for b, tab in basis.items())
 
 
-def _seeded_memo(ctx):
-    # each basis monomial x_T, read off the bottom row of T, at the
-    # position of T with coefficient 1
-    memo = {}
-    for p, tab in enumerate(standard_monomial_basis(ctx)):
-        alpha = [0] * ctx.n
-        for j in tab.bottom:
-            alpha[j - 1] = 1
-        memo[tuple(alpha)] = (((p, 1),), 1)
-    return memo
-
-
-@pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
-def test_fresh_rewrite_memo_is_the_basis(n, k):
-    ctx = SpringerContext(n, k)
+def test_rewrite_memo_grows_only_as_needed():
+    # a fresh memo is empty, and straightening x1 reaches the basis
+    # monomials 1 and x2..x6 of the linear relation, not the whole basis
+    ctx = SpringerContext(6, 3)
     springer._rewrite_memo.cache_clear()
     try:
+        assert springer._rewrite_memo(ctx) == {}
+        straighten_by_rewrite(poly("x1", 6), ctx)
         memo = springer._rewrite_memo(ctx)
-        assert memo == _seeded_memo(ctx)
-        # the keys are the squarefree monomials with standard fillings
-        standard = {
-            mono[:n]
-            for mono in squarefree_monomials(ctx, k)
-            if is_standard(filling_from_monomial(mono, n))
-        }
-        assert set(memo) == standard and len(memo) == comb(n, k)
+        assert set(memo) == {tuple(int(i == j) for i in range(6)) for j in range(-1, 6)}
+        keys = {b for numerators, _ in memo.values() for b, _ in numerators}
+        assert keys == {0, 2, 4, 8, 16, 32}
     finally:
         springer._rewrite_memo.cache_clear()
 
@@ -701,11 +690,12 @@ def test_fresh_rewrite_memo_is_the_basis(n, k):
 def test_coefficient_lift_refuses_negative_t_power():
     # a degree-0 coordinate at x2, whose tableau has ell = 1, would need t^-1
     ctx = SpringerContext(2, 1)
-    assert standard_monomial_basis(ctx)[1].ell == 1
+    basis = standard_monomial_basis(ctx)
+    assert basis[1].ell == 1
     with pytest.raises(ConsistencyError, match="non-polynomial"):
-        springer._coefficient_polys(ctx, {0: [(1, Fraction(1))]})
-    assert springer._coefficient_polys(ctx, {1: [(1, Fraction(1))]}) == {
-        standard_monomial_basis(ctx)[1]: TPoly.one()
+        springer._coefficient_polys(basis.__getitem__, {0: [(1, Fraction(1))]})
+    assert springer._coefficient_polys(basis.__getitem__, {1: [(1, Fraction(1))]}) == {
+        basis[1]: TPoly.one()
     }
 
 
@@ -727,7 +717,7 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
         with pytest.raises(ConsistencyError, match=message):
             straighten_by_rewrite(poly("x1^2", 3), ctx)
         # no entry of the failed rewrite reached the memo
-        assert springer._rewrite_memo(ctx) == _seeded_memo(ctx)
+        assert springer._rewrite_memo(ctx) == {}
     finally:
         springer._rewrite_memo.cache_clear()
 
@@ -774,6 +764,7 @@ def test_rewrite_memo_is_thread_safe():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
 
 def test_sampled_monomials_are_deterministic():
     ctx = SpringerContext(3, 1)

@@ -47,8 +47,8 @@ STRAIGHTEN_DEGREE_LIMIT = 3000
 # builds and inverts: C(10, 5), so that (10, 5) still runs
 STRAIGHTEN_CORE_LIMIT = 252
 
-# the most boxes ``tableaux --shape`` takes: the count multiplies one big
-# integer by each hook in turn, and the shape (80000,80000) takes 10-15 s
+# the most boxes ``tableaux --shape`` takes: n! and the hook product grow
+# to about a million digits, and the shape (80000,80000) takes about 2 s
 SHAPE_BOX_LIMIT = 160_000
 
 

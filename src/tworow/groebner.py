@@ -2,17 +2,17 @@
 
 Instance sizes in this package are small (at most ten variables; the
 largest presentation ideal verified in CI, I at (n, k) = (9, 4), has
-136 generators), so the implementation is plain Buchberger with the two
-classical pair-pruning criteria.  The monomial order is always grevlex
-with t last (see ``polynomials``).  From the input generators to the
-returned basis, every basis element is a monic reducer split once into
-its leading monomial and its tail; monic reducers keep rational
-coefficients small.  S-polynomials are built from the two tails, and
-division works on one mutable term dict, taking each next leading term
-from a heap of its monomials.  Pairs wait in a heap under the normal
-selection strategy (smallest lcm degree first, ties broken by grevlex on
-the lcm), keyed once when the pair is created.  One pass at the end
-makes the basis reduced: minimalize, then reduce each tail once.
+136 generators).  The monomial order is always grevlex with t last (see
+``polynomials``).  Inside this module a polynomial is a dict of integer
+coefficients, and every basis element is a primitive reducer: content
+removed, split once into leading monomial, leading coefficient and tail.
+Division is fraction-free and works on one mutable term dict, taking
+each next leading term from a heap of its monomials.  Input generators
+and S-pairs share one heap under the normal selection strategy, a
+generator enters the basis only if it does not reduce to zero, and the
+Gebauer-Moeller update prunes pairs and keeps the active basis minimal.
+One pass of tail reduction makes the basis reduced; only then are the
+elements made monic over Q.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import chain, product
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Optional, Sequence
 
@@ -49,69 +50,90 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.generators]
 
 
-# A polynomial as a term dict, and a monic polynomial split for division:
-# its leading monomial, and its other terms divided by its leading coefficient.
-Terms = dict[Monomial, Fraction]
-Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
+# A polynomial as a term dict with integer coefficients, and a reducer: a
+# primitive integer polynomial (content removed, leading coefficient
+# positive) split into its leading monomial, leading coefficient and tail.
+Terms = dict[Monomial, int]
+Reducer = tuple[Monomial, int, list[tuple[Monomial, int]]]
 
 
-def _split(terms: Terms) -> Reducer:
+def _integer_terms(terms: dict[Monomial, Fraction]) -> tuple[int, Terms]:
+    """(d, q) with q = d * terms: the rational terms over one denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def _reducer(terms: Terms) -> Reducer:
     lm = max(terms, key=grevlex_key)
-    lc = terms[lm]
-    tail = [(m, c) for m, c in terms.items() if m != lm]
-    if lc != 1:
-        tail = [(m, c / lc) for m, c in tail]
-    return lm, tail
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    tail = [(m, c // content) for m, c in terms.items() if m != lm]
+    return lm, terms[lm] // content, tail
 
 
-def _reduce_full(p: Terms, reducers: Sequence[Reducer]) -> Terms:
-    """Remainder of the term dict p on full division by the reducers: no
-    monomial of the result is divisible by any reducer's leading
-    monomial.  The result's terms come in descending grevlex order.
+def _reduce(p: Terms, reducers: Sequence[Reducer]) -> tuple[int, Terms]:
+    """Fraction-free full division of the term dict p by the reducers.
 
-    p is consumed: division steps subtract multiples of a reducer's tail
-    from it in place.  Its monomials wait in a heap, largest first; a
+    Returns (s, r): s * p - r lies in the ideal of the reducers, s is a
+    positive integer, and no monomial of r is divisible by a reducer's
+    leading monomial.  The terms of r come in descending grevlex order.
+    Each division step scales p by a = lc_g / gcd(lc_g, lc_p) and
+    subtracts (lc_p / gcd) times the shifted tail of the reducer g, so p
+    stays integral; a remainder term taken at scale s_i is brought to the
+    final scale s at the end.
+
+    p is consumed.  Its monomials wait in a heap, largest first; a
     monomial that cancels stays in the heap and is skipped when popped."""
     heap = [(grevlex_descending_key(m), m) for m in p]
     heapify(heap)
-    remainder = {}
+    scale = 1
+    remainder = []  # (monomial, coefficient, scale when it was taken)
     while heap:
         lm = heappop(heap)[1]
         lc = p.pop(lm, None)
         if lc is None:
             continue  # cancelled after it was pushed
-        for glm, tail in reducers:
+        for glm, glc, tail in reducers:
             if all(map(le, glm, lm)):
+                g = gcd(glc, lc)
+                if g != glc:
+                    a = glc // g
+                    scale *= a
+                    for m in p:
+                        p[m] *= a
+                b = lc // g
                 quotient = tuple(map(sub, lm, glm))
                 for m, c in tail:
                     mono = tuple(map(add, quotient, m))
                     old = p.get(mono)
                     if old is None:
-                        p[mono] = -lc * c
+                        p[mono] = -b * c
                         heappush(heap, (grevlex_descending_key(mono), mono))
                     else:
-                        new = old - lc * c
+                        new = old - b * c
                         if new:
                             p[mono] = new
                         else:
                             del p[mono]
                 break
         else:
-            remainder[lm] = lc
-    return remainder
+            remainder.append((lm, lc, scale))
+    return scale, {m: c * (scale // s) for m, c, s in remainder}
 
 
-def _s_polynomial(f: Reducer, g: Reducer) -> Terms:
-    """The S-polynomial of two monic reducers.  Their leading terms
-    cancel by construction, so it is the difference of the two tails,
-    each shifted up to the lcm of the leading monomials."""
-    (lf, tail_f), (lg, tail_g) = f, g
-    l = monomial_lcm(lf, lg)
+def _s_polynomial(f: Reducer, g: Reducer, l: Monomial) -> Terms:
+    """The S-polynomial of two reducers whose leading monomials have lcm
+    l, scaled to integers: their leading terms cancel by construction, so
+    it is a difference of the two tails, each shifted up to l."""
+    (lf, cf, tail_f), (lg, cg, tail_g) = f, g
+    d = gcd(cf, cg)
+    a, b = cg // d, cf // d
     shift_f, shift_g = monomial_div(l, lf), monomial_div(l, lg)
-    s = {tuple(map(add, shift_f, m)): c for m, c in tail_f}
+    s = {tuple(map(add, shift_f, m)): a * c for m, c in tail_f}
     for m, c in tail_g:
         mono = tuple(map(add, shift_g, m))
-        c = s.pop(mono, 0) - c
+        c = s.pop(mono, 0) - b * c
         if c:
             s[mono] = c
     return s
@@ -120,68 +142,83 @@ def _s_polynomial(f: Reducer, g: Reducer) -> Terms:
 def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal the generators span.
 
-    Pair selection follows the normal strategy (smallest lcm degree
-    first, ties broken by grevlex on the lcm).  A pair is
-    skipped when the leading monomials are coprime, or when a third
-    basis element divides the pair's lcm and both of its pairs with the
-    current pair's members have already been treated.  One pass of
-    interreduction then makes the basis reduced.
+    Input generators and S-pairs wait in one heap under the normal
+    selection strategy: smallest degree (of a generator's leading
+    monomial, of a pair's lcm) first, ties broken by grevlex.  A popped
+    item is reduced against the active basis, and a nonzero remainder
+    joins it through the Gebauer-Moeller update (Becker-Weispfenning's
+    UPDATE), which drops:
+    - a new pair whose lcm is a proper multiple of another new pair's
+      (M); all but one of new pairs with equal lcms, all of them if one
+      is coprime (F); then every pair with coprime leading monomials;
+    - a queued pair when the new leading monomial divides its lcm and
+      differs from the lcms with both of its members (B_k);
+    - an active element whose leading monomial the new one divides, so
+      the active basis stays minimal.
+    One pass of tail reduction then makes it reduced.  The work runs on
+    primitive integer polynomials; the returned generators are monic.
     """
     if not generators:
         raise ValueError("empty generator list")
     nvars = generators[0].nvars
     if any(g.nvars != nvars for g in generators):
         raise ValueError("generators live in different polynomial rings")
-    basis = [_split(g.terms) for g in generators if g]
-    queue = []  # (lcm degree, grevlex key of the lcm, i, j, lcm), a heap
-    pending = set()  # the queued pairs, for the chain criterion
+    polys: list[Reducer] = []  # every element that joined the basis
+    active: list[int] = []  # positions in polys of the current minimal basis
+    # (degree, grevlex key, serial, i, j, lcm) for the pair (i, j), and
+    # (degree, grevlex key, serial, None, terms, lm) for an input generator
+    queue = []
+    for g in generators:
+        if g:
+            terms = _integer_terms(g.terms)[1]
+            lm = max(terms, key=grevlex_key)
+            queue.append((monomial_degree(lm), grevlex_key(lm), len(queue), None, terms, lm))
+    heapify(queue)
+    serial = len(queue)
 
-    def add_pairs(new):
-        lm = basis[new][0]
-        for m in range(new):
-            l = monomial_lcm(basis[m][0], lm)
-            heappush(queue, (monomial_degree(l), grevlex_key(l), m, new, l))
-            pending.add((m, new))
-
-    for new in range(1, len(basis)):
-        add_pairs(new)
     while queue:
-        _, _, i, j, l = heappop(queue)
-        pending.remove((i, j))
-        if l == monomial_mul(basis[i][0], basis[j][0]):
-            continue  # coprime leading monomials
-        if any(
-            m not in (i, j)
-            and monomial_divides(glm, l)
-            and (min(i, m), max(i, m)) not in pending
-            and (min(j, m), max(j, m)) not in pending
-            for m, (glm, _) in enumerate(basis)
-        ):
-            continue  # the chain criterion
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), basis)
-        if remainder:
-            basis.append(_split(remainder))
-            add_pairs(len(basis) - 1)
+        _, _, _, i, j, l = heappop(queue)
+        p = j if i is None else _s_polynomial(polys[i], polys[j], l)
+        remainder = _reduce(p, [polys[a] for a in active])[1]
+        if not remainder:
+            continue
+        h = len(polys)
+        polys.append(_reducer(remainder))
+        lh = polys[h][0]
+        # the new pairs (lcm, partner, coprime), pruned by M and F
+        new = [(monomial_lcm(polys[a][0], lh), a) for a in active]
+        kept = []
+        for c, (lcm_a, a) in enumerate(new):
+            coprime = lcm_a == monomial_mul(polys[a][0], lh)
+            if coprime or not any(all(map(le, e[0], lcm_a)) for e in chain(new[c + 1 :], kept)):
+                kept.append((lcm_a, a, coprime))
+        # B_k on the queued pairs; input generators stay queued
+        queue = [
+            e
+            for e in queue
+            if e[3] is None
+            or not all(map(le, lh, e[5]))
+            or monomial_lcm(polys[e[3]][0], lh) == e[5]
+            or monomial_lcm(polys[e[4]][0], lh) == e[5]
+        ]
+        for lcm_a, a, coprime in kept:
+            if not coprime:
+                queue.append((monomial_degree(lcm_a), grevlex_key(lcm_a), serial, a, h, lcm_a))
+                serial += 1
+        heapify(queue)
+        active = [a for a in active if not all(map(le, lh, polys[a][0]))]
+        active.append(h)
 
-    # minimalize: drop an element when another one's leading monomial
-    # divides its own, keeping the first of equal leading monomials
-    lms = [glm for glm, _ in basis]
-    minimal = [
-        basis[i]
-        for i, lm in enumerate(lms)
-        if not any(
-            j != i and monomial_divides(d, lm) and (d != lm or j < i) for j, d in enumerate(lms)
-        )
-    ]
-    minimal.sort(key=lambda r: grevlex_key(r[0]))
     # reduce each tail once, smallest leading monomial first: only the
     # smaller elements, already reduced, can divide a tail's monomials,
     # and none divides a leading monomial, so this is the reduced basis
+    minimal = sorted((polys[a] for a in active), key=lambda r: grevlex_key(r[0]))
     reduced = []
-    for i, (glm, tail) in enumerate(minimal):
-        rest = _reduce_full(dict(tail), minimal[:i])
-        minimal[i] = (glm, list(rest.items()))
-        reduced.append(MPoly._make(nvars, {glm: Fraction(1), **rest}))
+    for i, (glm, glc, tail) in enumerate(minimal):
+        s, rest = _reduce(dict(tail), minimal[:i])
+        glm, glc, tail = minimal[i] = _reducer({glm: s * glc, **rest})
+        monic = {m: Fraction(c, glc) for m, c in tail}
+        reduced.append(MPoly._make(nvars, {glm: Fraction(1), **monic}))
     return GroebnerBasis(generators=tuple(reduced), nvars=nvars)
 
 
@@ -190,8 +227,9 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     when f lies in the ideal."""
     if f.nvars != basis.nvars:
         raise ValueError("variable count mismatch with the basis")
-    reducers = [_split(g.terms) for g in basis.generators]
-    return MPoly._make(f.nvars, _reduce_full(dict(f.terms), reducers))
+    d, p = _integer_terms(f.terms)
+    s, rest = _reduce(p, [_reducer(_integer_terms(g.terms)[1]) for g in basis.generators])
+    return MPoly._make(f.nvars, {m: Fraction(c, s * d) for m, c in rest.items()})
 
 
 @dataclass(frozen=True)

@@ -319,20 +319,27 @@ def _monomial_values(ctx: SpringerContext, alpha: tuple[int, ...]) -> tuple[int,
     return tuple(prod([w.w[i] ** e for i, e in support]) for w in fixed_points(ctx))
 
 
-def _component_values(ctx: SpringerContext, component: MPoly) -> tuple[list[int], int]:
+def _component_values(
+    ctx: SpringerContext, component: MPoly, rows: Optional[dict] = None
+) -> tuple[list[int], int]:
     """The values of a homogeneous component at every fixed point.
 
     Restriction sends a degree-d component to v_w * t^d, where v_w is
     its value at x = (w(1), ..., w(n)), t = 1.  Returns integers s_w and
     a common denominator D > 0 with v_w = s_w / D: an integer combination
     of the values of its monomials.  ``localize`` computes the same
-    values one point at a time."""
+    values one point at a time.  ``rows``, when given, maps x-parts to
+    their ``_monomial_values`` and is filled as it goes, so a caller can
+    share it across components."""
     n = ctx.n
+    rows = {} if rows is None else rows
     scale = lcm(1, *(c.denominator for c in component.terms.values()))
     sums = [0] * len(fixed_points(ctx))
     for mono, c in component.terms.items():
         factor = c.numerator * (scale // c.denominator)
-        row = _monomial_values(ctx, mono[:n])
+        row = rows.get(mono[:n])
+        if row is None:
+            row = rows[mono[:n]] = _monomial_values(ctx, mono[:n])
         sums = [s + factor * v for s, v in zip(sums, row)]
     return sums, scale
 
@@ -347,11 +354,12 @@ def verify_relations(ctx: SpringerContext) -> RelationCheck:
     checks."""
     ideal = equivariant_ideal(ctx)
     points = fixed_points(ctx)
+    rows: dict = {}  # x-part -> its values; generators share many x-parts
     failures = []
     for label, g in zip(ideal.labels, ideal.generators):
         nonzero = [False] * len(points)
         for component in g.homogeneous_components().values():
-            sums, _ = _component_values(ctx, component)
+            sums, _ = _component_values(ctx, component, rows)
             nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
         failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
     return RelationCheck(
@@ -466,12 +474,13 @@ def _coefficient_polys(
     by_degree: Mapping[int, Iterable[tuple[int, Fraction]]],
 ) -> dict[TwoRowFilling, TPoly]:
     """Lift basis coordinates to Q[t] coefficients.  ``by_degree`` maps a
-    degree d to nonzero rationals c at basis keys q, each standing for
+    degree d to nonzero Fractions c at basis keys q, each standing for
     c * t^(d - ell(T)) * x_T with T = tableau_of(q): the solve route keys
     a tableau by its position in ``standard_monomial_basis``, the rewrite
     route by the bit set of its bottom row.  A negative t-power would mean
     the coefficient is not polynomial, which the presentation theory rules
     out; it raises ConsistencyError rather than returning a wrong answer."""
+    zero = Fraction(0)
     dense: dict[int, list] = {}
     for degree, coordinates in by_degree.items():
         for q, c in coordinates:
@@ -481,9 +490,10 @@ def _coefficient_polys(
                     "straightening produced a non-polynomial coefficient"
                 )
             row = dense.setdefault(q, [])
-            row.extend([0] * (power + 1 - len(row)))
+            row.extend([zero] * (power + 1 - len(row)))
             row[power] = c
-    return {tableau_of(q): TPoly(row) for q, row in dense.items()}
+    # each row ends in the entry set at its highest power, which is nonzero
+    return {tableau_of(q): TPoly._make(tuple(row)) for q, row in dense.items()}
 
 
 def straighten_by_solve(

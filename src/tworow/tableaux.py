@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable
 
 
@@ -55,12 +55,17 @@ def hook_length(shape: Partition, row: int, col: int) -> int:
 def hook_count(shape: Partition) -> int:
     """Number of standard tableaux of the shape, n! over the product of
     all hook lengths.  The quotient is always an integer; a remainder
-    would indicate a bug, so it is asserted."""
-    denominator = 1
-    for row in range(1, len(shape.parts) + 1):
-        for col in range(1, shape.parts[row - 1] + 1):
-            denominator *= hook_length(shape, row, col)
-    count, remainder = divmod(factorial(shape.size), denominator)
+    would indicate a bug, so it is asserted.  The hooks are multiplied
+    as a balanced tree, pairing neighbours level by level: multiplying
+    one growing integer by each hook in turn is quadratic in the boxes."""
+    hooks = [
+        hook_length(shape, row, col)
+        for row in range(1, len(shape.parts) + 1)
+        for col in range(1, shape.parts[row - 1] + 1)
+    ]
+    while len(hooks) > 1:
+        hooks = [prod(hooks[i : i + 2]) for i in range(0, len(hooks), 2)]
+    count, remainder = divmod(factorial(shape.size), prod(hooks))
     if remainder:
         raise ArithmeticError(f"hook product does not divide n! for {shape.parts}")
     return count

@@ -25,6 +25,13 @@ class TPoly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
+    def _make(cls, coeffs: tuple[Fraction, ...]) -> "TPoly":
+        # trusted constructor: Fraction coefficients, the last one nonzero
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "TPoly":
         return cls()
 

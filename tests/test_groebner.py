@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -375,3 +376,87 @@ def test_descending_key_reverses_the_order():
     monomials = [tuple(m) for m in product(range(3), repeat=3)]
     descending = sorted(monomials, key=grevlex_descending_key)
     assert descending == sorted(monomials, key=grevlex_key, reverse=True)
+
+
+def _with_leading_coefficient(g, c):
+    return g * (c / g.terms[g.leading_monomial()])
+
+
+@st.composite
+def redundant_generators(draw):
+    """Generators of total degree at most 2 with fractional, non-unit
+    leading coefficients, mixed with scalar multiples and sums of one
+    another: input whose redundant members reduce to zero."""
+    leads = st.sampled_from([Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(-6, 5), 3])
+    base = [
+        _with_leading_coefficient(g, draw(leads))
+        for g in draw(small_generators)
+        if g
+    ]
+    if not base:
+        return [MPoly.zero(3)]
+    gens = list(base)
+    scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.sampled_from(gens))
+        if draw(st.booleans()):
+            gens.append(draw(scalars) * f)
+        else:
+            gens.append(f + draw(scalars) * draw(st.sampled_from(gens)))
+    return draw(st.permutations(gens))
+
+
+@given(gens=redundant_generators())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_on_redundant_input_matches_reference(gens):
+    assert buchberger(gens).generators == _reference_buchberger(gens)
+
+
+big_denominator_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda m: sum(m) <= 2
+    ),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+    max_size=4,
+).map(lambda terms: MPoly(3, terms))
+
+
+@given(
+    f=big_denominator_polys,
+    gens=st.lists(big_denominator_polys, min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_normal_form_with_large_denominators_matches_reference(f, gens):
+    # the monic basis has large denominators, so its integer reducers
+    # have leading coefficients far from 1, and fraction-free division
+    # rescales the dividend at most steps
+    gb = buchberger(gens)
+    assert gb.generators == _reference_buchberger(gens)
+    assert normal_form(f, gb) == _reference_reduce(f, gb.generators)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [],
+        (),
+        [v(2, 0), v(3, 0)],
+        [MPoly.zero(2), MPoly.zero(3)],  # rings are compared before zeros are dropped
+        [v(2, 0), v(2, 1), MPoly.one(3)],
+    ],
+)
+def test_buchberger_refuses_empty_or_mixed_input(gens):
+    with pytest.raises(ValueError):
+        buchberger(gens)
+
+
+def test_buchberger_keeps_pairs_whose_lcm_the_update_must_not_drop():
+    # a queued pair whose lcm equals its lcm with the new element must stay
+    # queued (the guard of the B_k criterion); without the guard this
+    # input loses a basis element
+    gens = [
+        MPoly(3, {(2, 0, 3): 2, (1, 3, 2): 2, (1, 0, 0): 3}),
+        MPoly(3, {(3, 2, 1): -1}),
+        MPoly(3, {(0, 2, 0): 1, (3, 0, 2): 2}),
+    ]
+    assert buchberger(gens).generators == _reference_buchberger(gens)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Hashable, Mapping, Optional, Sequence
 
 
@@ -82,24 +83,18 @@ def rational_inverse(matrix: Sequence[Sequence[int]]) -> Optional[ScaledInverse]
 
 
 def solve_rational(
-    inverse: ScaledInverse, rhs: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Solve M x = rhs exactly, given inverse = rational_inverse(M).
+    inverse: ScaledInverse, rhs: Sequence[int]
+) -> tuple[list[int], int]:
+    """Solve M x = rhs exactly for an integer rhs, given inverse =
+    rational_inverse(M): returns (numerators, d) with x = numerators / d.
 
-    A substitution: clear the denominators of rhs, take integer dot
-    products with adj, and build one Fraction per component, which is
-    O(n^2) integer work.
+    A substitution: one integer dot product per row of adj, which is
+    O(n^2) integer work and builds no Fraction.
     """
     adj, d = inverse
     if len(rhs) != len(adj):
         raise ValueError("right-hand side has wrong length")
-    values = [Fraction(v) for v in rhs]
-    scale = lcm(*(v.denominator for v in values))
-    b = [v.numerator * (scale // v.denominator) for v in values]
-    denominator = d * scale
-    return [
-        Fraction(sum(x * y for x, y in zip(row, b)), denominator) for row in adj
-    ]
+    return [sum(map(mul, row, rhs)) for row in adj], d
 
 
 def _integer_row(row: Mapping[Hashable, Fraction | int]) -> dict[Hashable, int]:

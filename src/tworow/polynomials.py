@@ -348,7 +348,7 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
 
-    result = MPoly.zero(nvars)
+    terms: dict[Monomial, Fraction] = {}
     i = 0
 
     def peek():
@@ -404,11 +404,12 @@ def parse_poly(text: str, names: Iterable[str]) -> MPoly:
                 i += 1
             else:
                 expect_factor = False
-        result = result + MPoly.from_monomial(tuple(mono), coeff)
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + coeff
         kind, value, pos = peek()
         if kind is not None and not (kind == "op" and value in "+-"):
             raise PolyParseError("expected '+' or '-'", pos)
-    return result
+    return MPoly._make(nvars, {m: c for m, c in terms.items() if c})
 
 
 def format_poly(p: MPoly, names: Iterable[str]) -> str:

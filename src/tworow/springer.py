@@ -28,10 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd, lcm, prod
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
 from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_mul
@@ -87,10 +87,6 @@ class FixedPoint:
 
     ell: tuple[int, ...]
     w: tuple[int, ...]
-
-    def value(self, i: int) -> int:
-        """w(i), 1-based."""
-        return self.w[i - 1]
 
 
 def build_fixed_point(ctx: SpringerContext, ell: Iterable[int]) -> FixedPoint:
@@ -437,9 +433,10 @@ class BasisMatrix:
     nonzero integer core is exactly linear independence over the fraction
     field of Q[t].  A singular core is returned as it is, with
     ``core_determinant`` 0, so that the checks reading it fail by name.
-    ``inverse`` is the core's exact inverse (None when singular), built on
-    the first straightening solve and then kept, so that every solve is a
-    substitution; the determinant checks never build it.
+    ``inverse`` is the core's exact inverse as integers (adj, d), None when
+    singular, built on the first straightening solve and then kept, so
+    that every solve is an integer substitution; the determinant checks
+    never build it.
     """
 
     integer_core: tuple[tuple[int, ...], ...]
@@ -469,31 +466,34 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 # -- straightening, route one: solve against the localized basis -------------
 
 
+# Integer numerators over one positive denominator, ((b, a_b), ...), D,
+# keyed by the bottom-row bit set b of the tableau _bottom_row_filling(n, b).
+Coordinates = tuple[tuple[tuple[int, int], ...], int]
+
+
 def _coefficient_polys(
-    tableau_of: Callable[[int], TwoRowFilling],
-    by_degree: Mapping[int, Iterable[tuple[int, Fraction]]],
+    n: int, by_degree: Mapping[int, Coordinates]
 ) -> dict[TwoRowFilling, TPoly]:
-    """Lift basis coordinates to Q[t] coefficients.  ``by_degree`` maps a
-    degree d to nonzero Fractions c at basis keys q, each standing for
-    c * t^(d - ell(T)) * x_T with T = tableau_of(q): the solve route keys
-    a tableau by its position in ``standard_monomial_basis``, the rewrite
-    route by the bit set of its bottom row.  A negative t-power would mean
+    """Lift the coordinates both routes hand over to Q[t] coefficients.
+    ``by_degree`` maps a degree d to nonzero numerators a at keys b over
+    D, each standing for (a / D) * t^(d - ell(T_b)) * x_{T_b}, where
+    ell(T_b) is the number of bits of b.  A negative t-power would mean
     the coefficient is not polynomial, which the presentation theory rules
     out; it raises ConsistencyError rather than returning a wrong answer."""
     zero = Fraction(0)
     dense: dict[int, list] = {}
-    for degree, coordinates in by_degree.items():
-        for q, c in coordinates:
-            power = degree - tableau_of(q).ell
+    for degree, (numerators, den) in by_degree.items():
+        for b, a in numerators:
+            power = degree - b.bit_count()
             if power < 0:
                 raise ConsistencyError(
                     "straightening produced a non-polynomial coefficient"
                 )
-            row = dense.setdefault(q, [])
+            row = dense.setdefault(b, [])
             row.extend([zero] * (power + 1 - len(row)))
-            row[power] = c
+            row[power] = Fraction(a, den)
     # each row ends in the entry set at its highest power, which is nonzero
-    return {tableau_of(q): TPoly._make(tuple(row)) for q, row in dense.items()}
+    return {_bottom_row_filling(n, b): TPoly._make(tuple(row)) for b, row in dense.items()}
 
 
 def straighten_by_solve(
@@ -502,13 +502,14 @@ def straighten_by_solve(
     """Coefficients c_T in Q[t] with f = sum of c_T x_T modulo the
     equivariant ideal, found by solving the localization system.
 
-    Each homogeneous component of degree d restricts to a multiple of
-    t^d at every fixed point, read off as integer monomial values, so the
-    system splits into one rational solve per degree against the integer
-    core of the basis matrix.  The core is factored once per context
-    (the basis matrix keeps its exact inverse), so each of these solves
-    is a substitution.  A singular core raises ConsistencyError, as does
-    a solution with a negative t-power (see ``_coefficient_polys``).
+    Each homogeneous component of degree d restricts to integer values
+    over one denominator times t^d at every fixed point, so the system
+    splits into one integer solve per degree against the integer core of
+    the basis matrix, factored once per context.  The numerators, keyed
+    by the bottom-row bit set of each basis column over both
+    denominators' product, go to the lift unchanged.  A singular core
+    raises ConsistencyError, as does a solution with a negative t-power
+    (see ``_coefficient_polys``).
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
@@ -517,33 +518,28 @@ def straighten_by_solve(
         raise ConsistencyError(
             f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
         )
+    keys = [sum(1 << (j - 1) for j in tab.bottom) for tab in standard_monomial_basis(ctx)]
     by_degree = {}
     for degree, component in f.homogeneous_components().items():
         sums, scale = _component_values(ctx, component)
-        gamma = solve_rational(inverse, [Fraction(s, scale) for s in sums])
-        by_degree[degree] = [(p, c) for p, c in enumerate(gamma) if c]
-    return _coefficient_polys(standard_monomial_basis(ctx).__getitem__, by_degree)
+        numerators, d = solve_rational(inverse, sums)
+        by_degree[degree] = tuple((b, a) for b, a in zip(keys, numerators) if a), d * scale
+    return _coefficient_polys(ctx.n, by_degree)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
 
 
-Coordinates = tuple[tuple[tuple[int, int], ...], int]
-
-
 @lru_cache(maxsize=None)
 def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents alpha: integer numerators per basis monomial over one
-    denominator, ((b, a_b), ...), D, with x^alpha = sum of
-    (a_b / D) * t^(|alpha| - ell(T_b)) * x_{T_b} modulo the ideal, in
-    lowest terms and D > 0, where T_b = _bottom_row_filling(n, b) is the
-    standard tableau whose bottom row is the bit set b.  I is homogeneous
-    with t in degree 1, so the t-power is implied.  Entries are made only
-    as the rewriting reaches them, so the cost of a straightening does
-    not grow with the C(n, k) basis monomials.  Only complete values are
-    stored, so threads sharing the memo may compute an entry twice but
-    never read a partial one."""
+    exponents alpha, as ``Coordinates`` in lowest terms with x^alpha =
+    sum of (a_b / D) * t^(|alpha| - ell(T_b)) * x_{T_b} modulo the ideal.
+    I is homogeneous with t in degree 1, so the t-power is implied.
+    Entries are made only as the rewriting reaches them, so the cost of a
+    straightening does not grow with the C(n, k) basis monomials.  Only
+    complete values are stored, so threads sharing the memo may compute
+    an entry twice but never read a partial one."""
     return {}
 
 
@@ -726,25 +722,21 @@ def straighten_by_rewrite(
     for mono, coeff in f.terms.items():
         value = _straighten_x_monomial(ctx, mono[:n])
         entries.setdefault(sum(mono), []).append((value, coeff))
-    by_degree = {}
-    for degree, terms in entries.items():
-        numerators, den = _combine(terms)
-        by_degree[degree] = [(b, Fraction(a, den)) for b, a in numerators]
-    return _coefficient_polys(partial(_bottom_row_filling, ctx.n), by_degree)
+    by_degree = {degree: _combine(terms) for degree, terms in entries.items()}
+    return _coefficient_polys(n, by_degree)
 
 
 def basis_combination(
     coefficients: Mapping[TwoRowFilling, TPoly], ctx: SpringerContext
 ) -> MPoly:
     """The polynomial sum of c_T x_T for a straightening coefficient map."""
-    total = MPoly.zero(ctx.nvars)
+    terms = {}  # each (T, t-power) pair is its own monomial
     for tab, cpoly in coefficients.items():
-        mono = list(monomial_from_filling(tab))
+        x_part = monomial_from_filling(tab)[: ctx.n]
         for power, coeff in enumerate(cpoly.coeffs):
             if coeff:
-                lifted = tuple(mono[: ctx.n]) + (power,)
-                total = total + MPoly.from_monomial(lifted, coeff)
-    return total
+                terms[x_part + (power,)] = coeff
+    return MPoly(ctx.nvars, terms)
 
 
 def sample_monomials(

@@ -109,6 +109,15 @@ def test_parse_examples():
     assert parse_poly("2*3", NAMES3) == MPoly.constant(3, 6)
 
 
+def test_parse_collects_repeated_and_cancelling_monomials():
+    x1, x2, t = v(3, 0), v(3, 1), v(3, 2)
+    assert parse_poly("x1 + 2*x1 - 3*x1 + t", NAMES3) == t
+    assert parse_poly("x1*x2 - x2*x1", NAMES3) == MPoly.zero(3)
+    assert parse_poly("1/2*t - x1 + 1/3*t + x1", NAMES3) == Fraction(5, 6) * t
+    # a monomial that cancels and then comes back
+    assert parse_poly("x2 - x2 + x1^2 + x2", NAMES3) == x1 * x1 + x2
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(PolyParseError) as info:
         parse_poly("x1 + x9", NAMES3)

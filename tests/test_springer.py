@@ -118,11 +118,11 @@ def test_fixed_point_defining_formula():
         for k in range(n // 2 + 1):
             for w in fixed_points(SpringerContext(n, k)):
                 for j, pos in enumerate(w.ell, start=1):
-                    assert w.value(pos) == n - k + j
+                    assert w.w[pos - 1] == n - k + j
                 for i in range(1, n + 1):
                     if i not in w.ell:
                         j = sum(1 for e in w.ell if e < i)
-                        assert w.value(i) == i - j
+                        assert w.w[i - 1] == i - j
 
 
 def test_quadratic_relation_case_analysis():
@@ -132,10 +132,10 @@ def test_quadratic_relation_case_analysis():
         for k in range(n // 2 + 1):
             for w in fixed_points(SpringerContext(n, k)):
                 for i in range(1, n + 1):
-                    prev = w.value(i - 1) if i > 1 else 0
+                    prev = w.w[i - 2] if i > 1 else 0
                     assert (
-                        w.value(i) - prev == 1
-                        or w.value(i) + prev == n - k + i
+                        w.w[i - 1] - prev == 1
+                        or w.w[i - 1] + prev == n - k + i
                     )
 
 
@@ -262,7 +262,7 @@ def test_localize_all_and_homogeneous_shape():
     values = localize_all(ctx.x(2) * ctx.t(), ctx)
     assert set(values) == set(fixed_points(ctx))
     for w, value in values.items():
-        assert value == TPoly.term(w.value(2), 2)
+        assert value == TPoly.term(w.w[1], 2)
 
 
 def test_relations_vanish():
@@ -335,7 +335,7 @@ def test_relations_fail_closed_on_inhomogeneous_generator(
 
     monkeypatch.setattr(springer, "equivariant_ideal", widened)
     points = fixed_points(ctx)
-    assert any(w.value(1) == 1 for w in points)
+    assert any(w.w[0] == 1 for w in points)
     report = verify_relations(ctx)
     assert not report.ok
     assert report.failures == tuple(("inhomogeneous", w.ell) for w in points)
@@ -484,19 +484,22 @@ def test_straighten_matches_oracle_solve(cofactor_det):
     bm = basis_image_matrix(ctx)
     core = [list(row) for row in bm.integer_core]
     det = cofactor_det(core)
-    p = ctx.x(1) * ctx.x(1) * ctx.x(2) - 3 * ctx.t() * ctx.x(3) + ctx.x(2)
-    expected = {}
-    for degree, component in p.homogeneous_components().items():
-        values = [localize(component, w).coefficient(degree) for w in fixed_points(ctx)]
-        for col, tab in enumerate(standard_monomial_basis(ctx)):
-            replaced = [row[:col] + [v] + row[col + 1 :] for row, v in zip(core, values)]
-            coeff = Fraction(cofactor_det(replaced), det)
-            if coeff:
-                term = TPoly.term(coeff, degree - tab.ell)
-                expected[tab] = expected.get(tab, TPoly.zero()) + term
-    expected = {tab: c for tab, c in expected.items() if c}
-    assert straighten_by_solve(p, ctx) == expected
-    assert straighten_by_rewrite(p, ctx) == expected
+    # integer coefficients, then different denominators in different
+    # degrees, which the solve route carries as one integer denominator
+    for text in ("x1^2*x2 - 3*t*x3 + x2", "3/4*x2 + 1/3*x1*x3 - 5/7*t*x1^2 + 2/9*t^3"):
+        p = poly(text, 3)
+        expected = {}
+        for degree, component in p.homogeneous_components().items():
+            values = [localize(component, w).coefficient(degree) for w in fixed_points(ctx)]
+            for col, tab in enumerate(standard_monomial_basis(ctx)):
+                replaced = [row[:col] + [v] + row[col + 1 :] for row, v in zip(core, values)]
+                coeff = Fraction(cofactor_det(replaced), det)
+                if coeff:
+                    term = TPoly.term(coeff, degree - tab.ell)
+                    expected[tab] = expected.get(tab, TPoly.zero()) + term
+        expected = {tab: c for tab, c in expected.items() if c}
+        assert straighten_by_solve(p, ctx) == expected, text
+        assert straighten_by_rewrite(p, ctx) == expected, text
 
 
 def test_straighten_agreement_all_monomials_small():
@@ -691,12 +694,11 @@ def test_coefficient_lift_refuses_negative_t_power():
     # a degree-0 coordinate at x2, whose tableau has ell = 1, would need t^-1
     ctx = SpringerContext(2, 1)
     basis = standard_monomial_basis(ctx)
-    assert basis[1].ell == 1
+    assert basis[1].bottom == (2,)
+    x2 = 0b10  # the bottom-row bit set of that tableau
     with pytest.raises(ConsistencyError, match="non-polynomial"):
-        springer._coefficient_polys(basis.__getitem__, {0: [(1, Fraction(1))]})
-    assert springer._coefficient_polys(basis.__getitem__, {1: [(1, Fraction(1))]}) == {
-        basis[1]: TPoly.one()
-    }
+        springer._coefficient_polys(2, {0: (((x2, 1),), 1)})
+    assert springer._coefficient_polys(2, {1: (((x2, 1),), 1)}) == {basis[1]: TPoly.one()}
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Buchberger's algorithm, normal forms, and quotient dimensions over Q.
 
-Instance sizes in this package are small (at most ten variables; the
-largest presentation ideal verified in CI, I at (n, k) = (9, 4), has
-136 generators).  The monomial order is always grevlex with t last (see
+Instance sizes in this package are small (at most eleven variables; the
+largest presentation ideal verified in CI, I at (n, k) = (10, 5), has
+221 generators).  The monomial order is always grevlex with t last (see
 ``polynomials``).  Inside this module a polynomial is a dict of integer
 coefficients, and every basis element is a primitive reducer: content
 removed, split once into leading monomial, leading coefficient and tail.
@@ -13,6 +13,16 @@ generator enters the basis only if it does not reduce to zero, and the
 Gebauer-Moeller update prunes pairs and keeps the active basis minimal.
 One pass of tail reduction makes the basis reduced; only then are the
 elements made monic over Q.
+
+A monomial in N variables is packed into one integer (Bachmann-Schoenemann,
+ISSAC 1998): exponent i in bit slot i, BITS bits wide, the total degree in
+slot N.  A product is an addition, a | b is ((b | G) - a) & G == G for the
+guard bits G (the top bit of every slot), and grevlex is integer order on
+deg * 2^(BITS*N) minus the variable slots.  Only S-pair lcms raise degrees
+(no division step raises a grevlex leading degree), and packing refuses a
+degree of 2^(BITS-1) or more with ValueError, so no slot ever carries.
+Terms are packed in ``_integer_terms`` and unpacked only in the MPoly
+results of ``buchberger`` and ``normal_form``.
 """
 
 from __future__ import annotations
@@ -22,20 +32,42 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
 from math import gcd, lcm
-from operator import add, le, sub
 from typing import Optional, Sequence
 
-from .polynomials import (
-    Monomial,
-    MPoly,
-    grevlex_descending_key,
-    grevlex_key,
-    monomial_degree,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .polynomials import Monomial, MPoly, grevlex_key, monomial_divides
+
+BITS = 32  # width of one packed exponent slot, its guard bit included
+
+
+def _pack(m: Monomial) -> int:
+    m = (*m, sum(m))
+    if m[-1] >= 1 << (BITS - 1):
+        raise ValueError(f"degree {m[-1]} does not fit a packed monomial")
+    return sum(x << BITS * i for i, x in enumerate(m))
+
+
+def _unpack(e: int, nvars: int) -> Monomial:
+    return tuple(e >> BITS * i & (1 << BITS) - 1 for i in range(nvars))
+
+
+def _guards(nvars: int) -> int:
+    """The guard bits of all nvars + 1 slots."""
+    return (1 << BITS * (nvars + 1)) // ((1 << BITS) - 1) << (BITS - 1)
+
+
+def _divides(a: int, b: int, guards: int) -> bool:
+    """a | b: no slot of (b | guards) - a borrows from its guard bit."""
+    return ((b | guards) - a) & guards == guards
+
+
+def _flip(e: int, shift: int) -> int:
+    """Negate the degree slot (above shift = BITS * nvars): a monomial's heap
+    key, smaller for larger monomials in grevlex, and back."""
+    return e - 2 * (e >> shift << shift)
+
+
+def _lcm(a: int, b: int, nvars: int) -> int:
+    return _pack(tuple(map(max, _unpack(a, nvars), _unpack(b, nvars))))
 
 
 @dataclass(frozen=True)
@@ -50,21 +82,24 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.generators]
 
 
-# A polynomial as a term dict with integer coefficients, and a reducer: a
-# primitive integer polynomial (content removed, leading coefficient
-# positive) split into its leading monomial, leading coefficient and tail.
-Terms = dict[Monomial, int]
-Reducer = tuple[Monomial, int, list[tuple[Monomial, int]]]
+# A polynomial as a term dict with packed monomials and integer
+# coefficients, and a reducer: a primitive integer polynomial (content
+# removed, leading coefficient positive) split into its leading monomial,
+# leading coefficient and tail.
+Terms = dict[int, int]
+Reducer = tuple[int, int, list[tuple[int, int]]]
 
 
 def _integer_terms(terms: dict[Monomial, Fraction]) -> tuple[int, Terms]:
-    """(d, q) with q = d * terms: the rational terms over one denominator."""
+    """(d, q) with q = d * terms, packed: the rational terms over one
+    denominator."""
     d = lcm(*(c.denominator for c in terms.values()))
-    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+    return d, {_pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def _reducer(terms: Terms) -> Reducer:
-    lm = max(terms, key=grevlex_key)
+def _reducer(terms: Terms, nvars: int) -> Reducer:
+    shift = BITS * nvars
+    lm = min(terms, key=lambda e: _flip(e, shift))
     content = gcd(*terms.values())
     if terms[lm] < 0:
         content = -content
@@ -72,7 +107,7 @@ def _reducer(terms: Terms) -> Reducer:
     return lm, terms[lm] // content, tail
 
 
-def _reduce(p: Terms, reducers: Sequence[Reducer]) -> tuple[int, Terms]:
+def _reduce(p: Terms, reducers: Sequence[Reducer], nvars: int) -> tuple[int, Terms]:
     """Fraction-free full division of the term dict p by the reducers.
 
     Returns (s, r): s * p - r lies in the ideal of the reducers, s is a
@@ -83,19 +118,23 @@ def _reduce(p: Terms, reducers: Sequence[Reducer]) -> tuple[int, Terms]:
     stays integral; a remainder term taken at scale s_i is brought to the
     final scale s at the end.
 
-    p is consumed.  Its monomials wait in a heap, largest first; a
-    monomial that cancels stays in the heap and is skipped when popped."""
-    heap = [(grevlex_descending_key(m), m) for m in p]
+    p is consumed.  Its monomials wait in a heap of their keys (``_flip``,
+    inlined here), largest monomial first; a monomial that cancels stays
+    in the heap and is skipped when popped."""
+    shift, guards = BITS * nvars, _guards(nvars)
+    heap = [m - 2 * (m >> shift << shift) for m in p]
     heapify(heap)
     scale = 1
     remainder = []  # (monomial, coefficient, scale when it was taken)
     while heap:
-        lm = heappop(heap)[1]
+        lm = heappop(heap)
+        lm -= 2 * (lm >> shift << shift)
         lc = p.pop(lm, None)
         if lc is None:
             continue  # cancelled after it was pushed
+        above = lm | guards
         for glm, glc, tail in reducers:
-            if all(map(le, glm, lm)):
+            if (above - glm) & guards == guards:  # _divides(glm, lm, guards)
                 g = gcd(glc, lc)
                 if g != glc:
                     a = glc // g
@@ -103,13 +142,13 @@ def _reduce(p: Terms, reducers: Sequence[Reducer]) -> tuple[int, Terms]:
                     for m in p:
                         p[m] *= a
                 b = lc // g
-                quotient = tuple(map(sub, lm, glm))
+                quotient = lm - glm
                 for m, c in tail:
-                    mono = tuple(map(add, quotient, m))
+                    mono = quotient + m
                     old = p.get(mono)
                     if old is None:
                         p[mono] = -b * c
-                        heappush(heap, (grevlex_descending_key(mono), mono))
+                        heappush(heap, mono - 2 * (mono >> shift << shift))
                     else:
                         new = old - b * c
                         if new:
@@ -122,21 +161,25 @@ def _reduce(p: Terms, reducers: Sequence[Reducer]) -> tuple[int, Terms]:
     return scale, {m: c * (scale // s) for m, c, s in remainder}
 
 
-def _s_polynomial(f: Reducer, g: Reducer, l: Monomial) -> Terms:
+def _s_polynomial(f: Reducer, g: Reducer, l: int) -> Terms:
     """The S-polynomial of two reducers whose leading monomials have lcm
     l, scaled to integers: their leading terms cancel by construction, so
     it is a difference of the two tails, each shifted up to l."""
     (lf, cf, tail_f), (lg, cg, tail_g) = f, g
     d = gcd(cf, cg)
     a, b = cg // d, cf // d
-    shift_f, shift_g = monomial_div(l, lf), monomial_div(l, lg)
-    s = {tuple(map(add, shift_f, m)): a * c for m, c in tail_f}
+    shift_f, shift_g = l - lf, l - lg
+    s = {shift_f + m: a * c for m, c in tail_f}
     for m, c in tail_g:
-        mono = tuple(map(add, shift_g, m))
+        mono = shift_g + m
         c = s.pop(mono, 0) - b * c
         if c:
             s[mono] = c
     return s
+
+
+def _mpoly(nvars: int, terms: dict[int, Fraction]) -> MPoly:
+    return MPoly._make(nvars, {_unpack(m, nvars): c for m, c in terms.items()})
 
 
 def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
@@ -163,62 +206,65 @@ def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
     nvars = generators[0].nvars
     if any(g.nvars != nvars for g in generators):
         raise ValueError("generators live in different polynomial rings")
+    shift, guards = BITS * nvars, _guards(nvars)
     polys: list[Reducer] = []  # every element that joined the basis
     active: list[int] = []  # positions in polys of the current minimal basis
-    # (degree, grevlex key, serial, i, j, lcm) for the pair (i, j), and
-    # (degree, grevlex key, serial, None, terms, lm) for an input generator
+    # (grevlex order, serial, i, j, lcm) for the pair (i, j), and
+    # (grevlex order, serial, None, terms, lm) for an input generator; the
+    # order is minus the heap key, so degree comes first
     queue = []
     for g in generators:
         if g:
             terms = _integer_terms(g.terms)[1]
-            lm = max(terms, key=grevlex_key)
-            queue.append((monomial_degree(lm), grevlex_key(lm), len(queue), None, terms, lm))
+            lm = min(terms, key=lambda e: _flip(e, shift))
+            queue.append((-_flip(lm, shift), len(queue), None, terms, lm))
     heapify(queue)
     serial = len(queue)
 
     while queue:
-        _, _, _, i, j, l = heappop(queue)
+        _, _, i, j, l = heappop(queue)
         p = j if i is None else _s_polynomial(polys[i], polys[j], l)
-        remainder = _reduce(p, [polys[a] for a in active])[1]
+        remainder = _reduce(p, [polys[a] for a in active], nvars)[1]
         if not remainder:
             continue
         h = len(polys)
-        polys.append(_reducer(remainder))
+        polys.append(_reducer(remainder, nvars))
         lh = polys[h][0]
         # the new pairs (lcm, partner, coprime), pruned by M and F
-        new = [(monomial_lcm(polys[a][0], lh), a) for a in active]
+        new = [(_lcm(polys[a][0], lh, nvars), a) for a in active]
         kept = []
         for c, (lcm_a, a) in enumerate(new):
-            coprime = lcm_a == monomial_mul(polys[a][0], lh)
-            if coprime or not any(all(map(le, e[0], lcm_a)) for e in chain(new[c + 1 :], kept)):
+            coprime = lcm_a == polys[a][0] + lh
+            later = chain(new[c + 1 :], kept)
+            if coprime or not any(_divides(e[0], lcm_a, guards) for e in later):
                 kept.append((lcm_a, a, coprime))
         # B_k on the queued pairs; input generators stay queued
         queue = [
             e
             for e in queue
-            if e[3] is None
-            or not all(map(le, lh, e[5]))
-            or monomial_lcm(polys[e[3]][0], lh) == e[5]
-            or monomial_lcm(polys[e[4]][0], lh) == e[5]
+            if e[2] is None
+            or not _divides(lh, e[4], guards)
+            or _lcm(polys[e[2]][0], lh, nvars) == e[4]
+            or _lcm(polys[e[3]][0], lh, nvars) == e[4]
         ]
         for lcm_a, a, coprime in kept:
             if not coprime:
-                queue.append((monomial_degree(lcm_a), grevlex_key(lcm_a), serial, a, h, lcm_a))
+                queue.append((-_flip(lcm_a, shift), serial, a, h, lcm_a))
                 serial += 1
         heapify(queue)
-        active = [a for a in active if not all(map(le, lh, polys[a][0]))]
+        active = [a for a in active if not _divides(lh, polys[a][0], guards)]
         active.append(h)
 
     # reduce each tail once, smallest leading monomial first: only the
     # smaller elements, already reduced, can divide a tail's monomials,
     # and none divides a leading monomial, so this is the reduced basis
-    minimal = sorted((polys[a] for a in active), key=lambda r: grevlex_key(r[0]))
+    minimal = sorted((polys[a] for a in active), key=lambda r: -_flip(r[0], shift))
     reduced = []
     for i, (glm, glc, tail) in enumerate(minimal):
-        s, rest = _reduce(dict(tail), minimal[:i])
-        glm, glc, tail = minimal[i] = _reducer({glm: s * glc, **rest})
+        s, rest = _reduce(dict(tail), minimal[:i], nvars)
+        glm, glc, tail = minimal[i] = _reducer({glm: s * glc, **rest}, nvars)
         monic = {m: Fraction(c, glc) for m, c in tail}
-        reduced.append(MPoly._make(nvars, {glm: Fraction(1), **monic}))
+        reduced.append(_mpoly(nvars, {glm: Fraction(1), **monic}))
     return GroebnerBasis(generators=tuple(reduced), nvars=nvars)
 
 
@@ -228,8 +274,9 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     if f.nvars != basis.nvars:
         raise ValueError("variable count mismatch with the basis")
     d, p = _integer_terms(f.terms)
-    s, rest = _reduce(p, [_reducer(_integer_terms(g.terms)[1]) for g in basis.generators])
-    return MPoly._make(f.nvars, {m: Fraction(c, s * d) for m, c in rest.items()})
+    reducers = [_reducer(_integer_terms(g.terms)[1], f.nvars) for g in basis.generators]
+    s, rest = _reduce(p, reducers, f.nvars)
+    return _mpoly(f.nvars, {m: Fraction(c, s * d) for m, c in rest.items()})
 
 
 @dataclass(frozen=True)

@@ -32,30 +32,11 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """The quotient a / b; the caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def grevlex_key(m: Monomial) -> tuple:
     """Sort key for grevlex with x1 > x2 > ... > t; a larger key means a
     larger monomial: higher total degree, then the smaller exponent in
     the last variable where two monomials differ."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def grevlex_descending_key(m: Monomial) -> tuple:
-    """The reverse of grevlex_key: smaller for larger monomials, so that
-    a min-heap pops the largest monomial first."""
-    return (-sum(m), m[::-1])
 
 
 class MPoly:

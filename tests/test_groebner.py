@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tworow.groebner import (
+    BITS,
     GroebnerBasis,
+    _divides,
+    _flip,
+    _guards,
+    _pack,
+    _reduce,
+    _unpack,
     buchberger,
     ideal_equal,
     normal_form,
     quotient_dimension,
 )
-from tworow.polynomials import (
-    MPoly,
-    grevlex_descending_key,
-    grevlex_key,
-    monomial_degree,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from tworow.polynomials import MPoly, grevlex_key, monomial_divides, monomial_mul
 from tworow.springer import SpringerContext, ideal_by_name, ordinary_ideal, tanisaki_ideal
 
 def v(nvars, pos):
@@ -226,10 +224,23 @@ def test_reduced_basis_is_reduced():
 
 
 # A reference Buchberger, kept as a cross-check of the library's: the
-# same algorithm written the plain way, with each pair chosen by a scan
-# of the whole pending set and division through fresh MPoly
-# subtractions.  Reduced Groebner bases are unique, so both must return
-# the same generators in the same order.
+# same algorithm written the plain way, on exponent tuples, with each
+# pair chosen by a scan of the whole pending set and division through
+# fresh MPoly subtractions.  Reduced Groebner bases are unique, so both
+# must return the same generators in the same order.
+
+
+def monomial_div(a, b):
+    """The quotient a / b; the caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def monomial_degree(a):
+    return sum(a)
 
 
 def _monic(p):
@@ -372,10 +383,77 @@ def test_normal_form_matches_reference_division(f, gens):
     assert normal_form(f, gb) == _reference_reduce(f, gb.generators)
 
 
-def test_descending_key_reverses_the_order():
+def test_reduce_heap_pops_in_descending_grevlex():
+    # with no reducers every popped monomial goes to the remainder, in
+    # the order the heap gives it up
     monomials = [tuple(m) for m in product(range(3), repeat=3)]
-    descending = sorted(monomials, key=grevlex_descending_key)
-    assert descending == sorted(monomials, key=grevlex_key, reverse=True)
+    random.Random(3).shuffle(monomials)
+    scale, remainder = _reduce({_pack(m): 1 for m in monomials}, [], 3)
+    assert scale == 1
+    popped = [_unpack(e, 3) for e in remainder]
+    assert popped == sorted(monomials, key=grevlex_key, reverse=True)
+
+
+# Packed monomials against the exponent-tuple helpers, with exponents up
+# to 2^20 in up to eleven slots: wide enough that a carry out of one slot
+# into the next, or into the degree slot, would show.
+wide_exponents = st.integers(0, 3) | st.integers(0, 2**20)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(nvars, a, b) with b a multiple of a about half the time."""
+    nvars = draw(st.integers(1, 11))
+    monomials = st.lists(wide_exponents, min_size=nvars, max_size=nvars).map(tuple)
+    a, b = draw(monomials), draw(monomials)
+    if draw(st.booleans()):
+        b = monomial_mul(a, b)
+    return nvars, a, b
+
+
+@given(monomial_pairs())
+@settings(max_examples=300, deadline=None)
+def test_packed_monomials_match_tuples(pair):
+    nvars, a, b = pair
+    pa, pb = _pack(a), _pack(b)
+    shift = BITS * nvars
+    assert _unpack(pa, nvars) == a and _unpack(pb, nvars) == b
+    assert pa + pb == _pack(monomial_mul(a, b))
+    assert _divides(pa, pb, _guards(nvars)) == monomial_divides(a, b)
+    assert _divides(pb, pa, _guards(nvars)) == monomial_divides(b, a)
+    # the grevlex order is minus the heap key, and the key decodes back
+    ka, kb = _flip(pa, shift), _flip(pb, shift)
+    assert (-ka < -kb) == (grevlex_key(a) < grevlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert _flip(ka, shift) == pa and _flip(kb, shift) == pb
+
+
+def test_packing_refuses_a_degree_that_reaches_the_guard_bit():
+    top = 2 ** (BITS - 1)
+    assert _unpack(_pack((top - 1, 0)), 2) == (top - 1, 0)
+    for mono in ((top, 0), (top - 1, 1)):
+        with pytest.raises(ValueError):
+            _pack(mono)
+    f = MPoly(2, {(top, 0): 1})
+    with pytest.raises(ValueError):
+        buchberger([f])
+    with pytest.raises(ValueError):
+        normal_form(f, buchberger([v(2, 1)]))
+
+
+def test_wide_exponents_match_reference():
+    # exponents past 256 (and a non-homogeneous input) in every slot
+    # that a narrow packing would carry out of
+    x, y, z = v(3, 0), v(3, 1), v(3, 2)
+    gens = [x**257 - z, y - x, x * z]
+    gb = buchberger(gens)
+    assert len(gb.generators) == 4
+    assert gb.generators == _reference_buchberger(gens)
+    f = x**300 * y - Fraction(3, 2) * x * z**2 + y**257 + 5 * z**3 - 7
+    assert f.total_degree() > 256
+    remainder = normal_form(f, gb)
+    assert remainder == _reference_reduce(f, gb.generators)
+    assert remainder
 
 
 def _with_leading_coefficient(g, c):

@@ -28,6 +28,7 @@ results of ``buchberger`` and ``normal_form``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
@@ -70,18 +71,6 @@ def _lcm(a: int, b: int, nvars: int) -> int:
     return _pack(tuple(map(max, _unpack(a, nvars), _unpack(b, nvars))))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Groebner basis: monic generators, no generator's monomial
-    divisible by another generator's leading monomial."""
-
-    generators: tuple[MPoly, ...]
-    nvars: int  # the ring's variable count, kept for the zero ideal too
-
-    def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial() for g in self.generators]
-
-
 # A polynomial as a term dict with packed monomials and integer
 # coefficients, and a reducer: a primitive integer polynomial (content
 # removed, leading coefficient positive) split into its leading monomial,
@@ -105,6 +94,43 @@ def _reducer(terms: Terms, nvars: int) -> Reducer:
         content = -content
     tail = [(m, c // content) for m, c in terms.items() if m != lm]
     return lm, terms[lm] // content, tail
+
+
+def _new_pairs(
+    polys: Sequence[Reducer], active: Sequence[int], lh: int, nvars: int
+) -> list[tuple[int, int]]:
+    """(lcm, a) for the pair of each active element a with the new leading
+    monomial lh.  A pair whose lcm does not fit a packed monomial is
+    dropped when the two leading monomials are coprime, since the product
+    criterion discards it anyway and its lcm could only prune pairs with
+    larger lcms, which do not fit either; any other such pair raises
+    ValueError from ``_pack``."""
+    pairs = []
+    for a in active:
+        try:
+            pairs.append((_lcm(polys[a][0], lh, nvars), a))
+        except ValueError:
+            if any(map(min, _unpack(polys[a][0], nvars), _unpack(lh, nvars))):
+                raise
+    return pairs
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    """A reduced Groebner basis: monic generators, no generator's monomial
+    divisible by another generator's leading monomial."""
+
+    generators: tuple[MPoly, ...]
+    nvars: int  # the ring's variable count, kept for the zero ideal too
+
+    def leading_monomials(self) -> list[Monomial]:
+        return [g.leading_monomial() for g in self.generators]
+
+    @cached_property
+    def reducers(self) -> list[Reducer]:
+        """The generators as integer reducers, built on the first
+        ``normal_form`` and then kept."""
+        return [_reducer(_integer_terms(g.terms)[1], self.nvars) for g in self.generators]
 
 
 def _reduce(p: Terms, reducers: Sequence[Reducer], nvars: int) -> tuple[int, Terms]:
@@ -231,7 +257,7 @@ def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
         polys.append(_reducer(remainder, nvars))
         lh = polys[h][0]
         # the new pairs (lcm, partner, coprime), pruned by M and F
-        new = [(_lcm(polys[a][0], lh, nvars), a) for a in active]
+        new = _new_pairs(polys, active, lh, nvars)
         kept = []
         for c, (lcm_a, a) in enumerate(new):
             coprime = lcm_a == polys[a][0] + lh
@@ -274,8 +300,7 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     if f.nvars != basis.nvars:
         raise ValueError("variable count mismatch with the basis")
     d, p = _integer_terms(f.terms)
-    reducers = [_reducer(_integer_terms(g.terms)[1], f.nvars) for g in basis.generators]
-    s, rest = _reduce(p, reducers, f.nvars)
+    s, rest = _reduce(p, basis.reducers, f.nvars)
     return _mpoly(f.nvars, {m: Fraction(c, s * d) for m, c in rest.items()})
 
 

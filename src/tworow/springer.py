@@ -29,8 +29,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, product, repeat
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
@@ -120,27 +121,33 @@ def fixed_points(ctx: SpringerContext) -> tuple[FixedPoint, ...]:
     )
 
 
-def _flag_is_invariant(w: tuple[int, ...], n: int, k: int) -> bool:
-    # the nilpotent kills e_1 and e_{n-k+1} and shifts every other e_i
-    # down by one; a coordinate flag survives iff each shifted vector
-    # already appeared earlier in the flag
-    position = {v: i for i, v in enumerate(w, start=1)}
-    for i, v in enumerate(w, start=1):
-        if v == 1 or v == n - k + 1:
-            continue
-        if position[v - 1] > i:
-            return False
-    return True
-
-
 def fixed_points_bruteforce(ctx: SpringerContext) -> list[tuple[int, ...]]:
     """All permutations whose coordinate flag the nilpotent preserves,
-    found by filtering the full symmetric group."""
-    return sorted(
-        w
-        for w in permutations(range(1, ctx.n + 1))
-        if _flag_is_invariant(w, ctx.n, ctx.k)
-    )
+    found without ``build_fixed_point`` by a depth-first search over
+    prefixes.  The nilpotent kills e_1 and e_{n-k+1} and shifts every
+    other e_v down to e_{v-1}, so a coordinate flag survives iff each such
+    v comes after v - 1: a prefix extends by v only when v is 1 or n-k+1
+    or v - 1 is already placed.  Every prefix the search keeps extends to
+    a permutation, so it visits about C(n, k) leaves, not n!."""
+    n, free = ctx.n, (1, ctx.n - ctx.k + 1)
+    found = []
+    prefix: list[int] = []
+    placed = [False] * (n + 1)
+
+    def extend() -> None:
+        if len(prefix) == n:
+            found.append(tuple(prefix))
+            return
+        for v in range(1, n + 1):
+            if not placed[v] and (v in free or placed[v - 1]):
+                placed[v] = True
+                prefix.append(v)
+                extend()
+                prefix.pop()
+                placed[v] = False
+
+    extend()
+    return sorted(found)
 
 
 # -- presentation ideals -----------------------------------------------------
@@ -307,35 +314,50 @@ class RelationCheck:
         return not self.failures
 
 
-def _monomial_values(ctx: SpringerContext, alpha: tuple[int, ...]) -> tuple[int, ...]:
+def _value_columns(ctx: SpringerContext) -> tuple[tuple[int, ...], ...]:
+    """Column i holds w(i + 1) at every fixed point, in the order of
+    ``fixed_points``: the values of x_{i+1} at t = 1."""
+    return tuple(zip(*(w.w for w in fixed_points(ctx))))
+
+
+def _monomial_values(
+    columns: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]
+) -> tuple[int, ...]:
     """The integer values prod w(i)^alpha_i of the x-monomial with
-    exponents alpha over x1..xn, one per fixed point in the order of
-    ``fixed_points``."""
-    support = [(i, e) for i, e in enumerate(alpha) if e]
-    return tuple(prod([w.w[i] ** e for i, e in support]) for w in fixed_points(ctx))
+    exponents alpha over x1..xn, one per fixed point, from the context's
+    ``_value_columns``: one elementwise power per variable in the support
+    and one elementwise product per further variable, column by column."""
+    values = None
+    for column, e in zip(columns, alpha):
+        if e:
+            if e > 1:
+                column = map(pow, column, repeat(e))
+            values = column if values is None else map(mul, values, column)
+    return (1,) * len(columns[0]) if values is None else tuple(values)
 
 
 def _component_values(
-    ctx: SpringerContext, component: MPoly, rows: Optional[dict] = None
+    columns: tuple[tuple[int, ...], ...], component: MPoly, rows: Optional[dict] = None
 ) -> tuple[list[int], int]:
     """The values of a homogeneous component at every fixed point.
 
     Restriction sends a degree-d component to v_w * t^d, where v_w is
     its value at x = (w(1), ..., w(n)), t = 1.  Returns integers s_w and
     a common denominator D > 0 with v_w = s_w / D: an integer combination
-    of the values of its monomials.  ``localize`` computes the same
-    values one point at a time.  ``rows``, when given, maps x-parts to
-    their ``_monomial_values`` and is filled as it goes, so a caller can
-    share it across components."""
-    n = ctx.n
+    of the values of its monomials, read from the context's
+    ``_value_columns``.  ``localize`` computes the same values one point
+    at a time.  ``rows``, when given, maps x-parts to their
+    ``_monomial_values`` and is filled as it goes, so a caller can share
+    it across components."""
+    n = len(columns)
     rows = {} if rows is None else rows
     scale = lcm(1, *(c.denominator for c in component.terms.values()))
-    sums = [0] * len(fixed_points(ctx))
+    sums = [0] * len(columns[0])
     for mono, c in component.terms.items():
         factor = c.numerator * (scale // c.denominator)
         row = rows.get(mono[:n])
         if row is None:
-            row = rows[mono[:n]] = _monomial_values(ctx, mono[:n])
+            row = rows[mono[:n]] = _monomial_values(columns, mono[:n])
         sums = [s + factor * v for s, v in zip(sums, row)]
     return sums, scale
 
@@ -350,12 +372,13 @@ def verify_relations(ctx: SpringerContext) -> RelationCheck:
     checks."""
     ideal = equivariant_ideal(ctx)
     points = fixed_points(ctx)
+    columns = _value_columns(ctx)
     rows: dict = {}  # x-part -> its values; generators share many x-parts
     failures = []
     for label, g in zip(ideal.labels, ideal.generators):
         nonzero = [False] * len(points)
         for component in g.homogeneous_components().values():
-            sums, _ = _component_values(ctx, component, rows)
+            sums, _ = _component_values(columns, component, rows)
             nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
         failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
     return RelationCheck(
@@ -436,15 +459,27 @@ class BasisMatrix:
     ``inverse`` is the core's exact inverse as integers (adj, d), None when
     singular, built on the first straightening solve and then kept, so
     that every solve is an integer substitution; the determinant checks
-    never build it.
+    never build it.  ``row_bound`` is kept beside it, and the solve reads
+    ``value_columns`` (the context's ``_value_columns``) and
+    ``column_keys`` (the bottom-row bit set of each column's tableau) from
+    here too, so none of them is rebuilt per polynomial.
     """
 
     integer_core: tuple[tuple[int, ...], ...]
     core_determinant: int
+    value_columns: tuple[tuple[int, ...], ...]
+    column_keys: tuple[int, ...]
 
     @cached_property
     def inverse(self) -> Optional[ScaledInverse]:
         return rational_inverse(self.integer_core)
+
+    @cached_property
+    def row_bound(self) -> int:
+        """The largest absolute row sum of adj in ``inverse`` = (adj, d):
+        no numerator of a solve exceeds it times the largest absolute
+        entry of the right-hand side.  Needs a nonsingular core."""
+        return max(sum(map(abs, row)) for row in self.inverse[0])
 
 
 @lru_cache(maxsize=None)
@@ -456,11 +491,15 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
             f"{len(points)} fixed points vs {len(tableaux)} basis tableaux"
         )
     # column T holds the values of x_T
-    columns = [
-        _monomial_values(ctx, monomial_from_filling(tab)[: ctx.n]) for tab in tableaux
-    ]
+    values = _value_columns(ctx)
+    columns = [_monomial_values(values, monomial_from_filling(tab)[: ctx.n]) for tab in tableaux]
     core = tuple(zip(*columns))
-    return BasisMatrix(integer_core=core, core_determinant=integer_det_bareiss(core))
+    return BasisMatrix(
+        integer_core=core,
+        core_determinant=integer_det_bareiss(core),
+        value_columns=values,
+        column_keys=tuple(sum(1 << (j - 1) for j in tab.bottom) for tab in tableaux),
+    )
 
 
 # -- straightening, route one: solve against the localized basis -------------
@@ -496,6 +535,49 @@ def _coefficient_polys(
     return {_bottom_row_filling(n, b): TPoly._make(tuple(row)) for b, row in dense.items()}
 
 
+# A packed right-hand side is closed before its slots would pass this many
+# bits: dense inputs of high degree then cost one solve per few degrees,
+# not one solve whose integers grow with the whole input.
+PACK_BITS = 4096
+
+
+def _solve_pack(
+    inverse: ScaledInverse,
+    keys: tuple[int, ...],
+    pack: list[tuple[int, int, int, list[int]]],
+    by_degree: dict[int, Coordinates],
+) -> None:
+    """Solve the components of one pack, (degree, scale, width, sums) from
+    the lowest slot up, with one ``solve_rational`` call, and add their
+    coordinates to ``by_degree``.  The right-hand side at w is the sum of
+    s_w * 2^offset over the slots, each offset the sum of the widths
+    below; the solve is linear, so each numerator packs the same way.
+    Adding half of every slot's range to a numerator makes every slot
+    nonnegative and below 2^width, so the slots read off as plain bit
+    fields, and the sum is below 2^(total width) unless a slot overflowed."""
+    degree, scale, _, rhs = pack[-1]
+    for _, _, width, sums in reversed(pack[:-1]):
+        rhs = [(r << width) + s for r, s in zip(rhs, sums)]
+    packed, d = solve_rational(inverse, rhs)
+    if len(pack) == 1:
+        by_degree[degree] = tuple((b, a) for b, a in zip(keys, packed) if a), d * scale
+        return
+    bias = top = 0
+    for _, _, width, _ in pack:
+        bias += 1 << (top + width - 1)
+        top += width
+    packed = [y + bias for y in packed]
+    if any(y >> top for y in packed):
+        raise ConsistencyError("a packed solve left bits above its top slot")
+    offset = 0
+    for degree, scale, width, _ in pack:
+        half = 1 << (width - 1)
+        mask = (half << 1) - 1
+        slot = [(y >> offset & mask) - half for y in packed]
+        by_degree[degree] = tuple((b, a) for b, a in zip(keys, slot) if a), d * scale
+        offset += width
+
+
 def straighten_by_solve(
     f: MPoly, ctx: SpringerContext
 ) -> dict[TwoRowFilling, TPoly]:
@@ -503,27 +585,43 @@ def straighten_by_solve(
     equivariant ideal, found by solving the localization system.
 
     Each homogeneous component of degree d restricts to integer values
-    over one denominator times t^d at every fixed point, so the system
-    splits into one integer solve per degree against the integer core of
-    the basis matrix, factored once per context.  The numerators, keyed
-    by the bottom-row bit set of each basis column over both
-    denominators' product, go to the lift unchanged.  A singular core
-    raises ConsistencyError, as does a solution with a negative t-power
-    (see ``_coefficient_polys``).
+    s_d over its own denominator times t^d at every fixed point, so the
+    system splits into one integer solve per degree against the integer
+    core of the basis matrix, factored once per context.  Those solves
+    share one matrix, so they are made together by Kronecker substitution
+    at t = 2^B: consecutive degrees are packed into one right-hand side
+    per fixed point, in slots of width bits(R * max_w |s_d,w|) + 2, with R
+    the adjugate's largest absolute row sum (``BasisMatrix.row_bound``),
+    and a pack is closed before it passes PACK_BITS bits.  A slot that
+    wide holds every numerator of its degree, so decoding the balanced
+    residues of one solution gives each degree's numerators exactly; bits
+    left above the top slot raise ConsistencyError.  The numerators, keyed
+    by the bottom-row bit set of each basis column over d * scale_d, go
+    to the lift unchanged.  A singular core raises ConsistencyError, as
+    does a solution with a negative t-power (see ``_coefficient_polys``).
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
-    inverse = basis_image_matrix(ctx).inverse
+    matrix = basis_image_matrix(ctx)
+    inverse = matrix.inverse
     if inverse is None:
         raise ConsistencyError(
             f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
         )
-    keys = [sum(1 << (j - 1) for j in tab.bottom) for tab in standard_monomial_basis(ctx)]
-    by_degree = {}
+    bound, keys, columns = matrix.row_bound, matrix.column_keys, matrix.value_columns
+    by_degree: dict[int, Coordinates] = {}
+    pack: list[tuple[int, int, int, list[int]]] = []
+    used = 0
     for degree, component in f.homogeneous_components().items():
-        sums, scale = _component_values(ctx, component)
-        numerators, d = solve_rational(inverse, sums)
-        by_degree[degree] = tuple((b, a) for b, a in zip(keys, numerators) if a), d * scale
+        sums, scale = _component_values(columns, component)
+        width = (bound * max(map(abs, sums))).bit_length() + 2
+        if pack and used + width > PACK_BITS:
+            _solve_pack(inverse, keys, pack, by_degree)
+            pack, used = [], 0
+        pack.append((degree, scale, width, sums))
+        used += width
+    if pack:
+        _solve_pack(inverse, keys, pack, by_degree)
     return _coefficient_polys(ctx.n, by_degree)
 
 

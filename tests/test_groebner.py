@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tworow import groebner
 from tworow.groebner import (
     BITS,
     GroebnerBasis,
@@ -439,6 +440,29 @@ def test_packing_refuses_a_degree_that_reaches_the_guard_bit():
         buchberger([f])
     with pytest.raises(ValueError):
         normal_form(f, buchberger([v(2, 1)]))
+
+
+def test_coprime_pair_whose_lcm_does_not_pack_is_dropped():
+    # the pair's lcm has degree 2^31, past the packing, but coprime leading
+    # monomials need no S-pair: the input is its own reduced basis
+    half = 2 ** (BITS - 2)
+    x, y = MPoly.from_monomial((half, 0)), MPoly.from_monomial((0, half))
+    assert buchberger([x, y]).generators == (y, x)  # ascending grevlex
+    # with a common variable the S-pair is needed, so it is still refused
+    with pytest.raises(ValueError):
+        buchberger([MPoly.from_monomial((half, 1)), MPoly.from_monomial((1, half))])
+
+
+def test_normal_form_keeps_the_basis_reducers(monkeypatch):
+    gb = buchberger(j_generators(4, 2))
+    f = v(4, 0) ** 3 - Fraction(1, 2) * v(4, 1) * v(4, 2)
+    first = normal_form(f, gb)
+    reducers = gb.reducers
+    assert len(reducers) == len(gb.generators)
+    # later normal forms read the kept reducers and build none
+    monkeypatch.setattr(groebner, "_reducer", None)
+    assert normal_form(f, gb) == first == _reference_reduce(f, gb.generators)
+    assert gb.reducers is reducers
 
 
 def test_wide_exponents_match_reference():

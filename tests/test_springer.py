@@ -1,8 +1,9 @@
 import dataclasses
 import sys
 import threading
+import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tworow import springer
 from tworow.cli import main
-from tworow.linalg import SparseExactRREF
+from tworow.linalg import SparseExactRREF, solve_rational
 from tworow.polynomials import (
     MPoly,
     format_poly,
@@ -146,6 +147,22 @@ def test_bruteforce_agrees_small():
             ctx = SpringerContext(n, k)
             assert sorted(w.w for w in fixed_points(ctx)) == fixed_points_bruteforce(ctx)
             assert len(fixed_points(ctx)) == comb(n, k)
+
+
+def _invariant_by_definition(w, n, k):
+    # the nilpotent kills e_1 and e_{n-k+1} and shifts every other e_v to
+    # e_{v-1}; the flag survives iff each shifted vector appears earlier
+    position = {v: i for i, v in enumerate(w)}
+    return all(v in (1, n - k + 1) or position[v - 1] < i for i, v in enumerate(w))
+
+
+def test_prefix_search_matches_filtering_every_permutation():
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            expected = [
+                w for w in permutations(range(1, n + 1)) if _invariant_by_definition(w, n, k)
+            ]
+            assert fixed_points_bruteforce(SpringerContext(n, k)) == expected
 
 
 def test_fixed_point_count_6_3():
@@ -302,14 +319,15 @@ def test_monomial_values_match_localize(n, k, data):
     # integer monomial values read over one common denominator give the
     # t^d coefficient that localize computes point by point
     ctx = SpringerContext(n, k)
+    columns = springer._value_columns(ctx)
     degree, f = data.draw(_homogeneous(n))
-    sums, scale = springer._component_values(ctx, f)
+    sums, scale = springer._component_values(columns, f)
     assert scale > 0
     assert [Fraction(s, scale) for s in sums] == [
         localize(f, w).coefficient(degree) for w in fixed_points(ctx)
     ]
     for mono in f.terms:
-        assert springer._monomial_values(ctx, mono[:n]) == tuple(
+        assert springer._monomial_values(columns, mono[:n]) == tuple(
             localize(MPoly.from_monomial(mono[:n] + (0,)), w).coefficient(sum(mono[:n]))
             for w in fixed_points(ctx)
         )
@@ -500,6 +518,85 @@ def test_straighten_matches_oracle_solve(cofactor_det):
         expected = {tab: c for tab, c in expected.items() if c}
         assert straighten_by_solve(p, ctx) == expected, text
         assert straighten_by_rewrite(p, ctx) == expected, text
+
+
+def _straighten_per_degree(f, ctx):
+    """The solve route without packing, as a reference: one solve_rational
+    call per homogeneous component, each over its own denominator."""
+    matrix = basis_image_matrix(ctx)
+    by_degree = {}
+    for degree, component in f.homogeneous_components().items():
+        sums, scale = springer._component_values(matrix.value_columns, component)
+        numerators, d = solve_rational(matrix.inverse, sums)
+        nonzero = tuple((b, a) for b, a in zip(matrix.column_keys, numerators) if a)
+        by_degree[degree] = nonzero, d * scale
+    return springer._coefficient_polys(ctx.n, by_degree)
+
+
+@st.composite
+def _many_degrees(draw, n):
+    """1-12 terms in x1..xn, t of total degree up to 8 (n + 1), with
+    numerators up to 10^12 and denominators up to 10^6."""
+    exponents = st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1).map(tuple)
+    coeffs = st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12).filter(bool),
+        st.integers(1, 10**6),
+    )
+    return MPoly(n + 1, draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=12)))
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_solve_matches_per_degree_solves(n, k, data):
+    ctx = SpringerContext(n, k)
+    f = data.draw(_many_degrees(n))
+    solved = straighten_by_solve(f, ctx)
+    assert solved == _straighten_per_degree(f, ctx)
+    assert solved == straighten_by_rewrite(f, ctx)
+
+
+def test_packed_solve_splits_at_the_bit_budget(monkeypatch):
+    # a small budget closes a pack every few degrees; the solves are
+    # counted through the name springer calls
+    ctx = SpringerContext(5, 2)
+    f = poly(" + ".join(f"{d}/7*x{d % 5 + 1}^{d}*t" for d in range(1, 13)), 5)
+    calls = []
+
+    def counted(inverse, rhs):
+        calls.append(rhs)
+        return solve_rational(inverse, rhs)
+
+    monkeypatch.setattr(springer, "solve_rational", counted)
+    unpacked = _straighten_per_degree(f, ctx)  # calls the test's own binding
+    monkeypatch.setattr(springer, "PACK_BITS", 128)
+    assert straighten_by_solve(f, ctx) == unpacked == straighten_by_rewrite(f, ctx)
+    assert 2 <= len(calls) < 12
+    calls.clear()
+    monkeypatch.setattr(springer, "PACK_BITS", 4096)
+    assert straighten_by_solve(f, ctx) == unpacked
+    assert len(calls) == 1
+
+
+def test_packed_solve_of_a_high_power():
+    ctx = SpringerContext(4, 2)
+    f = poly("x1^2000 + x2 + 1", 4)
+    started = time.perf_counter()
+    solved = straighten_by_solve(f, ctx)
+    assert time.perf_counter() - started < 1
+    assert solved == straighten_by_rewrite(f, ctx) == _straighten_per_degree(f, ctx)
+
+
+def test_packed_solve_refuses_bits_above_its_top_slot(monkeypatch):
+    # a row bound too small for the numerators makes the slots overflow;
+    # the decoding must notice rather than return shifted coordinates
+    ctx = SpringerContext(4, 2)
+    f = poly("x1^5 + 3*x2^2*t + 7", 4)
+    matrix = basis_image_matrix(ctx)
+    monkeypatch.setitem(matrix.__dict__, "row_bound", 0)
+    with pytest.raises(ConsistencyError, match="top slot"):
+        straighten_by_solve(f, ctx)
 
 
 def test_straighten_agreement_all_monomials_small():

@@ -44,7 +44,7 @@ LISTING_LIMIT = 10**7
 STRAIGHTEN_DEGREE_LIMIT = 3000
 
 # the largest basis core C(n, k) that ``straighten --method oracle|both``
-# builds and inverts: C(10, 5), so that (10, 5) still runs
+# and the straighten check of ``verify`` invert: C(10, 5), so (10, 5) runs
 STRAIGHTEN_CORE_LIMIT = 252
 
 # the most boxes ``tableaux --shape`` takes: n! and the hook product grow
@@ -66,6 +66,13 @@ def _context(n: int, k: int) -> SpringerContext:
 def _check_listing_size(entries: int, what: str) -> None:
     if entries > LISTING_LIMIT:
         raise UsageError(f"{what} would build more than {LISTING_LIMIT} exponent entries")
+
+
+def _check_core_size(n: int, k: int, use: str) -> None:
+    if comb(n, k) > STRAIGHTEN_CORE_LIMIT:
+        raise UsageError(
+            f"C({n},{k}) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} {use}"
+        )
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -200,11 +207,8 @@ def _format_coefficients(coefficients) -> list[dict]:
 
 def _cmd_straighten(args) -> int:
     ctx = _context(args.n, args.k)
-    if args.method in ("oracle", "both") and comb(ctx.n, ctx.k) > STRAIGHTEN_CORE_LIMIT:
-        raise UsageError(
-            f"C({ctx.n},{ctx.k}) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} "
-            f"for --method {args.method}; use --method paper"
-        )
+    if args.method in ("oracle", "both"):
+        _check_core_size(ctx.n, ctx.k, f"for --method {args.method}; use --method paper")
     names = variable_names(ctx.n)
     try:
         poly = parse_poly(args.poly, names)
@@ -368,6 +372,9 @@ def _cmd_verify(args) -> int:
             )
         if len(set(selected)) != len(selected):
             raise UsageError(f"--checks names a check twice: {args.checks!r}")
+    if "straighten" in selected:  # C(n, n // 2) grows with n: stops at the first too large
+        for n in range(1, args.n_max + 1):
+            _check_core_size(n, n // 2, "for the straighten check; leave it out of --checks")
     started = time.perf_counter()
     entries = []
     all_ok = True

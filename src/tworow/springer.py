@@ -35,7 +35,7 @@ from operator import mul
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
-from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_mul
+from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_divides, monomial_mul
 from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
@@ -213,6 +213,7 @@ def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     )
 
 
+@lru_cache(maxsize=None)
 def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The ordinary presentation ideal J in Q[x1..xn]."""
     n = ctx.n
@@ -229,6 +230,7 @@ def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     )
 
 
+@lru_cache(maxsize=None)
 def tanisaki_ideal(ctx: SpringerContext) -> IdealPresentation:
     """Tanisaki's elementary-symmetric presentation ideal for the two-row
     shape: e1 of everything, e2 of every (n-1)-subset, and e_{k+1} of
@@ -454,21 +456,25 @@ class BasisMatrix:
     that of ``standard_monomial_basis``.  The determinant of the images
     therefore factors as ``core_determinant`` times a power of t, and a
     nonzero integer core is exactly linear independence over the fraction
-    field of Q[t].  A singular core is returned as it is, with
-    ``core_determinant`` 0, so that the checks reading it fail by name.
+    field of Q[t].  ``core_determinant``, computed when first read, is 0
+    for a singular core, so that the checks reading it fail by name.
     ``inverse`` is the core's exact inverse as integers (adj, d), None when
     singular, built on the first straightening solve and then kept, so
     that every solve is an integer substitution; the determinant checks
-    never build it.  ``row_bound`` is kept beside it, and the solve reads
-    ``value_columns`` (the context's ``_value_columns``) and
-    ``column_keys`` (the bottom-row bit set of each column's tableau) from
-    here too, so none of them is rebuilt per polynomial.
+    never build it, nor the solve the determinant.  ``row_bound`` is kept
+    beside it, and the solve reads ``value_columns`` (the context's
+    ``_value_columns``) and ``column_keys`` (the bottom-row bit set of
+    each column's tableau) from here too, so none of them is rebuilt per
+    polynomial.
     """
 
     integer_core: tuple[tuple[int, ...], ...]
-    core_determinant: int
     value_columns: tuple[tuple[int, ...], ...]
     column_keys: tuple[int, ...]
+
+    @cached_property
+    def core_determinant(self) -> int:
+        return integer_det_bareiss(self.integer_core)
 
     @cached_property
     def inverse(self) -> Optional[ScaledInverse]:
@@ -496,7 +502,6 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
     core = tuple(zip(*columns))
     return BasisMatrix(
         integer_core=core,
-        core_determinant=integer_det_bareiss(core),
         value_columns=values,
         column_keys=tuple(sum(1 << (j - 1) for j in tab.bottom) for tab in tableaux),
     )
@@ -955,16 +960,49 @@ class OrdinaryCheck:
         )
 
 
+def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Sum c * terms over (c, terms), zero terms dropped, ints where exact."""
+    total: dict[Monomial, Fraction] = {}
+    for c, terms in parts:
+        for m, a in terms.items():
+            total[m] = total.get(m, 0) + c * (a.numerator if a.denominator == 1 else a)
+    return {m: a for m, a in total.items() if a}
+
+
 def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
-    """Groebner-based checks on the ordinary cohomology presentation:
-    the quotient by J has dimension C(n, k), J agrees with Tanisaki's
-    ideal, and J agrees with the t = 0 specialization of the equivariant
-    ideal.  Two ideals are equal exactly when their reduced bases are."""
+    """dim Q[x]/J = C(n, k), from J's reduced Groebner basis; J equals I at
+    t = 0 and Tanisaki's ideal, by certificates on the generator lists:
+    * I at t = 0 is generated by the images of I's generators: e1,
+      x_i^2 - x_{i-1}^2 (x_0 = 0) and J's products.  The squares telescope.
+    * Tanisaki's e1 and products are J's, and each e2(omit i) has normal
+      form zero against J's basis.  Conversely x_i^2 = x_i e1 - e2(all) +
+      e2(omit i), and e2(all) is the sum of the e2(omit i) over n - 2 for
+      n >= 3, x1 x2 (a multiple of a product generator) for n = 2, 0 for
+      n = 1.  A list of another shape fails even if its ideal is J."""
+    n = ctx.n
     j_basis = ideal_basis(ctx, "J")
     dimension, _ = groebner.quotient_dimension(j_basis)
+    j = [g.terms for g in ordinary_ideal(ctx).generators]
+    i_gens = equivariant_ideal(ctx).generators
+    at_zero = [{m[:n]: c for m, c in g.terms.items() if not m[n]} for g in i_gens]
+    telescoped = [_sum_terms((1, j[i]), (-1, j[i - 1])) for i in range(2, n + 1)]
+    # tanisaki_ideal lists e1, e2(omit i) for i = n, n - 1, ..., 1, the products
+    tanisaki = tanisaki_ideal(ctx).generators
+    e1, e2_omit, products = tanisaki[0].terms, tanisaki[1 : n + 1], tanisaki[n + 1 :]
+    e2 = {tuple(int(p in pair) for p in range(n)): 1 for pair in combinations(range(n), 2)}
+    if n >= 3:
+        e2_in = _sum_terms(*((1, g.terms) for g in e2_omit)) == _sum_terms((n - 2, e2))
+    else:  # e2(all) is 0 or x1 x2, which a monomial product generator divides
+        e2_in = not e2 or any(len(p) == 1 and monomial_divides(*p.terms, *e2) for p in products)
+    squares = []  # x_i e1 - e2(all) + e2(omit i) for i = 1..n
+    for i, g in enumerate(reversed(e2_omit)):
+        x_i_e1 = {tuple(e + (p == i) for p, e in enumerate(m)): c for m, c in e1.items()}
+        squares.append(_sum_terms((1, x_i_e1), (-1, e2), (1, g.terms)))
     return OrdinaryCheck(
         dimension=dimension,
-        expected_dimension=comb(ctx.n, ctx.k),
-        tanisaki_equal=ideal_basis(ctx, "tanisaki").generators == j_basis.generators,
-        specialization_equal=_basis_at_t_zero(ctx).generators == j_basis.generators,
+        expected_dimension=comb(n, ctx.k),
+        tanisaki_equal=[e1, *squares, *(p.terms for p in products)] == j
+        and e2_in
+        and not any(groebner.normal_form(g, j_basis) for g in e2_omit),
+        specialization_equal=at_zero == [*j[:2], *telescoped, *j[n + 1 :]],
     )

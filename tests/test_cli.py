@@ -160,6 +160,24 @@ def test_straighten_core_refused_at_once(capsys, n, k):
     )
 
 
+def test_verify_refuses_a_straighten_core_past_the_limit_at_once(capsys):
+    # (11,5) has a 462 x 462 core; verify runs the straighten check by default
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--n-max", "11")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: C(11,5) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} "
+        "for the straighten check; leave it out of --checks\n"
+    )
+    code, _, _ = run(capsys, "verify", "--n-max", str(10**9), "--checks", "straighten")
+    assert code == 2
+    code, out, _ = run(capsys, "verify", "--n-max", "11", "--checks", "fixed-points")
+    assert code == 0
+    assert "fixed-points[n=11,k=5]" in out
+
+
 def test_straighten_paper_method_needs_no_core(capsys):
     # C(10,5) = 252 is at the limit, and the rewriting route builds no core
     code, out, _ = run(

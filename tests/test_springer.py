@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tworow import springer
 from tworow.cli import main
+from tworow.groebner import ideal_equal
 from tworow.linalg import SparseExactRREF, solve_rational
 from tworow.polynomials import (
     MPoly,
@@ -443,6 +444,22 @@ def test_basis_matrix_inverse_invariants():
         assert all(bm.core_determinant * a % d == 0 for row in adj for a in row)
 
 
+def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
+    def refused(core):
+        raise AssertionError("the solve read the core determinant")
+
+    monkeypatch.setattr(springer, "integer_det_bareiss", refused)
+    basis_image_matrix.cache_clear()
+    try:
+        ctx = SpringerContext(5, 2)
+        f = poly("x1^2*x3 - 2*x4*t^2 + x5", 5)
+        assert straighten_by_solve(f, ctx) == straighten_by_rewrite(f, ctx)
+        with pytest.raises(AssertionError, match="read the core determinant"):
+            basis_image_matrix(ctx).core_determinant
+    finally:
+        basis_image_matrix.cache_clear()
+
+
 def test_standard_monomial_basis_size():
     for n in range(1, 8):
         for k in range(n // 2 + 1):
@@ -653,6 +670,26 @@ def test_straighten_rejects_wrong_ring():
         straighten_by_solve(MPoly.variable(3, 0), ctx)
     with pytest.raises(ValueError):
         straighten_by_rewrite(MPoly.variable(5, 0), ctx)
+
+
+_weights = st.tuples(
+    st.dictionaries(st.integers(0, 3), st.integers(-30, 30), max_size=4),
+    st.integers(-30, 30),
+).map(lambda pair: {**pair[0], 4: pair[1]})  # slot 4 is t
+
+
+@given(
+    weights=_weights,
+    j=st.integers(0, 4),
+    base=st.lists(st.integers(0, 3), min_size=5, max_size=5).map(tuple),
+)
+@settings(max_examples=80, deadline=None)
+def test_power_terms_match_mpoly_powers(weights, j, base):
+    # the multinomial expansion the rewrite route uses for the powers of
+    # the linear relation, against repeated MPoly multiplication
+    linear = MPoly(5, {tuple(int(q == p) for q in range(5)): w for p, w in weights.items()})
+    expected = linear**j * MPoly.from_monomial(base)
+    assert MPoly(5, springer._power_terms(weights, j, base)) == expected
 
 
 def test_rewrite_cancellation_coefficient_is_factorial():
@@ -1056,3 +1093,80 @@ def test_ordinary_check_examples():
     assert report.dimension == 6 and report.ok
     report = ordinary_presentation_check(SpringerContext(5, 0))
     assert report.dimension == 1 and report.ok
+
+
+def test_ordinary_ideals_are_cached_per_context():
+    for build in (ordinary_ideal, tanisaki_ideal, equivariant_ideal):
+        assert build(SpringerContext(5, 2)) is build(SpringerContext(5, 2))
+
+
+def _patch_generator(monkeypatch, builder, ctx, label, change):
+    """Make springer.<builder> return, at ctx only, its list with the
+    generator of this label replaced by change(generator)."""
+    original = getattr(springer, builder)
+
+    def patched(c):
+        ideal = original(c)
+        if c != ctx:
+            return ideal
+        gens = list(ideal.generators)
+        i = ideal.labels.index(label)
+        gens[i] = change(gens[i])
+        return dataclasses.replace(ideal, generators=tuple(gens))
+
+    monkeypatch.setattr(springer, builder, patched)
+
+
+@pytest.mark.parametrize(
+    "builder, label, failed",
+    [
+        ("equivariant_ideal", "quadratic i=4", {"specialization_equal"}),
+        ("ordinary_ideal", "square i=4", {"specialization_equal", "tanisaki_equal"}),
+        ("tanisaki_ideal", "e2 i=1,2,3", {"tanisaki_equal"}),
+        ("tanisaki_ideal", "e2 i=2,3,4", {"tanisaki_equal"}),
+    ],
+    ids=["I", "J", "tanisaki-omit-4", "tanisaki-omit-1"],
+)
+def test_ordinary_certificates_fail_closed(
+    builder, label, failed, monkeypatch, capsys, fresh_certificate_caches
+):
+    # one generator of one list gains the term x3 x4 at (4,2); the Groebner
+    # comparison first confirms which equalities of ideals this breaks
+    ctx = SpringerContext(4, 2)
+
+    def plus_x3_x4(g):
+        return g + MPoly.from_monomial(tuple(int(p in (2, 3)) for p in range(g.nvars)))
+
+    _patch_generator(monkeypatch, builder, ctx, label, plus_x3_x4)
+    j_gens = list(springer.ordinary_ideal(ctx).generators)
+    others = {
+        "specialization_equal": [
+            g.eval_last_var_zero() for g in springer.equivariant_ideal(ctx).generators
+        ],
+        "tanisaki_equal": list(springer.tanisaki_ideal(ctx).generators),
+    }
+    assert {name for name, gens in others.items() if not ideal_equal(j_gens, gens).equal} == failed
+    check = ordinary_presentation_check(ctx)
+    assert {name for name in others if not getattr(check, name)} == failed
+    assert main(["verify", "--checks", "ordinary", "--n-max", "4", "--k", "max"]) == 1
+    out = capsys.readouterr().out
+    fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith("FAIL ordinary[n=4,k=2]: ")
+
+
+def test_ordinary_n2_needs_e2_in_tanisaki(monkeypatch, fresh_certificate_caches):
+    # at n = 2 the e2(omit i) are 0 and x_i^2 = x_i e1 - x1 x2 holds for any
+    # product generator, so only the case "x1 x2 is a multiple of a
+    # product generator" ties e2(all) to Tanisaki's ideal.  With the shared
+    # product x1 x2 replaced by x1^3 in both lists, it is not, and the
+    # ideals differ
+    ctx = SpringerContext(2, 1)
+    x1_cubed = MPoly.from_monomial((3, 0))
+    for builder, label in (("ordinary_ideal", "product i=1,2"), ("tanisaki_ideal", "e2 i=1,2")):
+        _patch_generator(monkeypatch, builder, ctx, label, lambda g: x1_cubed)
+    j_gens = list(springer.ordinary_ideal(ctx).generators)
+    tanisaki = list(springer.tanisaki_ideal(ctx).generators)
+    assert j_gens[-1] == tanisaki[-1] == x1_cubed
+    assert not ideal_equal(j_gens, tanisaki).equal
+    assert not ordinary_presentation_check(ctx).tanisaki_equal

@@ -307,18 +307,18 @@ def _check_straighten(ctx):
 def _check_kernel_ideal(ctx):
     report = springer.kernel_ideal_comparisons(ctx)
     counts = ", ".join(f"d={d}:{c}" for d, c in enumerate(report.graded_counts))
-    if not report.relations_ok:
-        detail = "a generator of I does not vanish at every fixed point"
-    elif not report.t_regular:
-        detail = "t is not regular: t divides a leading monomial of the Groebner basis of I"
-    elif not report.tableau_basis:
+    size = sum(report.graded_counts)
+    if not report.generators_vanish:
+        detail = "step 1 (vanishing): a generator of I does not vanish at every fixed point"
+    elif not report.specializes_to_j:
+        detail = "step 2 (I + (t) = J + (t)): I's generators at t = 0 do not telescope to J's"
+    elif not report.tableau_standard:
         detail = (
-            f"the standard monomials of I at t = 0 (quotient dim "
-            f"{report.quotient_dimension}) are not the {sum(report.graded_counts)} "
-            f"tableau monomials"
+            f"step 3 (standard monomials): J's (quotient dim {report.quotient_dimension}) "
+            f"are not the {size} tableau monomials"
         )
-    elif not report.core_nonsingular:
-        detail = "the basis image core is singular"
+    elif not report.points_distinct:
+        detail = f"step 4 (distinct points): the fixed points are not {size} distinct points"
     elif report.graded_counts != report.expected_counts:
         detail = (
             f"tableaux by bottom size ({counts}) differ from "
@@ -326,8 +326,9 @@ def _check_kernel_ideal(ctx):
         )
     else:
         detail = (
-            f"I = kernel in all degrees (t regular, tableau monomials a free "
-            f"Q[t]-basis, core nonsingular); tableaux by bottom size {counts} "
+            f"I = kernel in all degrees (I vanishes at the fixed points, I + (t) = J + (t), "
+            f"J's standard monomials are the tableau monomials, N = {size} distinct points: "
+            f"a free Q[t]-basis by graded Nakayama); tableaux by bottom size {counts} "
             f"= C(n,d) - C(n,d-1)"
         )
     return report.ok, detail

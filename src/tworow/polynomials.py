@@ -7,9 +7,9 @@ slots.  All variables have weight one, so every generator handled by
 this package is homogeneous in the total degree.
 
 The one monomial order is grevlex with x1 > x2 > ... > xn > t.  The
-kernel certificate in ``springer`` relies on it: for homogeneous f with
-t the last variable, t divides the leading monomial of f only if it
-divides every term (Bayer-Stillman), which fails in grlex and lex.
+order decides which monomials are standard for a Groebner basis, and
+the kernel certificate in ``springer`` compares the standard monomials
+of J with the tableau monomials, which it finds under grevlex.
 """
 
 from __future__ import annotations
@@ -220,13 +220,6 @@ class MPoly:
             base = base * base
             e >>= 1
         return result
-
-    def eval_last_var_zero(self) -> "MPoly":
-        """Set the last variable to zero and drop its slot."""
-        out = {
-            m[:-1]: c for m, c in self.terms.items() if m[-1] == 0
-        }
-        return MPoly._make(self.nvars - 1, out)
 
     def sorted_terms(self):
         """Terms as (monomial, coefficient) pairs, descending in grevlex."""

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, Optional
@@ -259,19 +259,9 @@ def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
 @lru_cache(maxsize=None)
 def ideal_basis(ctx: SpringerContext, name: str) -> groebner.GroebnerBasis:
     """The reduced grevlex Groebner basis of the named presentation ideal,
-    computed once per context; in the ring of I, t is the last variable."""
+    computed once per context.  The order decides which monomials are
+    standard: for J under grevlex, the tableau monomials x_T."""
     return groebner.buchberger(ideal_by_name(ctx, name).generators)
-
-
-def _basis_at_t_zero(ctx: SpringerContext) -> groebner.GroebnerBasis:
-    """The basis of I with t set to zero: the reduced Groebner basis of
-    the t = 0 specialization of I.  I is homogeneous and t is the last
-    variable of grevlex, so t divides a basis element's leading monomial
-    only if it divides every term; those elements vanish and every other
-    keeps its leading monomial (Bayer-Stillman: in(I + (t)) = in(I) + (t))."""
-    basis = ideal_basis(ctx, "I")
-    specialized = (g.eval_last_var_zero() for g in basis.generators)
-    return groebner.GroebnerBasis(generators=tuple(g for g in specialized if g), nvars=ctx.n)
 
 
 # -- localization ------------------------------------------------------------
@@ -457,11 +447,11 @@ class BasisMatrix:
     therefore factors as ``core_determinant`` times a power of t, and a
     nonzero integer core is exactly linear independence over the fraction
     field of Q[t].  ``core_determinant``, computed when first read, is 0
-    for a singular core, so that the checks reading it fail by name.
+    for a singular core, so that ``basis-determinant`` fails by name.
     ``inverse`` is the core's exact inverse as integers (adj, d), None when
     singular, built on the first straightening solve and then kept, so
-    that every solve is an integer substitution; the determinant checks
-    never build it, nor the solve the determinant.  ``row_bound`` is kept
+    that every solve is an integer substitution; the determinant check
+    never builds it, nor the solve the determinant.  ``row_bound`` is kept
     beside it, and the solve reads ``value_columns`` (the context's
     ``_value_columns``) and ``column_keys`` (the bottom-row bit set of
     each column's tableau) from here too, so none of them is rebuilt per
@@ -870,32 +860,60 @@ def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomi
     return out
 
 
+# -- I at t = 0 is J ---------------------------------------------------------
+
+
+def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Sum c * terms over (c, terms), zero terms dropped, ints where exact."""
+    total: dict[Monomial, Fraction] = {}
+    for c, terms in parts:
+        for m, a in terms.items():
+            total[m] = total.get(m, 0) + c * (a.numerator if a.denominator == 1 else a)
+    return {m: a for m, a in total.items() if a}
+
+
+def _specializes_to_j(ctx: SpringerContext) -> bool:
+    """I + (t) = J + (t), by a certificate on the generator lists: the
+    t = 0 images of I's generators are, in order, J's e1 and x1^2, then
+    x_i^2 - x_{i-1}^2 for i = 2..n, then J's products; the squares
+    telescope.  A list of another shape fails even if its ideal is J.
+    Each image is compared as it is made; no copy of I's terms is kept."""
+    n = ctx.n
+    j = [g.terms for g in ordinary_ideal(ctx).generators]
+    telescoped = (_sum_terms((1, j[i]), (-1, j[i - 1])) for i in range(2, n + 1))
+    i_gens = equivariant_ideal(ctx).generators
+    return len(i_gens) == len(j) and all(
+        {m[:n]: c for m, c in g.terms.items() if not m[n]} == image
+        for g, image in zip(i_gens, chain(j[:2], telescoped, j[n + 1 :]))
+    )
+
+
 # -- ideal equals kernel, in every degree -----------------------------------
 
 
 @dataclass(frozen=True)
 class KernelIdealCheck:
-    """The certificate that I is the kernel of localization, one field per
-    step of the proof.  ``quotient_dimension`` is that of Q[x]/(I at
-    t = 0), None when infinite; ``graded_counts`` holds #{T : ell(T) = d}
-    over the basis tableaux and ``expected_counts`` the closed form
-    C(n, d) - C(n, d - 1), for d = 0..k."""
+    """The certificate that I is the kernel of localization, one boolean
+    per step of the proof in ``kernel_ideal_comparisons``, in order.
+    ``quotient_dimension`` is that of Q[x]/J, None when infinite;
+    ``graded_counts`` holds #{T : ell(T) = d} over the basis tableaux and
+    ``expected_counts`` the closed form C(n, d) - C(n, d - 1), d = 0..k."""
 
-    relations_ok: bool
-    t_regular: bool
-    tableau_basis: bool
+    generators_vanish: bool
+    specializes_to_j: bool
+    tableau_standard: bool
     quotient_dimension: Optional[int]
-    core_nonsingular: bool
+    points_distinct: bool
     graded_counts: tuple[int, ...]
     expected_counts: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
         return (
-            self.relations_ok
-            and self.t_regular
-            and self.tableau_basis
-            and self.core_nonsingular
+            self.generators_vanish
+            and self.specializes_to_j
+            and self.tableau_standard
+            and self.points_distinct
             and self.graded_counts == self.expected_counts
         )
 
@@ -904,40 +922,40 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
     """Prove that the equivariant ideal is the kernel of localization in
     every degree, or report which step of the proof fails.
 
-    1. The generators vanish at every fixed point, so I lies in the kernel.
-    2. No leading monomial of I's reduced grevlex basis (t last) involves
-       t, so t is a nonzerodivisor on Q[x,t]/I (Bayer-Stillman), and the
-       standard monomials of I are the m * t^j with m a standard monomial
-       of I at t = 0.
-    3. Those m are exactly the tableau monomials x_T.  The standard
-       monomials form a Q-basis of the quotient (Macaulay), so by 2 and 3
-       {x_T} is a free Q[t]-basis of Q[x,t]/I.
-    4. The integer core of the basis image matrix is nonsingular.
-       Localization sends sum c_T x_T to the vector with entry
-       sum_T c_T(t) * t^ell(T) * core[w][T] at w; the core is invertible
-       over Q, so that vector is zero only when every c_T is.  Localization
-       is therefore injective on Q[x,t]/I: ker = I in every degree.
+    1. I's generators vanish at every fixed point (``verify_relations``).
+    2. I + (t) = J + (t) (``_specializes_to_j``).
+    3. The standard monomials of J are the N tableau monomials x_T.
+    4. The fixed points are N distinct points w = (w(1), ..., w(n)).
+
+    By 2 and 3 the x_T form a Q-basis of M/tM = Q[x]/J, where
+    M = Q[x,t]/I.  M is graded with finite-dimensional pieces, and
+    M_d = (Q-span of the x_T)_d + t M_{d-1}, so by induction on d (graded
+    Nakayama) the x_T span M over Q[t].  Setting t = 1, they span
+    Q[x]/(I at t = 1) over Q.  By 1 that ring maps to Q^N by evaluation at
+    the N distinct points of 4, and the map is onto: products of linear
+    forms interpolate (Q[x]/I(V) = Q^|V| for a finite set V; Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, ch. 5).  N spanning
+    elements mapped onto Q^N go to a basis, so the matrix of values
+    x_T(w), the integer core of ``basis_image_matrix``, is nonsingular;
+    no determinant is computed.  Localization sends sum c_T x_T to the
+    vector with entry sum_T c_T(t) * t^ell(T) * core[w][T] at w, which
+    vanishes only when every c_T does.  So {x_T} is a free Q[t]-basis of
+    M, and localization is injective on M: ker = I in every degree.
 
     The graded counts #{T : ell(T) = d} are the Betti numbers of the
     Springer fiber and must equal C(n, d) - C(n, d - 1).
     """
     n = ctx.n
-    t_regular = not any(lm[n] for lm in ideal_basis(ctx, "I").leading_monomials())
-    dimension, standard = groebner.quotient_dimension(_basis_at_t_zero(ctx))
+    dimension, standard = groebner.quotient_dimension(ideal_basis(ctx, "J"))
     tableaux = standard_monomial_basis(ctx)
-    tableau_monomials = {monomial_from_filling(tab)[:n] for tab in tableaux}
     return KernelIdealCheck(
-        relations_ok=verify_relations(ctx).ok,
-        t_regular=t_regular,
-        tableau_basis=set(standard) == tableau_monomials,
+        generators_vanish=verify_relations(ctx).ok,
+        specializes_to_j=_specializes_to_j(ctx),
+        tableau_standard=set(standard) == {monomial_from_filling(tab)[:n] for tab in tableaux},
         quotient_dimension=dimension,
-        core_nonsingular=basis_image_matrix(ctx).core_determinant != 0,
-        graded_counts=tuple(
-            sum(1 for tab in tableaux if tab.ell == d) for d in range(ctx.k + 1)
-        ),
-        expected_counts=tuple(
-            comb(n, d) - (comb(n, d - 1) if d else 0) for d in range(ctx.k + 1)
-        ),
+        points_distinct=len({w.w for w in fixed_points(ctx)}) == len(tableaux),
+        graded_counts=tuple(sum(tab.ell == d for tab in tableaux) for d in range(ctx.k + 1)),
+        expected_counts=tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(ctx.k + 1)),
     )
 
 
@@ -960,32 +978,19 @@ class OrdinaryCheck:
         )
 
 
-def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
-    """Sum c * terms over (c, terms), zero terms dropped, ints where exact."""
-    total: dict[Monomial, Fraction] = {}
-    for c, terms in parts:
-        for m, a in terms.items():
-            total[m] = total.get(m, 0) + c * (a.numerator if a.denominator == 1 else a)
-    return {m: a for m, a in total.items() if a}
-
-
 def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
     """dim Q[x]/J = C(n, k), from J's reduced Groebner basis; J equals I at
-    t = 0 and Tanisaki's ideal, by certificates on the generator lists:
-    * I at t = 0 is generated by the images of I's generators: e1,
-      x_i^2 - x_{i-1}^2 (x_0 = 0) and J's products.  The squares telescope.
-    * Tanisaki's e1 and products are J's, and each e2(omit i) has normal
-      form zero against J's basis.  Conversely x_i^2 = x_i e1 - e2(all) +
-      e2(omit i), and e2(all) is the sum of the e2(omit i) over n - 2 for
-      n >= 3, x1 x2 (a multiple of a product generator) for n = 2, 0 for
-      n = 1.  A list of another shape fails even if its ideal is J."""
+    t = 0 (``_specializes_to_j``) and Tanisaki's ideal, by certificates on
+    the generator lists.  Tanisaki's e1 and products are J's, and each
+    e2(omit i) has normal form zero against J's basis.  Conversely
+    x_i^2 = x_i e1 - e2(all) + e2(omit i), and e2(all) is the sum of the
+    e2(omit i) over n - 2 for n >= 3, x1 x2 (a multiple of a product
+    generator) for n = 2, 0 for n = 1.  A list of another shape fails even
+    if its ideal is J."""
     n = ctx.n
     j_basis = ideal_basis(ctx, "J")
     dimension, _ = groebner.quotient_dimension(j_basis)
     j = [g.terms for g in ordinary_ideal(ctx).generators]
-    i_gens = equivariant_ideal(ctx).generators
-    at_zero = [{m[:n]: c for m, c in g.terms.items() if not m[n]} for g in i_gens]
-    telescoped = [_sum_terms((1, j[i]), (-1, j[i - 1])) for i in range(2, n + 1)]
     # tanisaki_ideal lists e1, e2(omit i) for i = n, n - 1, ..., 1, the products
     tanisaki = tanisaki_ideal(ctx).generators
     e1, e2_omit, products = tanisaki[0].terms, tanisaki[1 : n + 1], tanisaki[n + 1 :]
@@ -1004,5 +1009,5 @@ def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
         tanisaki_equal=[e1, *squares, *(p.terms for p in products)] == j
         and e2_in
         and not any(groebner.normal_form(g, j_basis) for g in e2_omit),
-        specialization_equal=at_zero == [*j[:2], *telescoped, *j[n + 1 :]],
+        specialization_equal=_specializes_to_j(ctx),
     )

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tworow import cli, springer
+from tworow import cli, groebner, springer
 from tworow.cli import (
     CHECK_NAMES,
     LISTING_LIMIT,
@@ -355,10 +355,12 @@ def fresh_basis_caches():
     springer.basis_image_matrix.cache_clear()
 
 
-def test_verify_singular_core_fails_two_checks(capsys, monkeypatch, fresh_basis_caches):
-    # a singular core at (4,2), the only 6 x 6 core up to n = 4, must fail
-    # the two checks that read the determinant, each on its own line,
-    # while every other check still runs and passes
+def test_verify_singular_core_fails_basis_determinant_alone(
+    capsys, monkeypatch, fresh_basis_caches
+):
+    # a singular core at (4,2), the only 6 x 6 core up to n = 4, fails the
+    # one check that reads the determinant; kernel-ideal proves the core
+    # nonsingular by counting points, reads no determinant, and passes
     original = springer.integer_det_bareiss
     monkeypatch.setattr(
         springer, "integer_det_bareiss", lambda m: 0 if len(m) == 6 else original(m)
@@ -370,10 +372,27 @@ def test_verify_singular_core_fails_two_checks(capsys, monkeypatch, fresh_basis_
     ]
     assert [e["name"] for e in payload["checks"]] == expected
     failed = {e["name"]: e["details"] for e in payload["checks"] if e["status"] == "fail"}
-    assert failed == {
-        "basis-determinant[n=4,k=2]": "integer core determinant 0",
-        "kernel-ideal[n=4,k=2]": "the basis image core is singular",
-    }
+    assert failed == {"basis-determinant[n=4,k=2]": "integer core determinant 0"}
+
+
+def test_verify_runs_buchberger_once_per_context(capsys, monkeypatch):
+    # kernel-ideal and ordinary share J's basis, the one Groebner basis a
+    # context computes: 11 contexts up to n = 5, 11 runs, each on J
+    rings = []
+    original = groebner.buchberger
+
+    def counted(gens):
+        rings.append(gens[0].nvars)
+        return original(gens)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    springer.ideal_basis.cache_clear()
+    try:
+        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    finally:
+        springer.ideal_basis.cache_clear()
+    assert code == 0
+    assert rings == [n for n in range(1, 6) for _ in range(n // 2 + 1)]
 
 
 def test_verify_consistency_error_fails_one_check(capsys, monkeypatch):

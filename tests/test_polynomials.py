@@ -197,8 +197,9 @@ def test_parse_format_round_trip(p):
 @given(st.integers(0, 4), st.data())
 @settings(max_examples=80)
 def test_t_divides_leading_monomial_only_if_it_divides_every_term(degree, data):
-    # Bayer-Stillman, the fact the kernel certificate rests on: for a
-    # homogeneous f in Q[x1,x2,x3,t], t | lm(f) implies t | f.  It fails
+    # Bayer-Stillman, the fact the Groebner cross-check of the kernel
+    # certificate rests on (test_basis_of_i_specializes_to_the_basis_of_j):
+    # for a homogeneous f in Q[x1,x2,x3,t], t | lm(f) implies t | f.  It fails
     # in grlex: lm(x1*t + x2^2) would be x1*t.
     monos = [
         (a, b, c, degree - a - b - c)

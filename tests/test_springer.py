@@ -229,9 +229,14 @@ def test_tanisaki_generators_n3_k1():
     assert by_label["e2 i=2,3"] == parse_poly("x2*x3", names)
 
 
+def _at_t_zero(g):
+    """g with t, its last variable, set to zero and its slot dropped."""
+    return MPoly(g.nvars - 1, {m[:-1]: c for m, c in g.terms.items() if not m[-1]})
+
+
 def test_specialized_generators_drop_t():
     ideal = equivariant_ideal(SpringerContext(3, 1))
-    gens = [g.eval_last_var_zero() for g in ideal.generators]
+    gens = [_at_t_zero(g) for g in ideal.generators]
     names = variable_names(3, include_t=False)
     assert gens[0] == parse_poly("x1 + x2 + x3", names)
     assert gens[1] == parse_poly("x1^2", names)
@@ -358,7 +363,7 @@ def test_relations_fail_closed_on_inhomogeneous_generator(
     report = verify_relations(ctx)
     assert not report.ok
     assert report.failures == tuple(("inhomogeneous", w.ell) for w in points)
-    assert not kernel_ideal_comparisons(ctx).relations_ok
+    assert not kernel_ideal_comparisons(ctx).generators_vanish
 
 
 # -- square rewriting ---------------------------------------------------------
@@ -988,8 +993,8 @@ def test_degree_one_n2():
 
 def test_kernel_matches_ideal_n4():
     check = kernel_ideal_comparisons(SpringerContext(4, 2))
-    assert check.ok and check.relations_ok and check.t_regular
-    assert check.tableau_basis and check.core_nonsingular
+    assert check.ok and check.generators_vanish and check.specializes_to_j
+    assert check.tableau_standard and check.points_distinct
     assert check.quotient_dimension == 6
     assert check.graded_counts == check.expected_counts == (1, 3, 2)
 
@@ -1025,9 +1030,22 @@ def test_ideal_slices_match_the_certificate():
             ), (n, k)
 
 
+def test_basis_of_i_specializes_to_the_basis_of_j():
+    # the Groebner route the certificate replaced, kept as its cross-check:
+    # no leading monomial of I's reduced grevlex basis involves t (so t is
+    # regular on Q[x,t]/I, by Bayer-Stillman), and setting t = 0 in that
+    # basis gives J's reduced basis, generator for generator
+    contexts = [SpringerContext(n, k) for n in range(1, 9) for k in range(n // 2 + 1)]
+    for ctx in [*contexts, SpringerContext(10, 5)]:
+        basis = ideal_basis(ctx, "I")
+        assert not any(lm[ctx.n] for lm in basis.leading_monomials()), ctx
+        specialized = [_at_t_zero(g) for g in basis.generators]
+        assert specialized == list(ideal_basis(ctx, "J").generators), ctx
+
+
 @pytest.fixture
 def fresh_certificate_caches():
-    """Clear the cached basis of I and the relation reports before and
+    """Clear the cached Groebner bases and the relation reports before and
     after the test, so that a patched ideal reaches neither other tests
     nor it."""
     caches = (ideal_basis, verify_relations)
@@ -1038,49 +1056,100 @@ def fresh_certificate_caches():
         cache.cache_clear()
 
 
+def _drop(builders, dropped):
+    """A patch making each springer.<builder> return, at the patched
+    context only, its list without the generators whose labels satisfy
+    dropped(label)."""
+
+    def patch(monkeypatch, ctx):
+        for builder in builders:
+            original = getattr(springer, builder)
+
+            def weakened(c, original=original):
+                ideal = original(c)
+                if c != ctx:
+                    return ideal
+                kept = [i for i, label in enumerate(ideal.labels) if not dropped(label)]
+                assert len(kept) < len(ideal.labels)
+                return dataclasses.replace(
+                    ideal,
+                    generators=tuple(ideal.generators[i] for i in kept),
+                    labels=tuple(ideal.labels[i] for i in kept),
+                )
+
+            monkeypatch.setattr(springer, builder, weakened)
+
+    return patch
+
+
+def _add_t_squared_to_quadratic_4(monkeypatch, ctx):
+    t_squared = MPoly.from_monomial((0,) * ctx.n + (2,))
+    _patch_generator(
+        monkeypatch, "equivariant_ideal", ctx, "quadratic i=4", lambda g: g + t_squared
+    )
+
+
+def _repeat_second_fixed_point(monkeypatch, ctx):
+    original = springer.fixed_points
+
+    def repeated(c):
+        points = original(c)
+        return (points[1], *points[1:]) if c == ctx else points
+
+    monkeypatch.setattr(springer, "fixed_points", repeated)
+
+
+# the certificate's steps, as KernelIdealCheck fields and as named in the
+# kernel-ideal check's details
+STEPS = {
+    "generators_vanish": "step 1 (vanishing)",
+    "specializes_to_j": "step 2 (I + (t) = J + (t))",
+    "tableau_standard": "step 3 (standard monomials)",
+    "points_distinct": "step 4 (distinct points)",
+}
+
+
 @pytest.mark.parametrize(
-    "dropped, failed_step",
+    "n, k, patch, failed",
     [
-        # t stays regular, but x4^2 becomes standard: quotient dim 7
-        ("quadratic i=4", "quotient dim 7) are not the 6 tableau monomials"),
-        # steps 1, 3 and 4 imply t regular (by graded Nakayama the x_T
-        # generate Q[x,t]/I over Q[t]), so this ideal fails step 3 as well;
-        # the report names t regularity, the first step to fail
-        ("quadratic i=1", "t is not regular"),
-        ("linear", "quotient dim 11) are not the 6 tableau monomials"),
+        # without a linear or quadratic relation, I's generators at t = 0
+        # are no longer J's.  (Dropping "product i=1,2,3" from I at (4,2)
+        # would leave the same ideal and prove nothing.)
+        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "quadratic i=4"),
+         "specializes_to_j"),
+        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "quadratic i=1"),
+         "specializes_to_j"),
+        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "linear"),
+         "specializes_to_j"),
+        # + t^2 keeps the image at t = 0, so only step 1 sees it
+        (4, 2, _add_t_squared_to_quadratic_4, "generators_vanish"),
+        # modulo e1 and the squares x1 x2 = -(x1 x3 + x1 x4), so J keeps its
+        # ideal without this product: only step 2's list certificate fails
+        (4, 1, _drop(["ordinary_ideal"], lambda label: label == "product i=1,2"),
+         "specializes_to_j"),
+        # with every product dropped from both lists step 2 holds, but
+        # J = (e1, squares) has 6 standard monomials against 4 tableaux
+        (4, 1, _drop(["equivariant_ideal", "ordinary_ideal"],
+                     lambda label: label.startswith("product")),
+         "tableau_standard"),
+        # I vanishes at every listed point, but only five are distinct
+        (4, 2, _repeat_second_fixed_point, "points_distinct"),
     ],
-    ids=["drop-quadratic-4", "drop-quadratic-1", "drop-linear"],
+    ids=["drop-quadratic-4", "drop-quadratic-1", "drop-linear", "nonvanishing-generator",
+         "drop-j-product", "drop-all-products", "repeated-fixed-point"],
 )
 def test_certificate_fails_closed(
-    dropped, failed_step, monkeypatch, capsys, fresh_certificate_caches
+    n, k, patch, failed, monkeypatch, capsys, fresh_certificate_caches
 ):
-    # dropping "product i=1,2,3" at (4,2) would leave the same ideal and
-    # prove nothing, so each case drops a linear or quadratic relation
-    original = springer.equivariant_ideal
-
-    def weakened(ctx):
-        ideal = original(ctx)
-        if (ctx.n, ctx.k) != (4, 2):
-            return ideal
-        kept = [i for i, label in enumerate(ideal.labels) if label != dropped]
-        assert len(kept) == len(ideal.labels) - 1
-        return dataclasses.replace(
-            ideal,
-            generators=tuple(ideal.generators[i] for i in kept),
-            labels=tuple(ideal.labels[i] for i in kept),
-        )
-
-    monkeypatch.setattr(springer, "equivariant_ideal", weakened)
-    check = kernel_ideal_comparisons(SpringerContext(4, 2))
-    assert check.relations_ok and not check.ok
-    assert not check.tableau_basis
-    assert check.t_regular == (dropped != "quadratic i=1")
-    assert main(["verify", "--checks", "kernel-ideal", "--n-max", "4"]) == 1
+    ctx = SpringerContext(n, k)
+    patch(monkeypatch, ctx)
+    check = kernel_ideal_comparisons(ctx)
+    assert {step for step in STEPS if not getattr(check, step)} == {failed}
+    assert main(["verify", "--checks", "kernel-ideal", "--n-max", str(n)]) == 1
     out = capsys.readouterr().out
-    assert out.count("FAIL") == 1
-    fail_line = next(line for line in out.splitlines() if line.startswith("FAIL"))
-    assert fail_line.startswith("FAIL kernel-ideal[n=4,k=2]: ")
-    assert failed_step in fail_line
+    fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith(f"FAIL kernel-ideal[n={n},k={k}]: {STEPS[failed]}")
 
 
 # -- ordinary cohomology ------------------------------------------------------
@@ -1141,7 +1210,7 @@ def test_ordinary_certificates_fail_closed(
     j_gens = list(springer.ordinary_ideal(ctx).generators)
     others = {
         "specialization_equal": [
-            g.eval_last_var_zero() for g in springer.equivariant_ideal(ctx).generators
+            _at_t_zero(g) for g in springer.equivariant_ideal(ctx).generators
         ],
         "tanisaki_equal": list(springer.tanisaki_ideal(ctx).generators),
     }

@@ -20,7 +20,9 @@ Straightening rewrites any polynomial, modulo the equivariant ideal, as
 a Q[t]-combination of the squarefree monomials indexed by standard
 tableaux; it is implemented twice, once by exact linear algebra against
 the localized images of the basis (``straighten_by_solve``) and once by
-the inductive rewriting procedure (``straighten_by_rewrite``).
+the inductive rewriting procedure (``straighten_by_rewrite``), kept as
+cross-checks of each other.  ``verify`` tests the rewritten coordinates
+against localization instead, with no inverse (``straightening_mismatches``).
 """
 
 from __future__ import annotations
@@ -450,12 +452,12 @@ class BasisMatrix:
     for a singular core, so that ``basis-determinant`` fails by name.
     ``inverse`` is the core's exact inverse as integers (adj, d), None when
     singular, built on the first straightening solve and then kept, so
-    that every solve is an integer substitution; the determinant check
-    never builds it, nor the solve the determinant.  ``row_bound`` is kept
-    beside it, and the solve reads ``value_columns`` (the context's
-    ``_value_columns``) and ``column_keys`` (the bottom-row bit set of
-    each column's tableau) from here too, so none of them is rebuilt per
-    polynomial.
+    that every solve is an integer substitution; ``verify`` never builds
+    it, and the solve never reads the determinant.  ``row_bound`` is kept
+    beside it.  The solve and ``straightening_mismatches`` read
+    ``value_columns`` (the context's ``_value_columns``) and
+    ``column_keys`` (the bottom-row bit set of each column's tableau) from
+    here too, so none of them is rebuilt per polynomial.
     """
 
     integer_core: tuple[tuple[int, ...], ...]
@@ -504,6 +506,8 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 # keyed by the bottom-row bit set b of the tableau _bottom_row_filling(n, b).
 Coordinates = tuple[tuple[tuple[int, int], ...], int]
 
+NON_POLYNOMIAL = "straightening produced a non-polynomial coefficient"
+
 
 def _coefficient_polys(
     n: int, by_degree: Mapping[int, Coordinates]
@@ -520,9 +524,7 @@ def _coefficient_polys(
         for b, a in numerators:
             power = degree - b.bit_count()
             if power < 0:
-                raise ConsistencyError(
-                    "straightening produced a non-polynomial coefficient"
-                )
+                raise ConsistencyError(NON_POLYNOMIAL)
             row = dense.setdefault(b, [])
             row.extend([zero] * (power + 1 - len(row)))
             row[power] = Fraction(a, den)
@@ -594,6 +596,8 @@ def straighten_by_solve(
     by the bottom-row bit set of each basis column over d * scale_d, go
     to the lift unchanged.  A singular core raises ConsistencyError, as
     does a solution with a negative t-power (see ``_coefficient_polys``).
+    This route and ``straighten_by_rewrite`` cross-check each other in the
+    tests, in ``straighten --method both`` and in the benchmark's stream.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
@@ -817,6 +821,32 @@ def straighten_by_rewrite(
         entries.setdefault(sum(mono), []).append((value, coeff))
     by_degree = {degree: _combine(terms) for degree, terms in entries.items()}
     return _coefficient_polys(n, by_degree)
+
+
+def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]) -> int:
+    """How many monomials the rewriting route straightens to coordinates
+    that do not localize to the monomial: x^alpha t^e has memo numerators
+    a_b over D, and the two sides are homogeneous of one degree, so they
+    localize equally exactly when sum_b a_b * core[w][b] = D * w^alpha at
+    every fixed point w (t = 1).  Localization is injective and the core
+    nonsingular (``kernel_ideal_comparisons``, steps 1-4;
+    ``basis-determinant`` is the witness), so coordinates that pass are
+    the unique ones, those the solve route finds, and no inverse is built.
+    A key with more bits than the monomial's degree raises
+    ConsistencyError, as in ``_coefficient_polys``."""
+    matrix = basis_image_matrix(ctx)
+    column = dict(zip(matrix.column_keys, zip(*matrix.integer_core)))
+    mismatches = 0
+    for mono in monomials:
+        alpha = mono[: ctx.n]
+        numerators, den = _straighten_x_monomial(ctx, alpha)
+        sums = [0] * len(matrix.integer_core)
+        for b, a in numerators:
+            if b.bit_count() > sum(mono):
+                raise ConsistencyError(NON_POLYNOMIAL)
+            sums = [s + a * v for s, v in zip(sums, column[b])]
+        mismatches += sums != [den * v for v in _monomial_values(matrix.value_columns, alpha)]
+    return mismatches
 
 
 def basis_combination(

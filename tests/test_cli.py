@@ -375,6 +375,22 @@ def test_verify_singular_core_fails_basis_determinant_alone(
     assert failed == {"basis-determinant[n=4,k=2]": "integer core determinant 0"}
 
 
+def test_verify_builds_no_exact_inverse(capsys, monkeypatch, fresh_basis_caches):
+    # the straighten check tests the rewritten coordinates against the
+    # localized values; kernel-ideal proves the core nonsingular, so no
+    # context inverts it or solves against it
+    calls = []
+    for name in ("rational_inverse", "solve_rational"):
+        def counted(*args, name=name, original=getattr(springer, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(springer, name, counted)
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    assert code == 0
+    assert calls == []
+
+
 def test_verify_runs_buchberger_once_per_context(capsys, monkeypatch):
     # kernel-ideal and ordinary share J's basis, the one Groebner basis a
     # context computes: 11 contexts up to n = 5, 11 runs, each on J

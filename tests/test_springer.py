@@ -863,6 +863,109 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
         springer._rewrite_memo.cache_clear()
 
 
+# -- the straighten check: rewritten coordinates against localization --------
+
+
+@pytest.fixture
+def fresh_rewrite_memo():
+    """A patched rewriting rule reaches no other test through the memo."""
+    springer._rewrite_memo.cache_clear()
+    yield
+    springer._rewrite_memo.cache_clear()
+
+
+def _t_squared_plus_one(original):
+    def patched(ctx, i):
+        terms = original(ctx, i)
+        mono, c = terms[-1]  # the t^2 term
+        return terms[:-1] + [(mono, c + 1)]
+
+    return patched
+
+
+def _top_t_power_plus_one(original):
+    def patched(ctx, indices):
+        terms = dict(original(ctx, indices))
+        terms[max(terms, key=lambda m: m[-1])] += 1
+        return terms
+
+    return patched
+
+
+def _odd_t_powers_negated(original):
+    def patched(weights, j, base):  # the t slot's weight, sign flipped
+        return {m: -c if m[-1] % 2 else c for m, c in original(weights, j, base).items()}
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "rule, patch, failures",
+    [
+        ("_square_terms", _t_squared_plus_one, {(3, 1): 19, (4, 2): 32, (5, 2): 34}),
+        ("_product_terms", _top_t_power_plus_one, {(3, 1): 30, (4, 1): 29, (5, 2): 24}),
+        ("_power_terms", _odd_t_powers_negated, {(3, 1): 36, (4, 2): 39, (5, 2): 39}),
+    ],
+    ids=["square-rule", "product-rule", "power-sign"],
+)
+def test_straighten_check_fails_closed_on_a_wrong_rule(
+    rule, patch, failures, monkeypatch, capsys, fresh_rewrite_memo
+):
+    # each rule, once wrong, still rewrites every monomial, but into
+    # coordinates that localize to something else
+    monkeypatch.setattr(springer, rule, patch(getattr(springer, rule)))
+    assert main(["verify", "--checks", "straighten", "--n-max", "5"]) == 1
+    fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    for (n, k), count in failures.items():
+        total = len(squarefree_monomials(SpringerContext(n, k), k + 1)) + 50
+        assert any(
+            line.startswith(f"FAIL straighten[n={n},k={k}]: {count} of {total} monomials")
+            for line in fail_lines
+        ), (n, k)
+
+
+def test_straighten_check_monomials_agree_between_routes(monkeypatch, capsys):
+    # what the check accepts by localization, the solve route finds too:
+    # every monomial it straightens, at every context up to n = 6
+    checked = []
+    original = springer.straightening_mismatches
+
+    def recorded(ctx, monomials):
+        checked.append((ctx, monomials))
+        return original(ctx, monomials)
+
+    monkeypatch.setattr(springer, "straightening_mismatches", recorded)
+    assert main(["verify", "--checks", "straighten", "--n-max", "6", "--k", "all"]) == 0
+    capsys.readouterr()
+    assert [(ctx.n, ctx.k) for ctx, _ in checked] == [
+        (n, k) for n in range(1, 7) for k in range(n // 2 + 1)
+    ]
+    for ctx, monomials in checked:
+        for mono in monomials:
+            p = MPoly.from_monomial(mono)
+            assert straighten_by_solve(p, ctx) == straighten_by_rewrite(p, ctx), (ctx, mono)
+
+
+def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys, fresh_rewrite_memo):
+    # a degree-0 monomial given the coordinate x2 would need t^-1
+    original = springer._straighten_x_monomial
+
+    def overlong(ctx, alpha):
+        return (((0b10, 1),), 1) if not any(alpha) else original(ctx, alpha)
+
+    monkeypatch.setattr(springer, "_straighten_x_monomial", overlong)
+    ctx = SpringerContext(2, 1)
+    with pytest.raises(ConsistencyError, match="non-polynomial"):
+        springer.straightening_mismatches(ctx, [(0, 0, 0)])
+    assert springer.straightening_mismatches(ctx, [(0, 0, 1)]) == 1  # t has degree 1
+    assert main(["verify", "--checks", "straighten", "--n-max", "2", "--k", "max"]) == 1
+    fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.rsplit(" [", 1)[0] for line in fail_lines] == [
+        f"FAIL straighten[n={n},k={n // 2}]: consistency error: {springer.NON_POLYNOMIAL}"
+        for n in (1, 2)
+    ]
+
+
 def test_rewrite_memo_is_thread_safe():
     # threads sharing the rewrite memo from a cold start must neither
     # see one another's half-finished entries as cycles nor get other

@@ -31,8 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product, repeat
-from math import comb, factorial, gcd, lcm, prod
+from itertools import chain, combinations, repeat
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional
 
@@ -160,7 +160,6 @@ class IdealPresentation:
     """A named generator list; ``labels`` parallels ``generators``."""
 
     name: str  # "I", "J", or "tanisaki"
-    context: SpringerContext
     generators: tuple[MPoly, ...]
     labels: tuple[str, ...]
 
@@ -169,50 +168,63 @@ class IdealPresentation:
         return self.generators[0].nvars
 
 
-def _linear_relation(ctx: SpringerContext) -> MPoly:
-    total = MPoly.zero(ctx.nvars)
-    for i in range(1, ctx.n + 1):
-        total = total + ctx.x(i)
-    return total - ctx.t() * Fraction(ctx.n * (ctx.n + 1), 2)
+def _linear_product(forms: Iterable[Mapping[int, int]], base: Monomial) -> dict[Monomial, int]:
+    """The product of linear forms, each {slot: integer coefficient} over
+    x1..xn and t, times x^base, as integer terms: expanded one factor at a
+    time, zero terms dropped.  Every product of linear forms in I's
+    generators and in the rewriting rules is built here."""
+    terms = {tuple(base): 1}
+    for form in forms:
+        expanded: dict[Monomial, int] = {}
+        for mono, c in terms.items():
+            for p, a in form.items():
+                key = list(mono)
+                key[p] += 1
+                key = tuple(key)
+                expanded[key] = expanded.get(key, 0) + c * a
+        terms = {m: c for m, c in expanded.items() if c}
+    return terms
 
 
-def _pair_relation(ctx: SpringerContext, i: int) -> MPoly:
-    """The quadratic relation tying x_i to x_{i-1}, expanded."""
-    xi = ctx.x(i)
-    xprev = ctx.x(i - 1) if i > 1 else MPoly.zero(ctx.nvars)
-    t = ctx.t()
-    return (xi + xprev - (ctx.n - ctx.k + i) * t) * (xi - xprev - t)
+def _linear_relation(ctx: SpringerContext) -> dict[Monomial, int]:
+    """x_1 + ... + x_n - n(n+1)/2 t as integer terms."""
+    n = ctx.n
+    form = {**dict.fromkeys(range(n), 1), n: -(n * (n + 1) // 2)}
+    return _linear_product([form], (0,) * ctx.nvars)
+
+
+def _pair_relation(ctx: SpringerContext, i: int) -> dict[Monomial, int]:
+    """The quadratic relation tying x_i to x_{i-1},
+    (x_i + x_{i-1} - (n-k+i) t)(x_i - x_{i-1} - t) with x_0 = 0, as
+    integer terms."""
+    x, t = i - 1, ctx.n
+    plus, minus = {x: 1, t: -(ctx.n - ctx.k + i)}, {x: 1, t: -1}
+    if i > 1:
+        plus[x - 1], minus[x - 1] = 1, -1
+    return _linear_product([plus, minus], (0,) * ctx.nvars)
 
 
 def _product_terms(ctx: SpringerContext, indices: tuple[int, ...]) -> dict[Monomial, int]:
     """The product of (x_{i_j} - (i_j - j) t) over the chosen indices,
-    j counting from zero, as integer terms: one per choice of x_{i_j} or
-    -(i_j - j) t from each factor."""
-    factors = [((idx - 1, 1), (ctx.n, j - idx)) for j, idx in enumerate(indices)]
-    terms: dict[Monomial, int] = {}
-    for choice in product(*factors):
-        mono = [0] * ctx.nvars
-        for pos, _ in choice:
-            mono[pos] += 1
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + prod(c for _, c in choice)
-    return terms
+    j counting from zero, as integer terms."""
+    forms = [{idx - 1: 1, ctx.n: j - idx} for j, idx in enumerate(indices)]
+    return _linear_product(forms, (0,) * ctx.nvars)
 
 
 @lru_cache(maxsize=None)
 def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
-    """The equivariant presentation ideal I in Q[x1..xn, t]."""
+    """The equivariant presentation ideal I in Q[x1..xn, t]: the linear, n
+    quadratic and C(n, k+1) product relations, by ``_linear_product``."""
     gens = [_linear_relation(ctx)]
     labels = ["linear"]
     for i in range(1, ctx.n + 1):
         gens.append(_pair_relation(ctx, i))
         labels.append(f"quadratic i={i}")
     for subset in combinations(range(1, ctx.n + 1), ctx.k + 1):
-        gens.append(MPoly(ctx.nvars, _product_terms(ctx, subset)))
+        gens.append(_product_terms(ctx, subset))
         labels.append("product i=" + ",".join(map(str, subset)))
-    return IdealPresentation(
-        name="I", context=ctx, generators=tuple(gens), labels=tuple(labels)
-    )
+    generators = tuple(MPoly(ctx.nvars, terms) for terms in gens)
+    return IdealPresentation(name="I", generators=generators, labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)
@@ -222,14 +234,12 @@ def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     gens = [elementary_symmetric(n, 1, range(n))]
     labels = ["linear"]
     for i in range(1, n + 1):
-        gens.append(MPoly.variable(n, i - 1) ** 2)
+        gens.append(MPoly.from_monomial(tuple(2 * (p == i - 1) for p in range(n))))
         labels.append(f"square i={i}")
     for subset in combinations(range(n), ctx.k + 1):
         gens.append(elementary_symmetric(n, ctx.k + 1, subset))
         labels.append("product i=" + ",".join(str(p + 1) for p in subset))
-    return IdealPresentation(
-        name="J", context=ctx, generators=tuple(gens), labels=tuple(labels)
-    )
+    return IdealPresentation(name="J", generators=tuple(gens), labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)
@@ -246,9 +256,7 @@ def tanisaki_ideal(ctx: SpringerContext) -> IdealPresentation:
     for subset in combinations(range(n), ctx.k + 1):
         gens.append(elementary_symmetric(n, ctx.k + 1, subset))
         labels.append(f"e{ctx.k + 1} i=" + ",".join(str(p + 1) for p in subset))
-    return IdealPresentation(
-        name="tanisaki", context=ctx, generators=tuple(gens), labels=tuple(labels)
-    )
+    return IdealPresentation(name="tanisaki", generators=tuple(gens), labels=tuple(labels))
 
 
 def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
@@ -414,11 +422,14 @@ def verify_square_reduction(ctx: SpringerContext) -> bool:
     """The quadratic generators telescope: the i-th one equals
     (x_i^2 - rhs_i) - (x_{i-1}^2 - rhs_{i-1}) as an exact polynomial
     identity, with the i = 0 term zero.  This is what makes the square
-    rewriting rule a consequence of the ideal."""
-    previous = MPoly.zero(ctx.nvars)  # x_0^2 - rhs_0
+    rewriting rule a consequence of the ideal.  Both sides are integer
+    terms: the product expansion against the closed form of
+    ``_square_terms``."""
+    previous: dict[Monomial, int] = {}  # x_0^2 - rhs_0
     for i in range(1, ctx.n + 1):
-        current = ctx.x(i) * ctx.x(i) - square_reduction(ctx, i)
-        if _pair_relation(ctx, i) != current - previous:
+        square = tuple(2 * (p == i - 1) for p in range(ctx.nvars))
+        current = _sum_terms((1, {square: 1}), (-1, dict(_square_terms(ctx, i))))
+        if _pair_relation(ctx, i) != _sum_terms((1, current), (-1, previous)):
             return False
         previous = current
     return True
@@ -552,13 +563,10 @@ def _solve_pack(
     Adding half of every slot's range to a numerator makes every slot
     nonnegative and below 2^width, so the slots read off as plain bit
     fields, and the sum is below 2^(total width) unless a slot overflowed."""
-    degree, scale, _, rhs = pack[-1]
+    rhs = pack[-1][3]
     for _, _, width, sums in reversed(pack[:-1]):
         rhs = [(r << width) + s for r, s in zip(rhs, sums)]
     packed, d = solve_rational(inverse, rhs)
-    if len(pack) == 1:
-        by_degree[degree] = tuple((b, a) for b, a in zip(keys, packed) if a), d * scale
-        return
     bias = top = 0
     for _, _, width, _ in pack:
         bias += 1 << (top + width - 1)
@@ -665,23 +673,10 @@ def _combine(
     return tuple((q, a // common) for q, a in accum.items() if a), denominator // common
 
 
-def _power_terms(
-    weights: Mapping[int, int], j: int, base: Monomial
-) -> dict[Monomial, int]:
-    """(sum of weights[p] * x_p)^j * x^base as integer terms, expanded by
-    the multinomial theorem; p runs over monomial slots, t included."""
-    total = factorial(j)
-    terms: dict[Monomial, int] = {}
-    for chosen in combinations_with_replacement(sorted(weights), j):
-        mono = list(base)
-        coeff = total
-        for p in set(chosen):
-            e = chosen.count(p)
-            mono[p] += e
-            coeff = coeff // factorial(e) * weights[p] ** e
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + coeff
-    return terms
+def _power_terms(weights: Mapping[int, int], j: int, base: Monomial) -> dict[Monomial, int]:
+    """(sum of weights[p] * x_p)^j * x^base as integer terms, j factors of
+    ``_linear_product``; p runs over monomial slots, t included."""
+    return _linear_product([weights] * j, base)
 
 
 def _cancel(
@@ -894,7 +889,8 @@ def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomi
 
 
 def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
-    """Sum c * terms over (c, terms), zero terms dropped, ints where exact."""
+    """Sum c * terms over (c, terms) of int or Fraction terms, zero terms
+    dropped, ints where exact."""
     total: dict[Monomial, Fraction] = {}
     for c, terms in parts:
         for m, a in terms.items():

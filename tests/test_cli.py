@@ -12,6 +12,7 @@ from tworow.cli import (
     STRAIGHTEN_DEGREE_LIMIT,
     main,
 )
+from tworow.polynomials import MPoly
 
 
 def run(capsys, *argv):
@@ -176,6 +177,22 @@ def test_verify_refuses_a_straighten_core_past_the_limit_at_once(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "11", "--checks", "fixed-points")
     assert code == 0
     assert "fixed-points[n=11,k=5]" in out
+
+
+def test_verify_refuses_a_basis_determinant_core_past_the_limit_at_once(capsys, monkeypatch):
+    # basis-determinant would run Bareiss on the 462 x 462 core at (11,5)
+    calls = []
+    monkeypatch.setattr(springer, "integer_det_bareiss", lambda m: calls.append(m) or 1)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--n-max", "11", "--checks", "basis-determinant")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: C(11,5) exceeds the basis core limit of {STRAIGHTEN_CORE_LIMIT} "
+        "for the basis-determinant check; leave it out of --checks\n"
+    )
+    assert calls == []
 
 
 def test_straighten_paper_method_needs_no_core(capsys):
@@ -387,6 +404,29 @@ def test_verify_builds_no_exact_inverse(capsys, monkeypatch, fresh_basis_caches)
 
         monkeypatch.setattr(springer, name, counted)
     code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    assert code == 0
+    assert calls == []
+
+
+def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
+    # I's generators, the square-rule check and the rewrite rules expand
+    # products of linear forms as integer terms; with every context cache
+    # emptied, no check adds, subtracts, multiplies or powers an MPoly
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__"):
+        def counted(*args, name=name, original=getattr(MPoly, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(MPoly, name, counted)
+    caches = [f for f in vars(springer).values() if hasattr(f, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     assert code == 0
     assert calls == []
 

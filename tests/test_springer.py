@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -241,6 +241,35 @@ def test_specialized_generators_drop_t():
     assert gens[0] == parse_poly("x1 + x2 + x3", names)
     assert gens[1] == parse_poly("x1^2", names)
     assert gens[2] == parse_poly("x2^2 - x1^2", names)
+
+
+def _reference_equivariant_generators(ctx):
+    """I's generators written from the paper's formulas with MPoly
+    arithmetic, independently of the library's integer expansion."""
+    n, k, t = ctx.n, ctx.k, ctx.t()
+    linear = MPoly.zero(ctx.nvars)
+    for i in range(1, n + 1):
+        linear = linear + ctx.x(i)
+    gens = [linear - t * Fraction(n * (n + 1), 2)]
+    for i in range(1, n + 1):
+        xi = ctx.x(i)
+        xprev = ctx.x(i - 1) if i > 1 else MPoly.zero(ctx.nvars)
+        gens.append((xi + xprev - (n - k + i) * t) * (xi - xprev - t))
+    for subset in combinations(range(1, n + 1), k + 1):
+        product = MPoly.one(ctx.nvars)
+        for j, idx in enumerate(subset):
+            product = product * (ctx.x(idx) - (idx - j) * t)
+        gens.append(product)
+    return gens
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_equivariant_generators_match_mpoly_reference(n):
+    # the integer expansion of every product of linear forms, term for
+    # term against MPoly products of the same forms
+    for k in range(n // 2 + 1):
+        ctx = SpringerContext(n, k)
+        assert list(equivariant_ideal(ctx).generators) == _reference_equivariant_generators(ctx)
 
 
 # -- localization -------------------------------------------------------------
@@ -695,6 +724,24 @@ def test_power_terms_match_mpoly_powers(weights, j, base):
     linear = MPoly(5, {tuple(int(q == p) for q in range(5)): w for p, w in weights.items()})
     expected = linear**j * MPoly.from_monomial(base)
     assert MPoly(5, springer._power_terms(weights, j, base)) == expected
+
+
+_forms = st.lists(
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=5), max_size=4
+)  # slot 4 is t; forms share slots and may hold zero coefficients
+
+
+@given(forms=_forms, base=st.lists(st.integers(0, 3), min_size=5, max_size=5).map(tuple))
+@settings(max_examples=100, deadline=None)
+def test_linear_product_matches_mpoly_products(forms, base):
+    # the one expansion of products of linear forms, against MPoly products
+    expected = MPoly.from_monomial(base)
+    for form in forms:
+        slots = {tuple(int(q == p) for q in range(5)): c for p, c in form.items()}
+        expected = expected * MPoly(5, slots)
+    terms = springer._linear_product(forms, base)
+    assert all(terms.values())  # zero terms are dropped
+    assert MPoly(5, terms) == expected
 
 
 def test_rewrite_cancellation_coefficient_is_factorial():

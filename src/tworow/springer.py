@@ -8,9 +8,9 @@ generator x_i to w(i) * t and the equivariant parameter t to itself.
 
 Three presentation ideals are constructed:
 
-* ``equivariant_ideal``: the linear sum relation, one quadratic relation
-  per consecutive variable pair, and one (k+1)-fold product relation per
-  (k+1)-subset of indices; all live in Q[x1..xn, t].
+* ``equivariant_ideal``: in Q[x1..xn, t], the linear sum relation, n
+  quadratic and C(n, k+1) product relations, each a product of linear
+  forms (``_generator_forms``); the checks read only those factors.
 * ``ordinary_ideal``: the t = 0 shadow, generated by the variable sum,
   all squares, and all squarefree (k+1)-fold products in Q[x1..xn].
 * ``tanisaki_ideal``: the classical elementary-symmetric presentation of
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
@@ -186,45 +186,48 @@ def _linear_product(forms: Iterable[Mapping[int, int]], base: Monomial) -> dict[
     return terms
 
 
-def _linear_relation(ctx: SpringerContext) -> dict[Monomial, int]:
-    """x_1 + ... + x_n - n(n+1)/2 t as integer terms."""
-    n = ctx.n
-    form = {**dict.fromkeys(range(n), 1), n: -(n * (n + 1) // 2)}
-    return _linear_product([form], (0,) * ctx.nvars)
-
-
-def _pair_relation(ctx: SpringerContext, i: int) -> dict[Monomial, int]:
-    """The quadratic relation tying x_i to x_{i-1},
-    (x_i + x_{i-1} - (n-k+i) t)(x_i - x_{i-1} - t) with x_0 = 0, as
-    integer terms."""
+def _pair_forms(ctx: SpringerContext, i: int) -> list[dict[int, int]]:
+    """The two factors of the quadratic relation tying x_i to x_{i-1},
+    x_i + x_{i-1} - (n-k+i) t and x_i - x_{i-1} - t, with x_0 = 0."""
     x, t = i - 1, ctx.n
     plus, minus = {x: 1, t: -(ctx.n - ctx.k + i)}, {x: 1, t: -1}
     if i > 1:
         plus[x - 1], minus[x - 1] = 1, -1
-    return _linear_product([plus, minus], (0,) * ctx.nvars)
+    return [plus, minus]
 
 
-def _product_terms(ctx: SpringerContext, indices: tuple[int, ...]) -> dict[Monomial, int]:
-    """The product of (x_{i_j} - (i_j - j) t) over the chosen indices,
-    j counting from zero, as integer terms."""
-    forms = [{idx - 1: 1, ctx.n: j - idx} for j, idx in enumerate(indices)]
-    return _linear_product(forms, (0,) * ctx.nvars)
+def _product_forms(ctx: SpringerContext, indices: tuple[int, ...]) -> list[dict[int, int]]:
+    """The factors x_{i_j} - (i_j - j) t of the product relation on the
+    chosen indices, j counting from zero."""
+    return [{idx - 1: 1, ctx.n: j - idx} for j, idx in enumerate(indices)]
+
+
+def _generator_forms(ctx: SpringerContext) -> list[tuple[str, list[dict[int, int]]]]:
+    """I's generators as the paper writes them, each a product of linear
+    forms {slot: integer coefficient} over x1..xn and t: (label, forms)
+    for the linear relation, the n quadratic relations and the C(n, k+1)
+    product relations, in that order.  The one source of I: every
+    certificate reads these factors, and only ``equivariant_ideal``
+    expands them.  Rebuilt per call, so no caller shares its dicts."""
+    n = ctx.n
+    pairs = [("linear", [{**dict.fromkeys(range(n), 1), n: -(n * (n + 1) // 2)}])]
+    pairs.extend((f"quadratic i={i}", _pair_forms(ctx, i)) for i in range(1, n + 1))
+    pairs.extend(
+        ("product i=" + ",".join(map(str, subset)), _product_forms(ctx, subset))
+        for subset in combinations(range(1, n + 1), ctx.k + 1)
+    )
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
-    """The equivariant presentation ideal I in Q[x1..xn, t]: the linear, n
-    quadratic and C(n, k+1) product relations, by ``_linear_product``."""
-    gens = [_linear_relation(ctx)]
-    labels = ["linear"]
-    for i in range(1, ctx.n + 1):
-        gens.append(_pair_relation(ctx, i))
-        labels.append(f"quadratic i={i}")
-    for subset in combinations(range(1, ctx.n + 1), ctx.k + 1):
-        gens.append(_product_terms(ctx, subset))
-        labels.append("product i=" + ",".join(map(str, subset)))
-    generators = tuple(MPoly(ctx.nvars, terms) for terms in gens)
-    return IdealPresentation(name="I", generators=generators, labels=tuple(labels))
+    """The equivariant presentation ideal I in Q[x1..xn, t]: the products
+    of ``_generator_forms``, expanded by ``_linear_product``.  Only the
+    ``generators`` listing and the tests read it; no check expands I."""
+    labels, factors = zip(*_generator_forms(ctx))
+    base = (0,) * ctx.nvars
+    generators = tuple(MPoly(ctx.nvars, _linear_product(forms, base)) for forms in factors)
+    return IdealPresentation(name="I", generators=generators, labels=labels)
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +342,7 @@ def _monomial_values(
 
 
 def _component_values(
-    columns: tuple[tuple[int, ...], ...], component: MPoly, rows: Optional[dict] = None
+    columns: tuple[tuple[int, ...], ...], component: MPoly
 ) -> tuple[list[int], int]:
     """The values of a homogeneous component at every fixed point.
 
@@ -348,43 +351,40 @@ def _component_values(
     a common denominator D > 0 with v_w = s_w / D: an integer combination
     of the values of its monomials, read from the context's
     ``_value_columns``.  ``localize`` computes the same values one point
-    at a time.  ``rows``, when given, maps x-parts to their
-    ``_monomial_values`` and is filled as it goes, so a caller can share
-    it across components."""
+    at a time."""
     n = len(columns)
-    rows = {} if rows is None else rows
     scale = lcm(1, *(c.denominator for c in component.terms.values()))
     sums = [0] * len(columns[0])
     for mono, c in component.terms.items():
         factor = c.numerator * (scale // c.denominator)
-        row = rows.get(mono[:n])
-        if row is None:
-            row = rows[mono[:n]] = _monomial_values(columns, mono[:n])
-        sums = [s + factor * v for s, v in zip(sums, row)]
+        sums = [s + factor * v for s, v in zip(sums, _monomial_values(columns, mono[:n]))]
     return sums, scale
 
 
 @lru_cache(maxsize=None)
 def verify_relations(ctx: SpringerContext) -> RelationCheck:
     """Every generator of the equivariant ideal must localize to zero at
-    every fixed point; failures are reported, never raised.  A generator
-    localizes to zero at w exactly when each of its homogeneous
-    components does, so each component is checked on its own.  Computed
-    once per context and shared by the ``relations`` and ``kernel-ideal``
-    checks."""
-    ideal = equivariant_ideal(ctx)
+    every fixed point; failures are reported, never raised.  Localization
+    is a ring map, and each generator a product of linear forms
+    (``_generator_forms``), so homogeneous: it localizes to zero at w
+    exactly when the product of its factors' values at x = w, t = 1 is 0.
+    That is k + 1 integer products per point for a product relation; I is
+    never expanded.  Computed once per context and shared by the
+    ``relations`` and ``kernel-ideal`` checks."""
     points = fixed_points(ctx)
-    columns = _value_columns(ctx)
-    rows: dict = {}  # x-part -> its values; generators share many x-parts
+    columns = _value_columns(ctx) + ((1,) * len(points),)  # t = 1
+    pairs = _generator_forms(ctx)
     failures = []
-    for label, g in zip(ideal.labels, ideal.generators):
-        nonzero = [False] * len(points)
-        for component in g.homogeneous_components().values():
-            sums, _ = _component_values(columns, component, rows)
-            nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
-        failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
+    for label, forms in pairs:
+        values = [1] * len(points)
+        for form in forms:
+            factor = repeat(0)  # the form's value at each point, slot by slot
+            for slot, a in form.items():
+                factor = map(add, factor, map(mul, repeat(a), columns[slot]))
+            values = list(map(mul, values, factor))
+        failures.extend((label, w.ell) for w, value in zip(points, values) if value)
     return RelationCheck(
-        generators_checked=len(ideal.generators),
+        generators_checked=len(pairs),
         fixed_points_checked=len(points),
         failures=tuple(failures),
     )
@@ -429,7 +429,8 @@ def verify_square_reduction(ctx: SpringerContext) -> bool:
     for i in range(1, ctx.n + 1):
         square = tuple(2 * (p == i - 1) for p in range(ctx.nvars))
         current = _sum_terms((1, {square: 1}), (-1, dict(_square_terms(ctx, i))))
-        if _pair_relation(ctx, i) != _sum_terms((1, current), (-1, previous)):
+        relation = _linear_product(_pair_forms(ctx, i), (0,) * ctx.nvars)
+        if relation != _sum_terms((1, current), (-1, previous)):
             return False
         previous = current
     return True
@@ -718,10 +719,7 @@ def _rewrite_expansion(
         remainder = [0] * ctx.nvars
         for i in support[k + 1 :]:
             remainder[i - 1] = 1
-        relation = {
-            monomial_mul(m, remainder): c
-            for m, c in _product_terms(ctx, support[: k + 1]).items()
-        }
+        relation = _linear_product(_product_forms(ctx, support[: k + 1]), tuple(remainder))
         return _cancel(relation, target, ctx)
     # squarefree with a non-standard filling: cancel the monomial through
     # the j-th power of the linear relation, j the first bad column.  The
@@ -903,14 +901,16 @@ def _specializes_to_j(ctx: SpringerContext) -> bool:
     t = 0 images of I's generators are, in order, J's e1 and x1^2, then
     x_i^2 - x_{i-1}^2 for i = 2..n, then J's products; the squares
     telescope.  A list of another shape fails even if its ideal is J.
-    Each image is compared as it is made; no copy of I's terms is kept."""
+    Each image is the product of ``_generator_forms``' factors with the
+    t slot dropped, expanded as it is compared; I is never expanded."""
     n = ctx.n
     j = [g.terms for g in ordinary_ideal(ctx).generators]
     telescoped = (_sum_terms((1, j[i]), (-1, j[i - 1])) for i in range(2, n + 1))
-    i_gens = equivariant_ideal(ctx).generators
-    return len(i_gens) == len(j) and all(
-        {m[:n]: c for m, c in g.terms.items() if not m[n]} == image
-        for g, image in zip(i_gens, chain(j[:2], telescoped, j[n + 1 :]))
+    pairs = _generator_forms(ctx)
+    return len(pairs) == len(j) and all(
+        _linear_product([{p: a for p, a in form.items() if p < n} for form in forms], (0,) * n)
+        == image
+        for (_, forms), image in zip(pairs, chain(j[:2], telescoped, j[n + 1 :]))
     )
 
 

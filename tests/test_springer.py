@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd, prod
 
@@ -368,30 +369,76 @@ def test_monomial_values_match_localize(n, k, data):
         )
 
 
-def test_relations_fail_closed_on_inhomogeneous_generator(
-    monkeypatch, fresh_certificate_caches
+def _expand(ctx, forms):
+    """The product of linear forms {slot: coefficient} over x1..xn, t, by
+    MPoly arithmetic."""
+    product = MPoly.one(ctx.nvars)
+    for form in forms:
+        units = {tuple(int(q == p) for q in range(ctx.nvars)): c for p, c in form.items()}
+        product = product * MPoly(ctx.nvars, units)
+    return product
+
+
+def _reference_relation_failures(ctx, pairs):
+    """The expanded check the factor evaluation replaced, kept as its
+    reference: each generator of the (label, forms) list multiplied out,
+    split into homogeneous components, and each component's values read
+    at every fixed point; a point fails when some component is nonzero."""
+    columns = springer._value_columns(ctx)
+    failures = []
+    for label, forms in pairs:
+        nonzero = [False] * len(fixed_points(ctx))
+        for component in _expand(ctx, forms).homogeneous_components().values():
+            sums, _ = springer._component_values(columns, component)
+            nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
+        failures.extend((label, w.ell) for w, bad in zip(fixed_points(ctx), nonzero) if bad)
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_relations_match_the_expanded_reference(n):
+    for k in range(n // 2 + 1):
+        ctx = SpringerContext(n, k)
+        expected = _reference_relation_failures(ctx, springer._generator_forms(ctx))
+        assert verify_relations(ctx).failures == expected == (), (n, k)
+
+
+def _patch_forms(monkeypatch, ctx, label, change):
+    """Make springer._generator_forms return, at ctx only, its list with
+    the forms of this label replaced by change(forms)."""
+    original = springer._generator_forms
+
+    def patched(c):
+        pairs = original(c)
+        if c == ctx:
+            i = [name for name, _ in pairs].index(label)
+            pairs[i] = (label, change(pairs[i][1]))
+        return pairs
+
+    monkeypatch.setattr(springer, "_generator_forms", patched)
+
+
+def _shift_quadratic_4_t(monkeypatch, ctx):
+    # x4 - x3 - t becomes x4 - x3 - 2t: the image at t = 0 is unchanged
+    def shifted(forms):
+        plus, minus = forms
+        return [plus, {**minus, ctx.n: minus[ctx.n] - 1}]
+
+    _patch_forms(monkeypatch, ctx, "quadratic i=4", shifted)
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 4)])
+def test_relations_fail_closed_on_a_wrong_t_coefficient(
+    n, k, monkeypatch, fresh_certificate_caches
 ):
-    # x1 - t^2 localizes to w(1) t - t^2, which is nonzero at every fixed
-    # point; at t = 1 it vanishes where w(1) = 1, so each homogeneous
-    # component must be checked on its own
-    ctx = SpringerContext(4, 2)
-    original = springer.equivariant_ideal
-    extra = poly("x1 - t^2", 4)
-
-    def widened(context):
-        ideal = original(context)
-        return dataclasses.replace(
-            ideal,
-            generators=ideal.generators + (extra,),
-            labels=ideal.labels + ("inhomogeneous",),
-        )
-
-    monkeypatch.setattr(springer, "equivariant_ideal", widened)
-    points = fixed_points(ctx)
-    assert any(w.w[0] == 1 for w in points)
-    report = verify_relations(ctx)
-    assert not report.ok
-    assert report.failures == tuple(("inhomogeneous", w.ell) for w in points)
+    # quadratic i=4 with a t coefficient off by one no longer vanishes
+    # where w(4) - w(3) = 1 and its other factor is nonzero; the factor
+    # evaluation names the same points as the expanded reference
+    ctx = SpringerContext(n, k)
+    _shift_quadratic_4_t(monkeypatch, ctx)
+    expected = _reference_relation_failures(ctx, springer._generator_forms(ctx))
+    assert expected and {label for label, _ in expected} == {"quadratic i=4"}
+    assert verify_relations(ctx).failures == expected
     assert not kernel_ideal_comparisons(ctx).generators_vanish
 
 
@@ -719,8 +766,8 @@ _weights = st.tuples(
 )
 @settings(max_examples=80, deadline=None)
 def test_power_terms_match_mpoly_powers(weights, j, base):
-    # the multinomial expansion the rewrite route uses for the powers of
-    # the linear relation, against repeated MPoly multiplication
+    # the j factors of _linear_product the rewrite route multiplies out for
+    # the powers of the linear relation, against repeated MPoly products
     linear = MPoly(5, {tuple(int(q == p) for q in range(5)): w for p, w in weights.items()})
     expected = linear**j * MPoly.from_monomial(base)
     assert MPoly(5, springer._power_terms(weights, j, base)) == expected
@@ -930,11 +977,11 @@ def _t_squared_plus_one(original):
     return patched
 
 
-def _top_t_power_plus_one(original):
+def _last_t_coefficient_plus_one(original):
     def patched(ctx, indices):
-        terms = dict(original(ctx, indices))
-        terms[max(terms, key=lambda m: m[-1])] += 1
-        return terms
+        forms = original(ctx, indices)  # built afresh per call
+        forms[-1][ctx.n] += 1
+        return forms
 
     return patched
 
@@ -950,7 +997,7 @@ def _odd_t_powers_negated(original):
     "rule, patch, failures",
     [
         ("_square_terms", _t_squared_plus_one, {(3, 1): 19, (4, 2): 32, (5, 2): 34}),
-        ("_product_terms", _top_t_power_plus_one, {(3, 1): 30, (4, 1): 29, (5, 2): 24}),
+        ("_product_forms", _last_t_coefficient_plus_one, {(3, 1): 30, (4, 1): 29, (5, 2): 24}),
         ("_power_terms", _odd_t_powers_negated, {(3, 1): 36, (4, 2): 39, (5, 2): 39}),
     ],
     ids=["square-rule", "product-rule", "power-sign"],
@@ -1208,8 +1255,8 @@ def fresh_certificate_caches():
 
 def _drop(builders, dropped):
     """A patch making each springer.<builder> return, at the patched
-    context only, its list without the generators whose labels satisfy
-    dropped(label)."""
+    context only, its list without the generators (for _generator_forms,
+    the forms) whose labels satisfy dropped(label)."""
 
     def patch(monkeypatch, ctx):
         for builder in builders:
@@ -1219,6 +1266,10 @@ def _drop(builders, dropped):
                 ideal = original(c)
                 if c != ctx:
                     return ideal
+                if isinstance(ideal, list):  # _generator_forms: (label, forms) pairs
+                    kept = [pair for pair in ideal if not dropped(pair[0])]
+                    assert len(kept) < len(ideal)
+                    return kept
                 kept = [i for i, label in enumerate(ideal.labels) if not dropped(label)]
                 assert len(kept) < len(ideal.labels)
                 return dataclasses.replace(
@@ -1230,13 +1281,6 @@ def _drop(builders, dropped):
             monkeypatch.setattr(springer, builder, weakened)
 
     return patch
-
-
-def _add_t_squared_to_quadratic_4(monkeypatch, ctx):
-    t_squared = MPoly.from_monomial((0,) * ctx.n + (2,))
-    _patch_generator(
-        monkeypatch, "equivariant_ideal", ctx, "quadratic i=4", lambda g: g + t_squared
-    )
 
 
 def _repeat_second_fixed_point(monkeypatch, ctx):
@@ -1265,21 +1309,22 @@ STEPS = {
         # without a linear or quadratic relation, I's generators at t = 0
         # are no longer J's.  (Dropping "product i=1,2,3" from I at (4,2)
         # would leave the same ideal and prove nothing.)
-        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "quadratic i=4"),
+        (4, 2, _drop(["_generator_forms"], lambda label: label == "quadratic i=4"),
          "specializes_to_j"),
-        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "quadratic i=1"),
+        (4, 2, _drop(["_generator_forms"], lambda label: label == "quadratic i=1"),
          "specializes_to_j"),
-        (4, 2, _drop(["equivariant_ideal"], lambda label: label == "linear"),
+        (4, 2, _drop(["_generator_forms"], lambda label: label == "linear"),
          "specializes_to_j"),
-        # + t^2 keeps the image at t = 0, so only step 1 sees it
-        (4, 2, _add_t_squared_to_quadratic_4, "generators_vanish"),
+        # a shifted t coefficient keeps the image at t = 0, so only step 1
+        # sees it
+        (4, 2, _shift_quadratic_4_t, "generators_vanish"),
         # modulo e1 and the squares x1 x2 = -(x1 x3 + x1 x4), so J keeps its
         # ideal without this product: only step 2's list certificate fails
         (4, 1, _drop(["ordinary_ideal"], lambda label: label == "product i=1,2"),
          "specializes_to_j"),
         # with every product dropped from both lists step 2 holds, but
         # J = (e1, squares) has 6 standard monomials against 4 tableaux
-        (4, 1, _drop(["equivariant_ideal", "ordinary_ideal"],
+        (4, 1, _drop(["_generator_forms", "ordinary_ideal"],
                      lambda label: label.startswith("product")),
          "tableau_standard"),
         # I vanishes at every listed point, but only five are distinct
@@ -1302,6 +1347,24 @@ def test_certificate_fails_closed(
     assert fail_lines[0].startswith(f"FAIL kernel-ideal[n={n},k={k}]: {STEPS[failed]}")
 
 
+def test_verify_never_expands_i(monkeypatch, capsys, fresh_certificate_caches):
+    # every certificate reads I's factors; only the generators listing
+    # multiplies them out, which also shows that the spy is in place
+    calls = []
+    original = springer.equivariant_ideal
+
+    def spied(ctx):
+        calls.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(springer, "equivariant_ideal", spied)
+    assert main(["verify", "--n-max", "5", "--k", "all"]) == 0
+    assert calls == []
+    assert main(["generators", "--ideal", "I", "--n", "4", "--k", "2"]) == 0
+    assert calls == [SpringerContext(4, 2)]
+    capsys.readouterr()
+
+
 # -- ordinary cohomology ------------------------------------------------------
 
 
@@ -1319,7 +1382,7 @@ def test_ordinary_ideals_are_cached_per_context():
         assert build(SpringerContext(5, 2)) is build(SpringerContext(5, 2))
 
 
-def _patch_generator(monkeypatch, builder, ctx, label, change):
+def _patch_generator(monkeypatch, ctx, builder, label, change):
     """Make springer.<builder> return, at ctx only, its list with the
     generator of this label replaced by change(generator)."""
     original = getattr(springer, builder)
@@ -1336,31 +1399,45 @@ def _patch_generator(monkeypatch, builder, ctx, label, change):
     monkeypatch.setattr(springer, builder, patched)
 
 
+def _plus_x3_x4(g):
+    return g + MPoly.from_monomial(tuple(int(p in (2, 3)) for p in range(g.nvars)))
+
+
+def _x3_into_quadratic_4(monkeypatch, ctx):
+    # x4 + x3 - 6t becomes x4 + 2 x3 - 6t: at t = 0 the generator gains
+    # x3 x4 - x3^2
+    def widened(forms):
+        plus, minus = forms
+        return [{**plus, 2: plus[2] + 1}, minus]
+
+    _patch_forms(monkeypatch, ctx, "quadratic i=4", widened)
+
+
 @pytest.mark.parametrize(
-    "builder, label, failed",
+    "patch, failed",
     [
-        ("equivariant_ideal", "quadratic i=4", {"specialization_equal"}),
-        ("ordinary_ideal", "square i=4", {"specialization_equal", "tanisaki_equal"}),
-        ("tanisaki_ideal", "e2 i=1,2,3", {"tanisaki_equal"}),
-        ("tanisaki_ideal", "e2 i=2,3,4", {"tanisaki_equal"}),
+        (_x3_into_quadratic_4, {"specialization_equal"}),
+        (partial(_patch_generator, builder="ordinary_ideal", label="square i=4",
+                 change=_plus_x3_x4), {"specialization_equal", "tanisaki_equal"}),
+        (partial(_patch_generator, builder="tanisaki_ideal", label="e2 i=1,2,3",
+                 change=_plus_x3_x4), {"tanisaki_equal"}),
+        (partial(_patch_generator, builder="tanisaki_ideal", label="e2 i=2,3,4",
+                 change=_plus_x3_x4), {"tanisaki_equal"}),
     ],
     ids=["I", "J", "tanisaki-omit-4", "tanisaki-omit-1"],
 )
 def test_ordinary_certificates_fail_closed(
-    builder, label, failed, monkeypatch, capsys, fresh_certificate_caches
+    patch, failed, monkeypatch, capsys, fresh_certificate_caches
 ):
-    # one generator of one list gains the term x3 x4 at (4,2); the Groebner
+    # one generator of one list changes at (4,2): J's or Tanisaki's gains
+    # the term x3 x4, I's a factor's x3 coefficient; the Groebner
     # comparison first confirms which equalities of ideals this breaks
     ctx = SpringerContext(4, 2)
-
-    def plus_x3_x4(g):
-        return g + MPoly.from_monomial(tuple(int(p in (2, 3)) for p in range(g.nvars)))
-
-    _patch_generator(monkeypatch, builder, ctx, label, plus_x3_x4)
+    patch(monkeypatch, ctx)
     j_gens = list(springer.ordinary_ideal(ctx).generators)
     others = {
         "specialization_equal": [
-            _at_t_zero(g) for g in springer.equivariant_ideal(ctx).generators
+            _at_t_zero(_expand(ctx, forms)) for _, forms in springer._generator_forms(ctx)
         ],
         "tanisaki_equal": list(springer.tanisaki_ideal(ctx).generators),
     }
@@ -1383,7 +1460,7 @@ def test_ordinary_n2_needs_e2_in_tanisaki(monkeypatch, fresh_certificate_caches)
     ctx = SpringerContext(2, 1)
     x1_cubed = MPoly.from_monomial((3, 0))
     for builder, label in (("ordinary_ideal", "product i=1,2"), ("tanisaki_ideal", "e2 i=1,2")):
-        _patch_generator(monkeypatch, builder, ctx, label, lambda g: x1_cubed)
+        _patch_generator(monkeypatch, ctx, builder, label, lambda g: x1_cubed)
     j_gens = list(springer.ordinary_ideal(ctx).generators)
     tanisaki = list(springer.tanisaki_ideal(ctx).generators)
     assert j_gens[-1] == tanisaki[-1] == x1_cubed

@@ -384,14 +384,14 @@ def _reference_relation_failures(ctx, pairs):
     reference: each generator of the (label, forms) list multiplied out,
     split into homogeneous components, and each component's values read
     at every fixed point; a point fails when some component is nonzero."""
-    columns = springer._value_columns(ctx)
+    points, columns = fixed_points(ctx), springer._value_columns(ctx)
     failures = []
     for label, forms in pairs:
-        nonzero = [False] * len(fixed_points(ctx))
+        nonzero = [False] * len(points)
         for component in _expand(ctx, forms).homogeneous_components().values():
             sums, _ = springer._component_values(columns, component)
             nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
-        failures.extend((label, w.ell) for w, bad in zip(fixed_points(ctx), nonzero) if bad)
+        failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
     return tuple(failures)
 
 

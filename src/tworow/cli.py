@@ -109,7 +109,7 @@ def _cmd_generators(args) -> int:
         ideal = springer.ideal_by_name(ctx, args.ideal)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    names = variable_names(ctx.n, include_t=(ideal.nvars == ctx.n + 1))
+    names = variable_names(ctx.n, include_t=(ideal.name == "I"))
     rendered = [format_poly(g, names) for g in ideal.generators]
     payload = {
         "command": args.command_echo,
@@ -301,6 +301,8 @@ def _check_kernel_ideal(ctx):
         detail = "step 1 (vanishing): a generator of I does not vanish at every fixed point"
     elif not report.specializes_to_j:
         detail = "step 2 (I + (t) = J + (t)): I's generators at t = 0 do not telescope to J's"
+    elif report.quotient_dimension is None:
+        detail = "step 3 (standard monomials): J's list is not e1, the squares and the products"
     elif not report.tableau_standard:
         detail = (
             f"step 3 (standard monomials): J's (quotient dim {report.quotient_dimension}) "

@@ -11,8 +11,9 @@ Three presentation ideals are constructed:
 * ``equivariant_ideal``: in Q[x1..xn, t], the linear sum relation, n
   quadratic and C(n, k+1) product relations, each a product of linear
   forms (``_generator_forms``); the checks read only those factors.
-* ``ordinary_ideal``: the t = 0 shadow, generated by the variable sum,
-  all squares, and all squarefree (k+1)-fold products in Q[x1..xn].
+* ``ordinary_ideal``: the t = 0 shadow J in Q[x1..xn], generated by J0 =
+  (e1, x_1^2, ..., x_n^2) and all squarefree (k+1)-fold products; the
+  checks run Buchberger only on J0, once per n (``_j0``).
 * ``tanisaki_ideal``: the classical elementary-symmetric presentation of
   the same ordinary cohomology ring.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, Optional
 
@@ -106,21 +107,15 @@ def build_fixed_point(ctx: SpringerContext, ell: Iterable[int]) -> FixedPoint:
     w = [0] * ctx.n
     for j, pos in enumerate(ell, start=1):
         w[pos - 1] = ctx.n - ctx.k + j
-    small = 1
-    for i in range(ctx.n):
-        if w[i] == 0:
-            w[i] = small
-            small += 1
-    return FixedPoint(ell=ell, w=tuple(w))
+    small = iter(range(1, ctx.n - ctx.k + 1))
+    return FixedPoint(ell=ell, w=tuple(v or next(small) for v in w))
 
 
 @lru_cache(maxsize=None)
 def fixed_points(ctx: SpringerContext) -> tuple[FixedPoint, ...]:
     """All C(n, k) fixed points, ordered lexicographically by ell."""
-    return tuple(
-        build_fixed_point(ctx, ell)
-        for ell in combinations(range(1, ctx.n + 1), ctx.k)
-    )
+    subsets = combinations(range(1, ctx.n + 1), ctx.k)
+    return tuple(build_fixed_point(ctx, ell) for ell in subsets)
 
 
 def fixed_points_bruteforce(ctx: SpringerContext) -> list[tuple[int, ...]]:
@@ -162,10 +157,6 @@ class IdealPresentation:
     name: str  # "I", "J", or "tanisaki"
     generators: tuple[MPoly, ...]
     labels: tuple[str, ...]
-
-    @property
-    def nvars(self) -> int:
-        return self.generators[0].nvars
 
 
 def _linear_product(forms: Iterable[Mapping[int, int]], base: Monomial) -> dict[Monomial, int]:
@@ -270,11 +261,26 @@ def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
 
 
 @lru_cache(maxsize=None)
-def ideal_basis(ctx: SpringerContext, name: str) -> groebner.GroebnerBasis:
-    """The reduced grevlex Groebner basis of the named presentation ideal,
-    computed once per context.  The order decides which monomials are
-    standard: for J under grevlex, the tableau monomials x_T."""
-    return groebner.buchberger(ideal_by_name(ctx, name).generators)
+def _j0(n: int) -> tuple[tuple[MPoly, ...], groebner.GroebnerBasis, tuple[Monomial, ...]]:
+    """J0 = (e1, x_1^2, ..., x_n^2), J without its products, built here and
+    not read from ``ordinary_ideal``: its generators, reduced Groebner
+    basis and standard monomials, computed once per n for every k."""
+    squares = (MPoly.from_monomial(tuple(2 * (p == i) for p in range(n))) for i in range(n))
+    generators = (elementary_symmetric(n, 1, range(n)), *squares)
+    basis = groebner.buchberger(generators)
+    return generators, basis, tuple(groebner.quotient_dimension(basis)[1])
+
+
+def _j_standard_monomials(ctx: SpringerContext) -> Optional[list[Monomial]]:
+    """J0's standard monomials of degree at most k, which are J's when J's
+    list is J0's followed by every squarefree (k+1)-product (step 3 of
+    ``kernel_ideal_comparisons``); None for a list of another shape."""
+    n, (generators, _, standard) = ctx.n, _j0(ctx.n)
+    subsets = combinations(range(n), ctx.k + 1)
+    products = [MPoly.from_monomial(tuple(int(p in s) for p in range(n))) for s in subsets]
+    if list(ordinary_ideal(ctx).generators) != [*generators, *products]:
+        return None
+    return [m for m in standard if sum(m) <= ctx.k]
 
 
 # -- localization ------------------------------------------------------------
@@ -283,24 +289,12 @@ def ideal_basis(ctx: SpringerContext, name: str) -> groebner.GroebnerBasis:
 def localize(f: MPoly, w: FixedPoint) -> TPoly:
     """Restrict a class to a fixed point: x_i maps to w(i) * t, t to t.
     Homogeneous degree-d input lands on a multiple of t^d."""
-    n = len(w.w)
-    if f.nvars != n + 1:
-        raise ValueError(f"expected a polynomial in {n + 1} variables, got {f.nvars}")
-    coeffs: dict[int, Fraction] = {}
+    if f.nvars != len(w.w) + 1:
+        raise ValueError(f"expected a polynomial in {len(w.w) + 1} variables, got {f.nvars}")
+    coeffs = [Fraction(0)] * (f.total_degree() + 1)
     for mono, c in f.terms.items():
-        weight = 1
-        for i in range(n):
-            e = mono[i]
-            if e:
-                weight *= w.w[i] ** e
-        d = sum(mono)
-        coeffs[d] = coeffs.get(d, Fraction(0)) + c * weight
-    if not coeffs:
-        return TPoly.zero()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return TPoly(out)
+        coeffs[sum(mono)] += c * prod(map(pow, w.w, mono))  # w.w stops before t
+    return TPoly(coeffs)
 
 
 def localize_all(f: MPoly, ctx: SpringerContext) -> dict[FixedPoint, TPoly]:
@@ -367,22 +361,29 @@ def verify_relations(ctx: SpringerContext) -> RelationCheck:
     every fixed point; failures are reported, never raised.  Localization
     is a ring map, and each generator a product of linear forms
     (``_generator_forms``), so homogeneous: it localizes to zero at w
-    exactly when the product of its factors' values at x = w, t = 1 is 0.
-    That is k + 1 integer products per point for a product relation; I is
-    never expanded.  Computed once per context and shared by the
-    ``relations`` and ``kernel-ideal`` checks."""
+    exactly when a factor vanishes at x = w, t = 1.  Each distinct form,
+    keyed by every coefficient, t's too, is evaluated once into the bit set
+    of points where it vanishes; a generator fails outside the union of its
+    factors' sets.  Nothing is multiplied.  Computed once per context and
+    shared by the ``relations`` and ``kernel-ideal`` checks."""
     points = fixed_points(ctx)
     columns = _value_columns(ctx) + ((1,) * len(points),)  # t = 1
     pairs = _generator_forms(ctx)
+    vanishing: dict[frozenset, int] = {}
+    everywhere = (1 << len(points)) - 1
     failures = []
     for label, forms in pairs:
-        values = [1] * len(points)
+        zeros = 0
         for form in forms:
-            factor = repeat(0)  # the form's value at each point, slot by slot
-            for slot, a in form.items():
-                factor = map(add, factor, map(mul, repeat(a), columns[slot]))
-            values = list(map(mul, values, factor))
-        failures.extend((label, w.ell) for w, value in zip(points, values) if value)
+            key = frozenset(form.items())
+            if key not in vanishing:
+                values = repeat(0)  # the form's value at each point, slot by slot
+                for slot, a in form.items():
+                    values = map(add, values, map(mul, repeat(a), columns[slot]))
+                vanishing[key] = sum(1 << i for i, value in enumerate(values) if not value)
+            zeros |= vanishing[key]
+        if zeros != everywhere:
+            failures.extend((label, w.ell) for i, w in enumerate(points) if not zeros >> i & 1)
     return RelationCheck(
         generators_checked=len(pairs),
         fixed_points_checked=len(points),
@@ -855,9 +856,7 @@ def basis_combination(
     return MPoly(ctx.nvars, terms)
 
 
-def sample_monomials(
-    ctx: SpringerContext, count: int = 50, max_degree: int = 5
-) -> list[Monomial]:
+def sample_monomials(ctx: SpringerContext, count: int = 50, max_degree: int = 5) -> list[Monomial]:
     """Deterministic pseudo-random monomials in x1..xn, t of total degree
     at most max_degree, for straightening spot-checks."""
     rng = random.Random(f"{SAMPLE_SEED}:{ctx.n}:{ctx.k}")
@@ -873,14 +872,11 @@ def sample_monomials(
 
 def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomial]:
     """All squarefree monomials in x1..xn of x-degree up to the bound."""
-    out = []
-    for ell in range(min(max_x_degree, ctx.n) + 1):
-        for subset in combinations(range(ctx.n), ell):
-            mono = [0] * ctx.nvars
-            for p in subset:
-                mono[p] = 1
-            out.append(tuple(mono))
-    return out
+    return [
+        tuple(int(p in subset) for p in range(ctx.nvars))
+        for ell in range(min(max_x_degree, ctx.n) + 1)
+        for subset in combinations(range(ctx.n), ell)
+    ]
 
 
 # -- I at t = 0 is J ---------------------------------------------------------
@@ -896,13 +892,14 @@ def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial
     return {m: a for m, a in total.items() if a}
 
 
+@lru_cache(maxsize=None)
 def _specializes_to_j(ctx: SpringerContext) -> bool:
     """I + (t) = J + (t), by a certificate on the generator lists: the
     t = 0 images of I's generators are, in order, J's e1 and x1^2, then
     x_i^2 - x_{i-1}^2 for i = 2..n, then J's products; the squares
     telescope.  A list of another shape fails even if its ideal is J.
     Each image is the product of ``_generator_forms``' factors with the
-    t slot dropped, expanded as it is compared; I is never expanded."""
+    t slot dropped, expanded as it is compared (I never is); cached per context."""
     n = ctx.n
     j = [g.terms for g in ordinary_ideal(ctx).generators]
     telescoped = (_sum_terms((1, j[i]), (-1, j[i - 1])) for i in range(2, n + 1))
@@ -921,8 +918,8 @@ def _specializes_to_j(ctx: SpringerContext) -> bool:
 class KernelIdealCheck:
     """The certificate that I is the kernel of localization, one boolean
     per step of the proof in ``kernel_ideal_comparisons``, in order.
-    ``quotient_dimension`` is that of Q[x]/J, None when infinite;
-    ``graded_counts`` holds #{T : ell(T) = d} over the basis tableaux and
+    ``quotient_dimension`` is that of Q[x]/J, None for a J list of another
+    shape (step 3); ``graded_counts`` holds #{T : ell(T) = d} over the basis tableaux and
     ``expected_counts`` the closed form C(n, d) - C(n, d - 1), d = 0..k."""
 
     generators_vanish: bool
@@ -935,13 +932,8 @@ class KernelIdealCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.generators_vanish
-            and self.specializes_to_j
-            and self.tableau_standard
-            and self.points_distinct
-            and self.graded_counts == self.expected_counts
-        )
+        steps = self.generators_vanish, self.specializes_to_j, self.tableau_standard
+        return all(steps) and self.points_distinct and self.graded_counts == self.expected_counts
 
 
 def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
@@ -950,7 +942,13 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
 
     1. I's generators vanish at every fixed point (``verify_relations``).
     2. I + (t) = J + (t) (``_specializes_to_j``).
-    3. The standard monomials of J are the N tableau monomials x_T.
+    3. J's list is J0's, J0 = (e1, x_1^2, ..., x_n^2), then every
+       squarefree (k+1)-product, and J0's standard monomials of degree at
+       most k are the N tableau monomials x_T.  A monomial of degree
+       D = k + 1 is squarefree or a multiple of a square, so
+       J = J0 + m^D, m = (x_1, ..., x_n), and LT(J) = LT(J0) + m^D: the
+       homogeneous J and J0 agree below degree D, and every monomial of
+       degree D or more lies in J.  So the x_T are J's standard monomials.
     4. The fixed points are N distinct points w = (w(1), ..., w(n)).
 
     By 2 and 3 the x_T form a Q-basis of M/tM = Q[x]/J, where
@@ -972,13 +970,14 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
     Springer fiber and must equal C(n, d) - C(n, d - 1).
     """
     n = ctx.n
-    dimension, standard = groebner.quotient_dimension(ideal_basis(ctx, "J"))
+    standard = _j_standard_monomials(ctx)
     tableaux = standard_monomial_basis(ctx)
     return KernelIdealCheck(
         generators_vanish=verify_relations(ctx).ok,
         specializes_to_j=_specializes_to_j(ctx),
-        tableau_standard=set(standard) == {monomial_from_filling(tab)[:n] for tab in tableaux},
-        quotient_dimension=dimension,
+        tableau_standard=standard is not None
+        and set(standard) == {monomial_from_filling(tab)[:n] for tab in tableaux},
+        quotient_dimension=None if standard is None else len(standard),
         points_distinct=len({w.w for w in fixed_points(ctx)}) == len(tableaux),
         graded_counts=tuple(sum(tab.ell == d for tab in tableaux) for d in range(ctx.k + 1)),
         expected_counts=tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(ctx.k + 1)),
@@ -997,25 +996,22 @@ class OrdinaryCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.dimension == self.expected_dimension
-            and self.tanisaki_equal
-            and self.specialization_equal
-        )
+        dimension_ok = self.dimension == self.expected_dimension
+        return dimension_ok and self.tanisaki_equal and self.specialization_equal
 
 
 def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
-    """dim Q[x]/J = C(n, k), from J's reduced Groebner basis; J equals I at
-    t = 0 (``_specializes_to_j``) and Tanisaki's ideal, by certificates on
-    the generator lists.  Tanisaki's e1 and products are J's, and each
-    e2(omit i) has normal form zero against J's basis.  Conversely
+    """dim Q[x]/J = C(n, k), from J0 (``_j_standard_monomials``); J equals I
+    at t = 0 (``_specializes_to_j``) and Tanisaki's ideal, by certificates
+    on the generator lists.  Tanisaki's e1 and products are J's, and each
+    e2(omit i) = e2(all) - x_i e1 + x_i^2, with 2 e2(all) = e1^2 - sum x_i^2,
+    has normal form zero against J0's basis; J0 lies in J.  Conversely
     x_i^2 = x_i e1 - e2(all) + e2(omit i), and e2(all) is the sum of the
     e2(omit i) over n - 2 for n >= 3, x1 x2 (a multiple of a product
     generator) for n = 2, 0 for n = 1.  A list of another shape fails even
     if its ideal is J."""
     n = ctx.n
-    j_basis = ideal_basis(ctx, "J")
-    dimension, _ = groebner.quotient_dimension(j_basis)
+    standard = _j_standard_monomials(ctx)
     j = [g.terms for g in ordinary_ideal(ctx).generators]
     # tanisaki_ideal lists e1, e2(omit i) for i = n, n - 1, ..., 1, the products
     tanisaki = tanisaki_ideal(ctx).generators
@@ -1030,10 +1026,11 @@ def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
         x_i_e1 = {tuple(e + (p == i) for p, e in enumerate(m)): c for m, c in e1.items()}
         squares.append(_sum_terms((1, x_i_e1), (-1, e2), (1, g.terms)))
     return OrdinaryCheck(
-        dimension=dimension,
+        dimension=None if standard is None else len(standard),
         expected_dimension=comb(n, ctx.k),
-        tanisaki_equal=[e1, *squares, *(p.terms for p in products)] == j
+        tanisaki_equal=standard is not None
+        and [e1, *squares, *(p.terms for p in products)] == j
         and e2_in
-        and not any(groebner.normal_form(g, j_basis) for g in e2_omit),
+        and not any(groebner.normal_form(g, _j0(n)[1]) for g in e2_omit),
         specialization_equal=_specializes_to_j(ctx),
     )

@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd, prod
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tworow import springer
 from tworow.cli import main
-from tworow.groebner import ideal_equal
+from tworow.groebner import buchberger, ideal_equal, quotient_dimension
 from tworow.linalg import SparseExactRREF, solve_rational
 from tworow.polynomials import (
     MPoly,
@@ -30,7 +30,7 @@ from tworow.springer import (
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
-    ideal_basis,
+    ideal_by_name,
     kernel_ideal_comparisons,
     localize,
     localize_all,
@@ -440,6 +440,35 @@ def test_relations_fail_closed_on_a_wrong_t_coefficient(
     assert expected and {label for label, _ in expected} == {"quadratic i=4"}
     assert verify_relations(ctx).failures == expected
     assert not kernel_ideal_comparisons(ctx).generators_vanish
+
+
+def _shift_last_product_t(monkeypatch, ctx):
+    # the last product's last factor x_n - (n-k) t becomes x_n - (n-k+1) t;
+    # x_n - (n-k) t stays a factor of every earlier product ending in n
+    label = "product i=" + ",".join(map(str, range(ctx.n - ctx.k, ctx.n + 1)))
+
+    def shifted(forms):
+        return [*forms[:-1], {**forms[-1], ctx.n: forms[-1][ctx.n] - 1}]
+
+    _patch_forms(monkeypatch, ctx, label, shifted)
+    return label
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 2), (6, 3), (8, 4)])
+def test_relations_key_forms_by_their_t_coefficient(
+    n, k, monkeypatch, fresh_certificate_caches
+):
+    # a form that differs from a factor of other generators only in its
+    # t coefficient gets its own vanishing set: the failures are the
+    # reference's, and non-empty
+    ctx = SpringerContext(n, k)
+    label = _shift_last_product_t(monkeypatch, ctx)
+    forms = dict(springer._generator_forms(ctx))
+    assert any(forms[label][-1][ctx.n] + 1 == f[ctx.n] and forms[label][-1].keys() == f.keys()
+               for other, factors in forms.items() if other != label for f in factors)
+    expected = _reference_relation_failures(ctx, springer._generator_forms(ctx))
+    assert expected and {name for name, _ in expected} == {label}
+    assert verify_relations(ctx).failures == expected
 
 
 # -- square rewriting ---------------------------------------------------------
@@ -1227,6 +1256,14 @@ def test_ideal_slices_match_the_certificate():
             ), (n, k)
 
 
+@lru_cache(maxsize=None)
+def ideal_basis(ctx, name):
+    """The reduced grevlex Groebner basis of the named presentation ideal,
+    by Buchberger on its whole generator list: the cross-check of the
+    certificates, which run Buchberger only on J0."""
+    return buchberger(ideal_by_name(ctx, name).generators)
+
+
 def test_basis_of_i_specializes_to_the_basis_of_j():
     # the Groebner route the certificate replaced, kept as its cross-check:
     # no leading monomial of I's reduced grevlex basis involves t (so t is
@@ -1240,12 +1277,90 @@ def test_basis_of_i_specializes_to_the_basis_of_j():
         assert specialized == list(ideal_basis(ctx, "J").generators), ctx
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_j0_gives_the_standard_monomials_of_j(n):
+    # J = J0 + m^(k+1), so J's standard monomials, from Buchberger on J's
+    # whole list, are J0's of degree at most k, at every k; both lists
+    # come in grevlex order
+    for k in range(n // 2 + 1):
+        ctx = SpringerContext(n, k)
+        _, of_j = quotient_dimension(ideal_basis(ctx, "J"))
+        assert springer._j_standard_monomials(ctx) == of_j, k
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_j0_counts_c_n_k_at_the_largest_k(n):
+    # the Sperner property: Q[x]/J0 has dimension C(n,d) - C(n,d-1) in
+    # degree d <= n/2, so C(n, k) standard monomials of degree at most k
+    ctx = SpringerContext(n, n // 2)
+    assert len(springer._j_standard_monomials(ctx)) == comb(n, n // 2)
+
+
+def _change_j_list(change):
+    """A patch making springer.ordinary_ideal return, at the patched
+    context only, the list change(generators, labels)."""
+
+    def patch(monkeypatch, ctx):
+        original = springer.ordinary_ideal
+
+        def changed(c):
+            ideal = original(c)
+            if c != ctx:
+                return ideal
+            generators, labels = change(list(ideal.generators), list(ideal.labels))
+            return dataclasses.replace(ideal, generators=tuple(generators), labels=tuple(labels))
+
+        monkeypatch.setattr(springer, "ordinary_ideal", changed)
+
+    return patch
+
+
+def _without_last(generators, labels):
+    return generators[:-1], labels[:-1]
+
+
+def _last_plus_x1_squared(generators, labels):
+    x1_squared = MPoly.from_monomial(tuple(2 * (p == 0) for p in range(generators[0].nvars)))
+    return [*generators[:-1], generators[-1] + x1_squared], labels
+
+
+def _extra_square(generators, labels):
+    return [*generators, generators[1]], [*labels, labels[1]]
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 2)])
+@pytest.mark.parametrize(
+    "change", [_without_last, _last_plus_x1_squared, _extra_square],
+    ids=["drop-product", "alter-product", "extra-square"],
+)
+def test_step_3_needs_j0_and_every_product(
+    n, k, change, monkeypatch, capsys, fresh_certificate_caches
+):
+    # J's list must be J0's followed by every squarefree (k+1)-product.
+    # Step 2 reads the same list, so it is held true here, and step 3
+    # fails alone; ordinary then reports no dimension either
+    ctx = SpringerContext(n, k)
+    _change_j_list(change)(monkeypatch, ctx)
+    monkeypatch.setattr(springer, "_specializes_to_j", lambda c: True)
+    check = kernel_ideal_comparisons(ctx)
+    assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
+    assert check.quotient_dimension is None
+    assert ordinary_presentation_check(ctx).dimension is None
+    assert main(["verify", "--checks", "kernel-ideal", "--n-max", str(n), "--k", "all"]) == 1
+    fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith(
+        f"FAIL kernel-ideal[n={n},k={k}]: {STEPS['tableau_standard']}: J's list is not "
+        "e1, the squares and the products"
+    )
+
+
 @pytest.fixture
 def fresh_certificate_caches():
-    """Clear the cached Groebner bases and the relation reports before and
-    after the test, so that a patched ideal reaches neither other tests
-    nor it."""
-    caches = (ideal_basis, verify_relations)
+    """Clear the cached Groebner bases, J0's included, the relation
+    reports and the t = 0 certificates before and after the test, so that
+    a patched ideal reaches neither other tests nor it."""
+    caches = (ideal_basis, verify_relations, springer._specializes_to_j, springer._j0)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -1304,42 +1419,44 @@ STEPS = {
 
 
 @pytest.mark.parametrize(
-    "n, k, patch, failed",
+    "n, k, patch, failed, also",
     [
         # without a linear or quadratic relation, I's generators at t = 0
         # are no longer J's.  (Dropping "product i=1,2,3" from I at (4,2)
         # would leave the same ideal and prove nothing.)
         (4, 2, _drop(["_generator_forms"], lambda label: label == "quadratic i=4"),
-         "specializes_to_j"),
+         "specializes_to_j", set()),
         (4, 2, _drop(["_generator_forms"], lambda label: label == "quadratic i=1"),
-         "specializes_to_j"),
+         "specializes_to_j", set()),
         (4, 2, _drop(["_generator_forms"], lambda label: label == "linear"),
-         "specializes_to_j"),
+         "specializes_to_j", set()),
         # a shifted t coefficient keeps the image at t = 0, so only step 1
         # sees it
-        (4, 2, _shift_quadratic_4_t, "generators_vanish"),
+        (4, 2, _shift_quadratic_4_t, "generators_vanish", set()),
         # modulo e1 and the squares x1 x2 = -(x1 x3 + x1 x4), so J keeps its
-        # ideal without this product: only step 2's list certificate fails
+        # ideal without this product: only the list certificates fail, step
+        # 2's against I's images and step 3's against J0 and the products,
+        # and the detail names step 2
         (4, 1, _drop(["ordinary_ideal"], lambda label: label == "product i=1,2"),
-         "specializes_to_j"),
+         "specializes_to_j", {"tableau_standard"}),
         # with every product dropped from both lists step 2 holds, but
-        # J = (e1, squares) has 6 standard monomials against 4 tableaux
+        # J = (e1, squares) is not J0 + m^2: J's list lacks the products
         (4, 1, _drop(["_generator_forms", "ordinary_ideal"],
                      lambda label: label.startswith("product")),
-         "tableau_standard"),
+         "tableau_standard", set()),
         # I vanishes at every listed point, but only five are distinct
-        (4, 2, _repeat_second_fixed_point, "points_distinct"),
+        (4, 2, _repeat_second_fixed_point, "points_distinct", set()),
     ],
     ids=["drop-quadratic-4", "drop-quadratic-1", "drop-linear", "nonvanishing-generator",
          "drop-j-product", "drop-all-products", "repeated-fixed-point"],
 )
 def test_certificate_fails_closed(
-    n, k, patch, failed, monkeypatch, capsys, fresh_certificate_caches
+    n, k, patch, failed, also, monkeypatch, capsys, fresh_certificate_caches
 ):
     ctx = SpringerContext(n, k)
     patch(monkeypatch, ctx)
     check = kernel_ideal_comparisons(ctx)
-    assert {step for step in STEPS if not getattr(check, step)} == {failed}
+    assert {step for step in STEPS if not getattr(check, step)} == {failed} | also
     assert main(["verify", "--checks", "kernel-ideal", "--n-max", str(n)]) == 1
     out = capsys.readouterr().out
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]

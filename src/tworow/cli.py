@@ -131,7 +131,9 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
-    if args.shape:
+    if args.shape is not None:
+        if args.n is not None or args.ell is not None:
+            raise UsageError("provide either --shape or both --n and --ell, not both")
         try:
             parts = tuple(int(p) for p in args.shape.split(","))
             shape = tableaux.Partition(parts)
@@ -187,14 +189,6 @@ def _cmd_tableaux(args) -> int:
     return 0
 
 
-def _format_coefficients(coefficients) -> list[dict]:
-    ordered = sorted(coefficients.items(), key=lambda item: (item[0].ell, item[0].bottom))
-    return [
-        {"tableau": [list(tab.top), list(tab.bottom)], "coefficient": str(value)}
-        for tab, value in ordered
-    ]
-
-
 def _cmd_straighten(args) -> int:
     ctx = _context(args.n, args.k)
     if args.method in ("oracle", "both"):
@@ -214,9 +208,11 @@ def _cmd_straighten(args) -> int:
     agree = None
     if args.method == "both":
         agree = results["oracle"] == results["paper"]
+    coefficients = results.get("oracle", results.get("paper"))
+    tabs = sorted(coefficients, key=lambda tab: (tab.ell, tab.bottom))
     try:
         rendered = format_poly(poly, names)
-        coefficients = _format_coefficients(results.get("oracle", results.get("paper")))
+        ordered = [(tab, str(coefficients[tab])) for tab in tabs]
     except ValueError as exc:
         # str() refuses integers longer than sys.get_int_max_str_digits()
         raise UsageError("a coefficient has too many digits to print") from exc
@@ -225,15 +221,16 @@ def _cmd_straighten(args) -> int:
         "context": {"n": ctx.n, "k": ctx.k},
         "polynomial": rendered,
         "method": args.method,
-        "coefficients": coefficients,
+        "coefficients": [
+            {"tableau": [list(tab.top), list(tab.bottom)], "coefficient": text}
+            for tab, text in ordered
+        ],
     }
     if agree is not None:
         payload["agree"] = agree
     lines = [f"# straighten {rendered}  (n={ctx.n}, k={ctx.k}, method={args.method})"]
-    for entry in payload["coefficients"]:
-        tab = json.dumps(entry["tableau"], separators=(",", ":"))
-        lines.append(f"{tab} : {entry['coefficient']}")
-    if not payload["coefficients"]:
+    lines.extend(f"{tab.text()} : {text}" for tab, text in ordered)
+    if not ordered:
         lines.append("0")
     if agree is not None:
         lines.append(f"methods agree: {agree}")

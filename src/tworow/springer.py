@@ -271,16 +271,19 @@ def _j0(n: int) -> tuple[tuple[MPoly, ...], groebner.GroebnerBasis, tuple[Monomi
     return generators, basis, tuple(groebner.quotient_dimension(basis)[1])
 
 
-def _j_standard_monomials(ctx: SpringerContext) -> Optional[list[Monomial]]:
+@lru_cache(maxsize=None)
+def _j_standard_monomials(ctx: SpringerContext) -> Optional[tuple[Monomial, ...]]:
     """J0's standard monomials of degree at most k, which are J's when J's
     list is J0's followed by every squarefree (k+1)-product (step 3 of
-    ``kernel_ideal_comparisons``); None for a list of another shape."""
+    ``kernel_ideal_comparisons``); None for a list of another shape.
+    Cached per context, for ``kernel_ideal_comparisons`` and
+    ``ordinary_presentation_check``."""
     n, (generators, _, standard) = ctx.n, _j0(ctx.n)
     subsets = combinations(range(n), ctx.k + 1)
     products = [MPoly.from_monomial(tuple(int(p in s) for p in range(n))) for s in subsets]
     if list(ordinary_ideal(ctx).generators) != [*generators, *products]:
         return None
-    return [m for m in standard if sum(m) <= ctx.k]
+    return tuple(m for m in standard if sum(m) <= ctx.k)
 
 
 # -- localization ------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Univariate polynomials in the equivariant parameter t, over Q."""
+"""Univariate polynomials in the equivariant parameter t, over Q.
+
+A ``TPoly`` keeps its coefficients dense, as localization and the
+straightening lifts build and read them.  Its arithmetic, scalar
+coercion and printing are ``MPoly``'s in the one variable t: each
+operator lifts its operands to that ring, applies ``MPoly``'s operator
+and reads the dense tuple back, so Q[t] has no arithmetic of its own.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-Scalar = Union[int, Fraction]
+from .polynomials import MPoly, Scalar, format_poly
 
 
 class TPoly:
@@ -71,79 +78,48 @@ class TPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    # -- arithmetic and printing, by MPoly in t -------------------------
+
     def __neg__(self) -> "TPoly":
-        return TPoly(-c for c in self.coeffs)
+        return _dense(-_sparse(self))
 
     def __add__(self, other) -> "TPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
+        other = _sparse(other)
+        return NotImplemented if other is None else _dense(_sparse(self) + other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        other = _sparse(other)
+        return NotImplemented if other is None else _dense(_sparse(self) - other)
 
     def __rsub__(self, other) -> "TPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        other = _sparse(other)
+        return NotImplemented if other is None else _dense(other - _sparse(self))
 
     def __mul__(self, other) -> "TPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return TPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPoly(out)
+        other = _sparse(other)
+        return NotImplemented if other is None else _dense(_sparse(self) * other)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            elif power == 1:
-                body = "t" if mag == 1 else f"{mag}*t"
-            else:
-                body = f"t^{power}" if mag == 1 else f"{mag}*t^{power}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return format_poly(_sparse(self), ("t",))
 
     def __repr__(self) -> str:
         return f"TPoly({list(self.coeffs)!r})"
 
 
-def _coerce(value) -> TPoly | None:
+def _sparse(value) -> MPoly | Scalar | None:
+    """A TPoly as an MPoly in t; an int or Fraction as it is, for MPoly to
+    coerce; None for anything else."""
     if isinstance(value, TPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return TPoly.term(value)
-    return None
+        return MPoly._make(1, {(i,): c for i, c in enumerate(value.coeffs) if c})
+    return value if isinstance(value, (int, Fraction)) else None
+
+
+def _dense(p: MPoly) -> TPoly:
+    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    for (power,), c in p.terms.items():
+        coeffs[power] = c
+    return TPoly._make(tuple(coeffs))

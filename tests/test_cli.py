@@ -115,6 +115,51 @@ def test_straighten_single_methods(capsys):
         assert table == {((1, 2), ()): "3*t", ((1,), (2,)): "-1"}
 
 
+STRAIGHTEN_PINNED = (
+    "straighten", "--n", "4", "--k", "2", "--method", "both",
+    "--poly", "1/3*x1^2 - x4 + 3/2*t^2 - 2/5*x2*x4 + x3*x4*t",
+)
+
+
+def test_straighten_text_is_pinned(capsys):
+    # negative and fractional coefficients in t^0, t^1 and t^k, each
+    # tableau printed by TwoRowFilling.text and each coefficient by TPoly
+    code, out, _ = run(capsys, *STRAIGHTEN_PINNED)
+    assert code == 0
+    assert out == (
+        "# straighten x3*x4*t + 1/3*x1^2 - 2/5*x2*x4 + 3/2*t^2 - x4  (n=4, k=2, method=both)\n"
+        "[[1,2,3,4],[]] : 83/6*t^2\n"
+        "[[1,3,4],[2]] : -4/3*t\n"
+        "[[1,2,4],[3]] : -4/3*t\n"
+        "[[1,2,3],[4]] : -4/3*t - 1\n"
+        "[[1,3],[2,4]] : -2/5\n"
+        "[[1,2],[3,4]] : t\n"
+        "methods agree: True\n"
+    )
+
+
+def test_straighten_json_is_pinned(capsys):
+    code, out, _ = run(capsys, *STRAIGHTEN_PINNED, "--format", "json")
+    assert code == 0
+    coefficients = [
+        ([[1, 2, 3, 4], []], "83/6*t^2"),
+        ([[1, 3, 4], [2]], "-4/3*t"),
+        ([[1, 2, 4], [3]], "-4/3*t"),
+        ([[1, 2, 3], [4]], "-4/3*t - 1"),
+        ([[1, 3], [2, 4]], "-2/5"),
+        ([[1, 2], [3, 4]], "t"),
+    ]
+    expected = {
+        "command": "tworow " + " ".join(STRAIGHTEN_PINNED) + " --format json",
+        "context": {"n": 4, "k": 2},
+        "polynomial": "x3*x4*t + 1/3*x1^2 - 2/5*x2*x4 + 3/2*t^2 - x4",
+        "method": "both",
+        "coefficients": [{"tableau": tab, "coefficient": c} for tab, c in coefficients],
+        "agree": True,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_straighten_high_power_needs_no_recursion(capsys):
     # the rewriting chain for x1^3000 is 3000 steps deep
     code, out, err = run(
@@ -308,6 +353,31 @@ def test_tableaux_requires_arguments(capsys):
     assert "--shape" in err
 
 
+def test_tableaux_empty_shape_is_a_bad_shape(capsys):
+    # an empty --shape is given, not missing: it neither falls through to
+    # --n and --ell nor asks for them
+    code, out, err = run(capsys, "tableaux", "--shape", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad shape ''")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--shape", "", "--n", "4", "--ell", "2"),
+        ("--shape", "2,1", "--n", "4", "--ell", "2"),
+        ("--shape", "2,1", "--n", "4"),
+        ("--shape", "2,1", "--ell", "2"),
+    ],
+    ids=["empty-shape-and-both", "shape-and-both", "shape-and-n", "shape-and-ell"],
+)
+def test_tableaux_refuses_shape_with_n_or_ell(capsys, argv):
+    # --shape never silently drops --n or --ell
+    code, out, err = run(capsys, "tableaux", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: provide either --shape or both --n and --ell, not both\n"
+
+
 def test_verify_small_all_pass(capsys):
     code, payload, _ = run_json(capsys, "verify", "--n-max", "2")
     assert code == 0
@@ -449,6 +519,20 @@ def test_verify_runs_buchberger_once_per_n(capsys, monkeypatch):
         springer._j0.cache_clear()
     assert code == 0
     assert rings == [1, 2, 3, 4, 5]
+
+
+def test_verify_reads_js_list_certificate_once_per_context(capsys):
+    # kernel-ideal and ordinary both read J's standard monomials: 11
+    # contexts up to n = 5, one computation each, the second read a hit
+    cache = springer._j_standard_monomials
+    cache.cache_clear()
+    try:
+        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+        info = cache.cache_info()
+    finally:
+        cache.cache_clear()
+    assert code == 0
+    assert (info.misses, info.hits) == (11, 11)
 
 
 def test_verify_consistency_error_fails_one_check(capsys, monkeypatch):

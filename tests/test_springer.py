@@ -1285,7 +1285,7 @@ def test_j0_gives_the_standard_monomials_of_j(n):
     for k in range(n // 2 + 1):
         ctx = SpringerContext(n, k)
         _, of_j = quotient_dimension(ideal_basis(ctx, "J"))
-        assert springer._j_standard_monomials(ctx) == of_j, k
+        assert springer._j_standard_monomials(ctx) == tuple(of_j), k
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
@@ -1358,9 +1358,16 @@ def test_step_3_needs_j0_and_every_product(
 @pytest.fixture
 def fresh_certificate_caches():
     """Clear the cached Groebner bases, J0's included, the relation
-    reports and the t = 0 certificates before and after the test, so that
-    a patched ideal reaches neither other tests nor it."""
-    caches = (ideal_basis, verify_relations, springer._specializes_to_j, springer._j0)
+    reports, the t = 0 certificates and J's list certificate before and
+    after the test, so that a patched ideal reaches neither other tests
+    nor it."""
+    caches = (
+        ideal_basis,
+        verify_relations,
+        springer._specializes_to_j,
+        springer._j0,
+        springer._j_standard_monomials,
+    )
     for cache in caches:
         cache.cache_clear()
     yield

@@ -200,6 +200,9 @@ def _cmd_straighten(args) -> int:
         raise UsageError(f"cannot parse polynomial: {exc}") from exc
     if poly.total_degree() > STRAIGHTEN_DEGREE_LIMIT:
         raise UsageError(f"polynomial degree exceeds the limit of {STRAIGHTEN_DEGREE_LIMIT}")
+    # a degree-D x-monomial straightens onto C(n, min(k, D)) tableaux of n entries
+    ell = min(ctx.k, max((sum(mono[: ctx.n]) for mono in poly.terms), default=0))
+    _check_listing_size(comb(ctx.n, ell) * ctx.n, f"C({ctx.n},{ell}) output tableaux")
     results = {}
     if args.method in ("oracle", "both"):
         results["oracle"] = springer.straighten_by_solve(poly, ctx)

@@ -29,9 +29,9 @@ against localization instead, with no inverse (``straightening_mismatches``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
@@ -62,6 +62,7 @@ class SpringerContext:
 
     n: int
     k: int
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,6 +83,16 @@ class SpringerContext:
 
     def t(self) -> MPoly:
         return MPoly.variable(self.nvars, self.n)
+
+
+def _per_context(fn):
+    """Cache fn(ctx) in ``ctx.cache``; racing threads all get the first value stored."""
+
+    @wraps(fn)
+    def cached(ctx: SpringerContext):
+        return ctx.cache[fn] if fn in ctx.cache else ctx.cache.setdefault(fn, fn(ctx))
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ def build_fixed_point(ctx: SpringerContext, ell: Iterable[int]) -> FixedPoint:
     return FixedPoint(ell=ell, w=tuple(v or next(small) for v in w))
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def fixed_points(ctx: SpringerContext) -> tuple[FixedPoint, ...]:
     """All C(n, k) fixed points, ordered lexicographically by ell."""
     subsets = combinations(range(1, ctx.n + 1), ctx.k)
@@ -210,7 +221,7 @@ def _generator_forms(ctx: SpringerContext) -> list[tuple[str, list[dict[int, int
     return pairs
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The equivariant presentation ideal I in Q[x1..xn, t]: the products
     of ``_generator_forms``, expanded by ``_linear_product``.  Only the
@@ -221,7 +232,7 @@ def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     return IdealPresentation(name="I", generators=generators, labels=labels)
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The ordinary presentation ideal J in Q[x1..xn]."""
     n = ctx.n
@@ -236,7 +247,7 @@ def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     return IdealPresentation(name="J", generators=tuple(gens), labels=tuple(labels))
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def tanisaki_ideal(ctx: SpringerContext) -> IdealPresentation:
     """Tanisaki's elementary-symmetric presentation ideal for the two-row
     shape: e1 of everything, e2 of every (n-1)-subset, and e_{k+1} of
@@ -271,7 +282,7 @@ def _j0(n: int) -> tuple[tuple[MPoly, ...], groebner.GroebnerBasis, tuple[Monomi
     return generators, basis, tuple(groebner.quotient_dimension(basis)[1])
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _j_standard_monomials(ctx: SpringerContext) -> Optional[tuple[Monomial, ...]]:
     """J0's standard monomials of degree at most k, which are J's when J's
     list is J0's followed by every squarefree (k+1)-product (step 3 of
@@ -358,7 +369,7 @@ def _component_values(
     return sums, scale
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def verify_relations(ctx: SpringerContext) -> RelationCheck:
     """Every generator of the equivariant ideal must localize to zero at
     every fixed point; failures are reported, never raised.  Localization
@@ -443,7 +454,7 @@ def verify_square_reduction(ctx: SpringerContext) -> bool:
 # -- the straightening basis -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def standard_monomial_basis(ctx: SpringerContext) -> tuple[TwoRowFilling, ...]:
     """Standard tableaux with bottom rows of size 0..k, ordered by bottom
     size then lexicographically; their monomials span the quotient as a
@@ -496,7 +507,7 @@ class BasisMatrix:
         return max(sum(map(abs, row)) for row in self.inverse[0])
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
     points = fixed_points(ctx)
     tableaux = standard_monomial_basis(ctx)
@@ -640,7 +651,7 @@ def straighten_by_solve(
 # -- straightening, route two: inductive rewriting ---------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     """Finished straightenings of the context's x-monomials, keyed by
     exponents alpha, as ``Coordinates`` in lowest terms with x^alpha =
@@ -895,7 +906,7 @@ def _sum_terms(*parts: tuple[int, Mapping[Monomial, Fraction]]) -> dict[Monomial
     return {m: a for m, a in total.items() if a}
 
 
-@lru_cache(maxsize=None)
+@_per_context
 def _specializes_to_j(ctx: SpringerContext) -> bool:
     """I + (t) = J + (t), by a certificate on the generator lists: the
     t = 0 images of I's generators are, in order, J's e1 and x1^2, then

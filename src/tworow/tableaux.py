@@ -38,6 +38,8 @@ class Partition:
 
 def two_row_shape(n: int, ell: int) -> Partition:
     """The shape (n - ell, ell); a zero bottom row gives the single row (n)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= ell <= n - ell:
         raise ValueError(f"need 0 <= ell <= n - ell, got n={n}, ell={ell}")
     return Partition((n,)) if ell == 0 else Partition((n - ell, ell))

@@ -20,7 +20,7 @@ class TPoly:
 
     ``coeffs[i]`` is the coefficient of t**i.  The tuple never ends in a
     zero, so the zero polynomial is the empty tuple and equality is just
-    tuple equality.
+    tuple equality; a constant equals, and hashes as, its scalar.
     """
 
     __slots__ = ("coeffs",)
@@ -76,7 +76,7 @@ class TPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.coeffs) if self.degree > 0 else hash(self.coefficient(0))
 
     # -- arithmetic and printing, by MPoly in t -------------------------
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -251,7 +253,8 @@ def test_straighten_paper_method_needs_no_core(capsys):
 
 def test_straighten_paper_method_cost_ignores_basis_size(capsys, monkeypatch):
     # C(40,20) is about 1.4 * 10^11: the rewriting route must reach only
-    # the basis monomials it needs, never list the basis
+    # the basis monomials it needs, never list the basis; x1 has degree 1,
+    # so the output weighs C(40,1) tableaux of 40 entries, far below the limit
     def refuse(n, ell):
         raise AssertionError("the rewriting route enumerated the basis")
 
@@ -361,6 +364,12 @@ def test_tableaux_empty_shape_is_a_bad_shape(capsys):
     assert err.startswith("error: bad shape ''")
 
 
+def test_tableaux_refuses_n_zero(capsys):
+    # named as SpringerContext names it, not as an empty partition
+    code, out, err = run(capsys, "tableaux", "--n", "0", "--ell", "0")
+    assert (code, out, err) == (2, "", "error: need n >= 1, got n=0\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -435,16 +444,7 @@ def test_verify_k_policy_max(capsys):
     ]
 
 
-@pytest.fixture
-def fresh_basis_caches():
-    springer.basis_image_matrix.cache_clear()
-    yield
-    springer.basis_image_matrix.cache_clear()
-
-
-def test_verify_singular_core_fails_basis_determinant_alone(
-    capsys, monkeypatch, fresh_basis_caches
-):
+def test_verify_singular_core_fails_basis_determinant_alone(capsys, monkeypatch):
     # a singular core at (4,2), the only 6 x 6 core up to n = 4, fails the
     # one check that reads the determinant; kernel-ideal proves the core
     # nonsingular by counting points, reads no determinant, and passes
@@ -462,7 +462,7 @@ def test_verify_singular_core_fails_basis_determinant_alone(
     assert failed == {"basis-determinant[n=4,k=2]": "integer core determinant 0"}
 
 
-def test_verify_builds_no_exact_inverse(capsys, monkeypatch, fresh_basis_caches):
+def test_verify_builds_no_exact_inverse(capsys, monkeypatch):
     # the straighten check tests the rewritten coordinates against the
     # localized values; kernel-ideal proves the core nonsingular, so no
     # context inverts it or solves against it
@@ -480,8 +480,9 @@ def test_verify_builds_no_exact_inverse(capsys, monkeypatch, fresh_basis_caches)
 
 def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
     # I's generators, the square-rule check and the rewrite rules expand
-    # products of linear forms as integer terms; with every context cache
-    # emptied, no check adds, subtracts, multiplies or powers an MPoly
+    # products of linear forms as integer terms; with every context fresh
+    # and the per-n caches emptied, no check adds, subtracts, multiplies or
+    # powers an MPoly
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__"):
         def counted(*args, name=name, original=getattr(MPoly, name)):
@@ -489,7 +490,7 @@ def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(MPoly, name, counted)
-    caches = [f for f in vars(springer).values() if hasattr(f, "cache_clear")]
+    caches = (springer._j0, springer._bottom_row_filling)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -521,18 +522,36 @@ def test_verify_runs_buchberger_once_per_n(capsys, monkeypatch):
     assert rings == [1, 2, 3, 4, 5]
 
 
-def test_verify_reads_js_list_certificate_once_per_context(capsys):
+def test_verify_reads_js_list_certificate_once_per_context(capsys, monkeypatch):
     # kernel-ideal and ordinary both read J's standard monomials: 11
-    # contexts up to n = 5, one computation each, the second read a hit
-    cache = springer._j_standard_monomials
-    cache.cache_clear()
-    try:
-        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
-        info = cache.cache_info()
-    finally:
-        cache.cache_clear()
+    # contexts up to n = 5, 22 reads, one computation per context
+    computed, reads = [], []
+    compute = springer._j_standard_monomials.__wrapped__
+    cached = springer._per_context(lambda ctx: computed.append(ctx) or compute(ctx))
+    monkeypatch.setattr(
+        springer, "_j_standard_monomials", lambda ctx: reads.append(ctx) or cached(ctx)
+    )
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0
-    assert (info.misses, info.hits) == (11, 11)
+    assert (len(computed), len(reads)) == (11, 22)
+
+
+def test_verify_frees_every_context_it_made(monkeypatch):
+    # what a context derives lives on it, so once verify returns, none of
+    # its 8 contexts up to n = 4 is alive, nor any basis matrix it built
+    refs = []
+    original = springer.basis_image_matrix
+
+    def spied(ctx):
+        matrix = original(ctx)
+        refs.extend((weakref.ref(ctx), weakref.ref(matrix)))
+        return matrix
+
+    monkeypatch.setattr(springer, "basis_image_matrix", spied)
+    assert main(["verify", "--n-max", "4", "--k", "all"]) == 0
+    gc.collect()
+    assert len(refs) == 2 * 2 * 8  # basis-determinant and straighten read each matrix
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_verify_consistency_error_fails_one_check(capsys, monkeypatch):
@@ -584,8 +603,10 @@ def test_verify_duplicate_check_refused(capsys):
         ("generators", "--n", "1000", "--k", "1"),
         # 150 generators e2 of 11,026 terms each
         ("generators", "--n", "150", "--k", "1", "--ideal", "tanisaki"),
+        # x1*x2 straightens onto C(20000,1) tableaux of 20,000 entries each
+        ("straighten", "--n", "20000", "--k", "1", "--method", "paper", "--poly", "x1*x2"),
     ],
-    ids=["fixed-points", "generators", "generators-k1", "tanisaki"],
+    ids=["fixed-points", "generators", "generators-k1", "tanisaki", "straighten"],
 )
 def test_listing_too_large_refused_at_once(capsys, argv):
     started = time.perf_counter()

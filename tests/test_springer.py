@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd, prod
 
@@ -428,9 +428,7 @@ def _shift_quadratic_4_t(monkeypatch, ctx):
 
 
 @pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 4)])
-def test_relations_fail_closed_on_a_wrong_t_coefficient(
-    n, k, monkeypatch, fresh_certificate_caches
-):
+def test_relations_fail_closed_on_a_wrong_t_coefficient(n, k, monkeypatch):
     # quadratic i=4 with a t coefficient off by one no longer vanishes
     # where w(4) - w(3) = 1 and its other factor is nonzero; the factor
     # evaluation names the same points as the expanded reference
@@ -455,9 +453,7 @@ def _shift_last_product_t(monkeypatch, ctx):
 
 
 @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 2), (6, 3), (8, 4)])
-def test_relations_key_forms_by_their_t_coefficient(
-    n, k, monkeypatch, fresh_certificate_caches
-):
+def test_relations_key_forms_by_their_t_coefficient(n, k, monkeypatch):
     # a form that differs from a factor of other generators only in its
     # t coefficient gets its own vanishing set: the failures are the
     # reference's, and non-empty
@@ -559,15 +555,11 @@ def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
         raise AssertionError("the solve read the core determinant")
 
     monkeypatch.setattr(springer, "integer_det_bareiss", refused)
-    basis_image_matrix.cache_clear()
-    try:
-        ctx = SpringerContext(5, 2)
-        f = poly("x1^2*x3 - 2*x4*t^2 + x5", 5)
-        assert straighten_by_solve(f, ctx) == straighten_by_rewrite(f, ctx)
-        with pytest.raises(AssertionError, match="read the core determinant"):
-            basis_image_matrix(ctx).core_determinant
-    finally:
-        basis_image_matrix.cache_clear()
+    ctx = SpringerContext(5, 2)
+    f = poly("x1^2*x3 - 2*x4*t^2 + x5", 5)
+    assert straighten_by_solve(f, ctx) == straighten_by_rewrite(f, ctx)
+    with pytest.raises(AssertionError, match="read the core determinant"):
+        basis_image_matrix(ctx).core_determinant
 
 
 def test_standard_monomial_basis_size():
@@ -898,12 +890,8 @@ def test_rewrite_steps_match_reference(n, k, monkeypatch):
 
     expand = springer._rewrite_expansion
     monkeypatch.setattr(springer, "_rewrite_expansion", recording)
-    springer._rewrite_memo.cache_clear()
-    try:
-        for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
-            straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
-    finally:
-        springer._rewrite_memo.cache_clear()
+    for mono in sample_monomials(ctx, 40, 6) + squarefree_monomials(ctx, k + 2):
+        straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
     for alpha, (terms, divisor) in steps.items():
         assert divisor > 0 and all(isinstance(c, int) for _, c in terms), alpha
         expected = _reference_rewrite_expansion(ctx, alpha)
@@ -940,16 +928,12 @@ def test_rewrite_memo_grows_only_as_needed():
     # a fresh memo is empty, and straightening x1 reaches the basis
     # monomials 1 and x2..x6 of the linear relation, not the whole basis
     ctx = SpringerContext(6, 3)
-    springer._rewrite_memo.cache_clear()
-    try:
-        assert springer._rewrite_memo(ctx) == {}
-        straighten_by_rewrite(poly("x1", 6), ctx)
-        memo = springer._rewrite_memo(ctx)
-        assert set(memo) == {tuple(int(i == j) for i in range(6)) for j in range(-1, 6)}
-        keys = {b for numerators, _ in memo.values() for b, _ in numerators}
-        assert keys == {0, 2, 4, 8, 16, 32}
-    finally:
-        springer._rewrite_memo.cache_clear()
+    assert springer._rewrite_memo(ctx) == {}
+    straighten_by_rewrite(poly("x1", 6), ctx)
+    memo = springer._rewrite_memo(ctx)
+    assert set(memo) == {tuple(int(i == j) for i in range(6)) for j in range(-1, 6)}
+    keys = {b for numerators, _ in memo.values() for b, _ in numerators}
+    assert keys == {0, 2, 4, 8, 16, 32}
 
 
 def test_coefficient_lift_refuses_negative_t_power():
@@ -976,25 +960,13 @@ def test_coefficient_lift_refuses_negative_t_power():
 def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
     ctx = SpringerContext(3, 1)
     monkeypatch.setattr(springer, "_rewrite_expansion", broken)
-    springer._rewrite_memo.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match=message):
-            straighten_by_rewrite(poly("x1^2", 3), ctx)
-        # no entry of the failed rewrite reached the memo
-        assert springer._rewrite_memo(ctx) == {}
-    finally:
-        springer._rewrite_memo.cache_clear()
+    with pytest.raises(ConsistencyError, match=message):
+        straighten_by_rewrite(poly("x1^2", 3), ctx)
+    # no entry of the failed rewrite reached the memo
+    assert springer._rewrite_memo(ctx) == {}
 
 
 # -- the straighten check: rewritten coordinates against localization --------
-
-
-@pytest.fixture
-def fresh_rewrite_memo():
-    """A patched rewriting rule reaches no other test through the memo."""
-    springer._rewrite_memo.cache_clear()
-    yield
-    springer._rewrite_memo.cache_clear()
 
 
 def _t_squared_plus_one(original):
@@ -1031,9 +1003,7 @@ def _odd_t_powers_negated(original):
     ],
     ids=["square-rule", "product-rule", "power-sign"],
 )
-def test_straighten_check_fails_closed_on_a_wrong_rule(
-    rule, patch, failures, monkeypatch, capsys, fresh_rewrite_memo
-):
+def test_straighten_check_fails_closed_on_a_wrong_rule(rule, patch, failures, monkeypatch, capsys):
     # each rule, once wrong, still rewrites every monomial, but into
     # coordinates that localize to something else
     monkeypatch.setattr(springer, rule, patch(getattr(springer, rule)))
@@ -1069,7 +1039,7 @@ def test_straighten_check_monomials_agree_between_routes(monkeypatch, capsys):
             assert straighten_by_solve(p, ctx) == straighten_by_rewrite(p, ctx), (ctx, mono)
 
 
-def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys, fresh_rewrite_memo):
+def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys):
     # a degree-0 monomial given the coordinate x2 would need t^-1
     original = springer._straighten_x_monomial
 
@@ -1090,34 +1060,29 @@ def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys, fre
 
 
 def test_rewrite_memo_is_thread_safe():
-    # threads sharing the rewrite memo from a cold start must neither
-    # see one another's half-finished entries as cycles nor get other
-    # answers
-    from tworow.springer import _rewrite_memo
+    # threads racing on a fresh context get the memo and the basis matrix
+    # stored first, and sharing the memo they neither see one another's
+    # half-finished entries as cycles nor get other answers or entries
+    reference = SpringerContext(5, 2)
+    polys = [MPoly.from_monomial(m) for m in sample_monomials(reference, 30, 6)]
 
-    ctx = SpringerContext(5, 2)
-    polys = [MPoly.from_monomial(m) for m in sample_monomials(ctx, 30, 6)]
+    def straighten_all(ctx):
+        return [(straighten_by_rewrite(p, ctx), straighten_by_solve(p, ctx)) for p in polys]
 
-    def straighten_all():
-        return [
-            (straighten_by_rewrite(p, ctx), straighten_by_solve(p, ctx)) for p in polys
-        ]
-
-    _rewrite_memo.cache_clear()
-    expected = straighten_all()
+    expected = straighten_all(reference)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            # a cold start also races the creation of the context's memo
-            _rewrite_memo.cache_clear()
+            ctx = SpringerContext(5, 2)
             start = threading.Barrier(4)
-            results, errors = [], []
+            shared, results, errors = [], [], []
 
             def work():
                 start.wait(timeout=10)
                 try:
-                    results.append(straighten_all())
+                    shared.append((basis_image_matrix(ctx), springer._rewrite_memo(ctx)))
+                    results.append(straighten_all(ctx))
                 except ConsistencyError as exc:
                     errors.append(exc)
 
@@ -1129,6 +1094,9 @@ def test_rewrite_memo_is_thread_safe():
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert results == [expected] * 4
+            stored = basis_image_matrix(ctx), springer._rewrite_memo(ctx)
+            assert len(shared) == 4 and all(a is b for got in shared for a, b in zip(got, stored))
+            assert stored[1] == springer._rewrite_memo(reference)
     finally:
         sys.setswitchinterval(interval)
 
@@ -1256,7 +1224,6 @@ def test_ideal_slices_match_the_certificate():
             ), (n, k)
 
 
-@lru_cache(maxsize=None)
 def ideal_basis(ctx, name):
     """The reduced grevlex Groebner basis of the named presentation ideal,
     by Buchberger on its whole generator list: the cross-check of the
@@ -1333,9 +1300,7 @@ def _extra_square(generators, labels):
     "change", [_without_last, _last_plus_x1_squared, _extra_square],
     ids=["drop-product", "alter-product", "extra-square"],
 )
-def test_step_3_needs_j0_and_every_product(
-    n, k, change, monkeypatch, capsys, fresh_certificate_caches
-):
+def test_step_3_needs_j0_and_every_product(n, k, change, monkeypatch, capsys):
     # J's list must be J0's followed by every squarefree (k+1)-product.
     # Step 2 reads the same list, so it is held true here, and step 3
     # fails alone; ordinary then reports no dimension either
@@ -1353,26 +1318,6 @@ def test_step_3_needs_j0_and_every_product(
         f"FAIL kernel-ideal[n={n},k={k}]: {STEPS['tableau_standard']}: J's list is not "
         "e1, the squares and the products"
     )
-
-
-@pytest.fixture
-def fresh_certificate_caches():
-    """Clear the cached Groebner bases, J0's included, the relation
-    reports, the t = 0 certificates and J's list certificate before and
-    after the test, so that a patched ideal reaches neither other tests
-    nor it."""
-    caches = (
-        ideal_basis,
-        verify_relations,
-        springer._specializes_to_j,
-        springer._j0,
-        springer._j_standard_monomials,
-    )
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 def _drop(builders, dropped):
@@ -1457,9 +1402,7 @@ STEPS = {
     ids=["drop-quadratic-4", "drop-quadratic-1", "drop-linear", "nonvanishing-generator",
          "drop-j-product", "drop-all-products", "repeated-fixed-point"],
 )
-def test_certificate_fails_closed(
-    n, k, patch, failed, also, monkeypatch, capsys, fresh_certificate_caches
-):
+def test_certificate_fails_closed(n, k, patch, failed, also, monkeypatch, capsys):
     ctx = SpringerContext(n, k)
     patch(monkeypatch, ctx)
     check = kernel_ideal_comparisons(ctx)
@@ -1471,7 +1414,7 @@ def test_certificate_fails_closed(
     assert fail_lines[0].startswith(f"FAIL kernel-ideal[n={n},k={k}]: {STEPS[failed]}")
 
 
-def test_verify_never_expands_i(monkeypatch, capsys, fresh_certificate_caches):
+def test_verify_never_expands_i(monkeypatch, capsys):
     # every certificate reads I's factors; only the generators listing
     # multiplies them out, which also shows that the spy is in place
     calls = []
@@ -1502,8 +1445,11 @@ def test_ordinary_check_examples():
 
 
 def test_ordinary_ideals_are_cached_per_context():
+    # once per context object; an equal but distinct context builds its own
     for build in (ordinary_ideal, tanisaki_ideal, equivariant_ideal):
-        assert build(SpringerContext(5, 2)) is build(SpringerContext(5, 2))
+        ctx, twin = SpringerContext(5, 2), SpringerContext(5, 2)
+        assert build(ctx) is build(ctx) and build(twin) is build(twin)
+        assert build(ctx) == build(twin) and build(ctx) is not build(twin)
 
 
 def _patch_generator(monkeypatch, ctx, builder, label, change):
@@ -1550,9 +1496,7 @@ def _x3_into_quadratic_4(monkeypatch, ctx):
     ],
     ids=["I", "J", "tanisaki-omit-4", "tanisaki-omit-1"],
 )
-def test_ordinary_certificates_fail_closed(
-    patch, failed, monkeypatch, capsys, fresh_certificate_caches
-):
+def test_ordinary_certificates_fail_closed(patch, failed, monkeypatch, capsys):
     # one generator of one list changes at (4,2): J's or Tanisaki's gains
     # the term x3 x4, I's a factor's x3 coefficient; the Groebner
     # comparison first confirms which equalities of ideals this breaks
@@ -1575,7 +1519,7 @@ def test_ordinary_certificates_fail_closed(
     assert fail_lines[0].startswith("FAIL ordinary[n=4,k=2]: ")
 
 
-def test_ordinary_n2_needs_e2_in_tanisaki(monkeypatch, fresh_certificate_caches):
+def test_ordinary_n2_needs_e2_in_tanisaki(monkeypatch):
     # at n = 2 the e2(omit i) are 0 and x_i^2 = x_i e1 - x1 x2 holds for any
     # product generator, so only the case "x1 x2 is a multiple of a
     # product generator" ties e2(all) to Tanisaki's ideal.  With the shared

@@ -150,6 +150,8 @@ def test_operators_match_the_dense_reference(a, b, s):
         _agrees(p * scalar, rp * scalar)
         _agrees(scalar * p, scalar * rp)
         assert (p == scalar) == (rp.coeffs == DenseReference((scalar,)).coeffs)
+        assert (p in {scalar}) == (p == scalar) == (scalar in {p})
+        assert TPoly([scalar]) in {scalar} and hash(TPoly([scalar])) == hash(scalar)
     assert (p == q) == (rp.coeffs == rq.coeffs)
     assert (hash(p) == hash(q)) or p != q
 

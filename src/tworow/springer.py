@@ -38,7 +38,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
-from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_divides, monomial_mul
+from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_divides
 from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
@@ -426,6 +426,13 @@ def _square_terms(ctx: SpringerContext, i: int) -> list[tuple[Monomial, int]]:
     return terms
 
 
+@_per_context
+def _square_rules(ctx: SpringerContext) -> tuple[tuple[tuple[Monomial, int], ...], ...]:
+    """``_square_terms`` for i = 1..n, built once per context: entry
+    i - 1 is the rule for x_i^2."""
+    return tuple(tuple(_square_terms(ctx, i)) for i in range(1, ctx.n + 1))
+
+
 def square_reduction(ctx: SpringerContext, i: int) -> MPoly:
     """What x_i^2 equals modulo the ideal, ``_square_terms`` as a polynomial."""
     if not 1 <= i <= ctx.n:
@@ -530,14 +537,14 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 
 
 # Integer numerators over one positive denominator, ((b, a_b), ...), D,
-# keyed by the bottom-row bit set b of the tableau _bottom_row_filling(n, b).
+# keyed by the bottom-row bit set b of the tableau _bottom_row_fillings(ctx)[b].
 Coordinates = tuple[tuple[tuple[int, int], ...], int]
 
 NON_POLYNOMIAL = "straightening produced a non-polynomial coefficient"
 
 
 def _coefficient_polys(
-    n: int, by_degree: Mapping[int, Coordinates]
+    ctx: SpringerContext, by_degree: Mapping[int, Coordinates]
 ) -> dict[TwoRowFilling, TPoly]:
     """Lift the coordinates both routes hand over to Q[t] coefficients.
     ``by_degree`` maps a degree d to nonzero numerators a at keys b over
@@ -556,7 +563,8 @@ def _coefficient_polys(
             row.extend([zero] * (power + 1 - len(row)))
             row[power] = Fraction(a, den)
     # each row ends in the entry set at its highest power, which is nonzero
-    return {_bottom_row_filling(n, b): TPoly._make(tuple(row)) for b, row in dense.items()}
+    fillings = _bottom_row_fillings(ctx)
+    return {fillings[b]: TPoly._make(tuple(row)) for b, row in dense.items()}
 
 
 # A packed right-hand side is closed before its slots would pass this many
@@ -645,7 +653,7 @@ def straighten_by_solve(
         used += width
     if pack:
         _solve_pack(inverse, keys, pack, by_degree)
-    return _coefficient_polys(ctx.n, by_degree)
+    return _coefficient_polys(ctx, by_degree)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
@@ -664,11 +672,32 @@ def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     return {}
 
 
-@lru_cache(maxsize=None)
-def _bottom_row_filling(n: int, b: int) -> TwoRowFilling:
-    """The filling of 1..n whose bottom row is the bit set b: entry j
-    for each bit j - 1."""
-    return filling_from_monomial([b >> i & 1 for i in range(n)], n)
+class _Lazy(dict):
+    """A dict that makes a missing value as make(key) and keeps it; racing
+    threads all get the first value stored."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))
+
+
+@_per_context
+def _bottom_row_fillings(ctx: SpringerContext) -> _Lazy:
+    """The filling of 1..n whose bottom row is the bit set b, entry j for
+    each bit j - 1, keyed by b and made when first read."""
+    n = ctx.n
+    return _Lazy(lambda b: filling_from_monomial([b >> i & 1 for i in range(n)], n))
+
+
+@_per_context
+def _standard_keys(ctx: SpringerContext) -> _Lazy:
+    """Whether the filling of the bit set b is standard, keyed by b and
+    decided by ``is_standard`` when first read."""
+    fillings = _bottom_row_fillings(ctx)
+    return _Lazy(lambda b: is_standard(fillings[b]))
 
 
 def _combine(
@@ -723,10 +752,10 @@ def _rewrite_expansion(
     n, k = ctx.n, ctx.k
     target = alpha + (0,)
     # a repeated variable: apply the square rule at the first one
-    for pos in range(n):
-        if alpha[pos] >= 2:
-            rest = target[:pos] + (alpha[pos] - 2,) + target[pos + 1 :]
-            return [(monomial_mul(m, rest), c) for m, c in _square_terms(ctx, pos + 1)], 1
+    for pos, e in enumerate(alpha):
+        if e >= 2:
+            rest = target[:pos] + (e - 2,) + target[pos + 1 :]
+            return [(tuple(map(add, m, rest)), c) for m, c in _square_rules(ctx)[pos]], 1
     support = tuple(i + 1 for i in range(n) if alpha[i])
     ell = len(support)
     if ell >= k + 1:
@@ -758,16 +787,24 @@ def _rewrite_expansion(
 def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coordinates:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
     coordinates, memoized per context as integer numerators per basis
-    monomial over one denominator.
+    monomial over one denominator; a memoized alpha returns at once.
 
     An explicit work stack drives the rewriting, so no power is too high
-    for the interpreter's recursion limit.  ``expanding`` maps each
-    monomial this call has rewritten but not yet finished to its
-    expansion; those monomials form the chain from alpha to the top of
-    the stack, so meeting one again is a cycle.  It is private to the
-    call, and only finished values reach the memo."""
+    for the interpreter's recursion limit.  Squarefree monomials of
+    degree at most k are tested for standardness through the context's
+    ``_standard_keys``; every other one takes a ``_rewrite_expansion``
+    step, whose terms are checked for the step's degree as their x-parts
+    are read off.  ``expanding`` maps each monomial this call has
+    rewritten but not yet finished to its expansion; those monomials form
+    the chain from alpha to the top of the stack, so meeting one again is
+    a cycle.  It is private to the call, and only finished values reach
+    the memo."""
     memo = _rewrite_memo(ctx)
+    value = memo.get(alpha)
+    if value is not None:
+        return value
     n, k = ctx.n, ctx.k
+    standard = _standard_keys(ctx)
     expanding: dict[tuple[int, ...], tuple[list[tuple[tuple[int, ...], int]], int]] = {}
     stack = [alpha]
     while stack:
@@ -782,21 +819,19 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
             memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
             stack.pop()
             continue
-        if all(e <= 1 for e in beta) and sum(beta) <= k:
+        degree = sum(beta)
+        if degree <= k and max(beta) <= 1:
             b = sum(e << i for i, e in enumerate(beta))
-            if is_standard(_bottom_row_filling(n, b)):
+            if standard[b]:
                 memo[beta] = (((b, 1),), 1)
                 stack.pop()
                 continue
-        degree = sum(beta)
         terms, divisor = _rewrite_expansion(ctx, beta)
-        for mono, _ in terms:
-            if sum(mono) != degree:
-                raise ConsistencyError(
-                    f"rewriting {beta} left degree {degree} for n={n}, k={k}"
-                )
-        expanding[beta] = ([(mono[:n], c) for mono, c in terms], divisor)
-        for sub in dict.fromkeys(mono[:n] for mono, _ in terms):
+        subs = [(mono[:n], c) for mono, c in terms if sum(mono) == degree]
+        if len(subs) != len(terms):
+            raise ConsistencyError(f"rewriting {beta} left degree {degree} for n={n}, k={k}")
+        expanding[beta] = (subs, divisor)
+        for sub in dict.fromkeys(sub for sub, _ in subs):
             if sub in memo:
                 continue
             if sub in expanding:
@@ -828,7 +863,15 @@ def straighten_by_rewrite(
         value = _straighten_x_monomial(ctx, mono[:n])
         entries.setdefault(sum(mono), []).append((value, coeff))
     by_degree = {degree: _combine(terms) for degree, terms in entries.items()}
-    return _coefficient_polys(n, by_degree)
+    return _coefficient_polys(ctx, by_degree)
+
+
+def _pack(values: Iterable[int], size: int) -> int:
+    """The nonnegative integers values, each below 2^(8 * size), as one
+    integer: slot i holds the i-th value in size little-endian bytes."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(size), repeat("little"))), "little"
+    )
 
 
 def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]) -> int:
@@ -840,20 +883,43 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     nonsingular (``kernel_ideal_comparisons``, steps 1-4;
     ``basis-determinant`` is the witness), so coordinates that pass are
     the unique ones, those the solve route finds, and no inverse is built.
-    A key with more bits than the monomial's degree raises
-    ConsistencyError, as in ``_coefficient_polys``."""
+
+    The comparison is packed by Kronecker substitution: each core column
+    becomes one integer P_b of fixed-width slots, one per fixed point
+    (``_pack``), so each monomial costs one big-integer multiply-add per
+    coordinate, sum_b a_b * P_b, against D * pack(w^alpha).  A first pass
+    reads every monomial's coordinates and bounds each slot of the
+    difference by B = max of sum_b |a_b| * max(core) + D * n^|alpha|, as
+    every w(i) lies in 1..n.  In slots of W = bits(B) + 2 bits, rounded up
+    to whole bytes, no slot of the difference reaches 2^(W-1), so the
+    packed sides are equal exactly when every slot is; the width grows
+    with the input, so no input overflows it.  The second pass compares
+    them; only the memo's coordinates are kept between the passes, no
+    values at the fixed points.  A key with more bits
+    than the monomial's degree raises ConsistencyError, as in
+    ``_coefficient_polys``."""
     matrix = basis_image_matrix(ctx)
-    column = dict(zip(matrix.column_keys, zip(*matrix.integer_core)))
-    mismatches = 0
+    core, n = matrix.integer_core, ctx.n
+    bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
+    straightened = []
     for mono in monomials:
-        alpha = mono[: ctx.n]
-        numerators, den = _straighten_x_monomial(ctx, alpha)
-        sums = [0] * len(matrix.integer_core)
+        alpha = mono[:n]
+        numerators, den = coordinates = _straighten_x_monomial(ctx, alpha)
+        degree, weight = sum(mono), 0
         for b, a in numerators:
-            if b.bit_count() > sum(mono):
+            if b.bit_count() > degree:
                 raise ConsistencyError(NON_POLYNOMIAL)
-            sums = [s + a * v for s, v in zip(sums, column[b])]
-        mismatches += sums != [den * v for v in _monomial_values(matrix.value_columns, alpha)]
+            weight += abs(a)
+        bound = max(bound, top * weight + den * n ** sum(alpha))
+        straightened.append((alpha, coordinates))
+    size = (bound.bit_length() + 2 + 7) // 8
+    packed = dict(zip(matrix.column_keys, (_pack(column, size) for column in zip(*core))))
+    mismatches = 0
+    for alpha, (numerators, den) in straightened:
+        lhs = 0
+        for b, a in numerators:
+            lhs += a * packed[b]
+        mismatches += lhs != den * _pack(_monomial_values(matrix.value_columns, alpha), size)
     return mismatches
 
 

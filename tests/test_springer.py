@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
@@ -649,7 +651,7 @@ def _straighten_per_degree(f, ctx):
         numerators, d = solve_rational(matrix.inverse, sums)
         nonzero = tuple((b, a) for b, a in zip(matrix.column_keys, numerators) if a)
         by_degree[degree] = nonzero, d * scale
-    return springer._coefficient_polys(ctx.n, by_degree)
+    return springer._coefficient_polys(ctx, by_degree)
 
 
 @st.composite
@@ -921,7 +923,8 @@ def test_rewrite_memo_entries_have_polynomial_t_powers():
             assert all(basis[b].ell <= sum(alpha) and a for b, a in numerators), alpha
             assert denominator > 0, alpha
             assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
-        assert all(springer._bottom_row_filling(n, b) == tab for b, tab in basis.items())
+        fillings = springer._bottom_row_fillings(ctx)
+        assert all(fillings[b] == tab for b, tab in basis.items())
 
 
 def test_rewrite_memo_grows_only_as_needed():
@@ -943,8 +946,8 @@ def test_coefficient_lift_refuses_negative_t_power():
     assert basis[1].bottom == (2,)
     x2 = 0b10  # the bottom-row bit set of that tableau
     with pytest.raises(ConsistencyError, match="non-polynomial"):
-        springer._coefficient_polys(2, {0: (((x2, 1),), 1)})
-    assert springer._coefficient_polys(2, {1: (((x2, 1),), 1)}) == {basis[1]: TPoly.one()}
+        springer._coefficient_polys(ctx, {0: (((x2, 1),), 1)})
+    assert springer._coefficient_polys(ctx, {1: (((x2, 1),), 1)}) == {basis[1]: TPoly.one()}
 
 
 @pytest.mark.parametrize(
@@ -1057,6 +1060,93 @@ def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys):
         f"FAIL straighten[n={n},k={n // 2}]: consistency error: {springer.NON_POLYNOMIAL}"
         for n in (1, 2)
     ]
+
+
+def _reference_mismatches(ctx, monomials):
+    # the comparison slot by slot: one N-entry integer list per coordinate
+    matrix = basis_image_matrix(ctx)
+    column = dict(zip(matrix.column_keys, zip(*matrix.integer_core)))
+    mismatches = 0
+    for mono in monomials:
+        alpha = mono[: ctx.n]
+        numerators, den = springer._straighten_x_monomial(ctx, alpha)
+        sums = [0] * len(matrix.integer_core)
+        for b, a in numerators:
+            if b.bit_count() > sum(mono):
+                raise ConsistencyError(springer.NON_POLYNOMIAL)
+            sums = [s + a * v for s, v in zip(sums, column[b])]
+        values = springer._monomial_values(matrix.value_columns, alpha)
+        mismatches += sums != [den * v for v in values]
+    return mismatches
+
+
+def _check_monomials(ctx):
+    return squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_packed_mismatches_match_reference(n):
+    for k in range(n // 2 + 1):
+        ctx = SpringerContext(n, k)
+        x1_40_x2 = (40,) + tuple(int(i == 1) for i in range(1, n)) + (0,)
+        t9 = (0,) * n + (9,)
+        monomials = _check_monomials(ctx) + [x1_40_x2, t9]
+        assert springer.straightening_mismatches(ctx, monomials) == 0
+        assert _reference_mismatches(ctx, monomials) == 0
+
+
+def test_packed_slot_width_grows_with_the_values(monkeypatch):
+    # 6^60 needs 156 bits, so x1^60 at (6,3) needs slots past 128 bits,
+    # which the check's own monomials never do
+    sizes = []
+    original = springer._pack
+
+    def recorded(values, size):
+        sizes.append(size)
+        return original(values, size)
+
+    monkeypatch.setattr(springer, "_pack", recorded)
+    ctx = SpringerContext(6, 3)
+    assert springer.straightening_mismatches(ctx, _check_monomials(ctx)) == 0
+    assert 8 * max(sizes) <= 128
+    x1_60 = (60, 0, 0, 0, 0, 0, 0)
+    _, den = springer._straighten_x_monomial(ctx, x1_60[:6])
+    needed = (den * 6**60).bit_length()
+    assert needed > 128
+    sizes.clear()
+    assert springer.straightening_mismatches(ctx, [x1_60]) == 0
+    assert _reference_mismatches(ctx, [x1_60]) == 0
+    assert min(sizes) * 8 >= needed + 2
+
+
+def test_packed_check_counts_one_tampered_entry():
+    # +1 on one numerator of one memo entry: exactly its monomial fails,
+    # and the reference agrees
+    ctx = SpringerContext(5, 2)
+    monomials = squarefree_monomials(ctx, 3)
+    assert springer.straightening_mismatches(ctx, monomials) == 0
+    alpha = next(m[:5] for m in monomials if sum(m) == 3)
+    memo = springer._rewrite_memo(ctx)
+    (b, a), *rest = memo[alpha][0]
+    memo[alpha] = (((b, a + 1), *rest), memo[alpha][1])
+    assert springer.straightening_mismatches(ctx, monomials) == 1
+    assert _reference_mismatches(ctx, monomials) == 1
+
+
+def test_fillings_are_freed_with_their_context():
+    # the rewriting route's fillings live on the context: x1 at (1000,1)
+    # reads 1,000 fillings of 1,000 entries, and none outlives the context
+    tracemalloc.start()
+    try:
+        ctx = SpringerContext(1000, 1)
+        assert len(straighten_by_rewrite(ctx.x(1), ctx)) == 1000
+        assert len(springer._bottom_row_fillings(ctx)) >= 1000
+        del ctx
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_rewrite_memo_is_thread_safe():

@@ -272,14 +272,14 @@ def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
 
 
 @lru_cache(maxsize=None)
-def _j0(n: int) -> tuple[tuple[MPoly, ...], groebner.GroebnerBasis, tuple[Monomial, ...]]:
+def _j0(n: int) -> tuple[tuple[MPoly, ...], tuple[Monomial, ...]]:
     """J0 = (e1, x_1^2, ..., x_n^2), J without its products, built here and
-    not read from ``ordinary_ideal``: its generators, reduced Groebner
-    basis and standard monomials, computed once per n for every k."""
+    not read from ``ordinary_ideal``: its generators and the standard
+    monomials of its reduced Groebner basis, computed once per n for
+    every k."""
     squares = (MPoly.from_monomial(tuple(2 * (p == i) for p in range(n))) for i in range(n))
     generators = (elementary_symmetric(n, 1, range(n)), *squares)
-    basis = groebner.buchberger(generators)
-    return generators, basis, tuple(groebner.quotient_dimension(basis)[1])
+    return generators, tuple(groebner.quotient_dimension(groebner.buchberger(generators))[1])
 
 
 @_per_context
@@ -289,7 +289,7 @@ def _j_standard_monomials(ctx: SpringerContext) -> Optional[tuple[Monomial, ...]
     ``kernel_ideal_comparisons``); None for a list of another shape.
     Cached per context, for ``kernel_ideal_comparisons`` and
     ``ordinary_presentation_check``."""
-    n, (generators, _, standard) = ctx.n, _j0(ctx.n)
+    n, (generators, standard) = ctx.n, _j0(ctx.n)
     subsets = combinations(range(n), ctx.k + 1)
     products = [MPoly.from_monomial(tuple(int(p in s) for p in range(n))) for s in subsets]
     if list(ordinary_ideal(ctx).generators) != [*generators, *products]:
@@ -327,9 +327,12 @@ class RelationCheck:
         return not self.failures
 
 
+@_per_context
 def _value_columns(ctx: SpringerContext) -> tuple[tuple[int, ...], ...]:
     """Column i holds w(i + 1) at every fixed point, in the order of
-    ``fixed_points``: the values of x_{i+1} at t = 1."""
+    ``fixed_points``: the values of x_{i+1} at t = 1.  Built once per
+    context, for the relations, the basis matrix and both straightening
+    comparisons."""
     return tuple(zip(*(w.w for w in fixed_points(ctx))))
 
 
@@ -337,9 +340,10 @@ def _monomial_values(
     columns: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]
 ) -> tuple[int, ...]:
     """The integer values prod w(i)^alpha_i of the x-monomial with
-    exponents alpha over x1..xn, one per fixed point, from the context's
-    ``_value_columns``: one elementwise power per variable in the support
-    and one elementwise product per further variable, column by column."""
+    exponents alpha over x1..xn, one per fixed point, from the columns
+    ``_value_columns(ctx)`` that each caller reads once: one elementwise
+    power per variable in the support and one elementwise product per
+    further variable, column by column."""
     values = None
     for column, e in zip(columns, alpha):
         if e:
@@ -357,9 +361,9 @@ def _component_values(
     Restriction sends a degree-d component to v_w * t^d, where v_w is
     its value at x = (w(1), ..., w(n)), t = 1.  Returns integers s_w and
     a common denominator D > 0 with v_w = s_w / D: an integer combination
-    of the values of its monomials, read from the context's
-    ``_value_columns``.  ``localize`` computes the same values one point
-    at a time."""
+    of the values of its monomials, read from the columns
+    ``_value_columns(ctx)`` the caller passes.  ``localize`` computes the
+    same values one point at a time."""
     n = len(columns)
     scale = lcm(1, *(c.denominator for c in component.terms.values()))
     sums = [0] * len(columns[0])
@@ -489,13 +493,12 @@ class BasisMatrix:
     that every solve is an integer substitution; ``verify`` never builds
     it, and the solve never reads the determinant.  ``row_bound`` is kept
     beside it.  The solve and ``straightening_mismatches`` read
-    ``value_columns`` (the context's ``_value_columns``) and
     ``column_keys`` (the bottom-row bit set of each column's tableau) from
-    here too, so none of them is rebuilt per polynomial.
+    here and the context's ``_value_columns`` beside it, so neither is
+    rebuilt per polynomial.
     """
 
     integer_core: tuple[tuple[int, ...], ...]
-    value_columns: tuple[tuple[int, ...], ...]
     column_keys: tuple[int, ...]
 
     @cached_property
@@ -528,7 +531,6 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
     core = tuple(zip(*columns))
     return BasisMatrix(
         integer_core=core,
-        value_columns=values,
         column_keys=tuple(sum(1 << (j - 1) for j in tab.bottom) for tab in tableaux),
     )
 
@@ -541,6 +543,15 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 Coordinates = tuple[tuple[tuple[int, int], ...], int]
 
 NON_POLYNOMIAL = "straightening produced a non-polynomial coefficient"
+
+
+@_per_context
+def _bottom_row_fillings(ctx: SpringerContext) -> dict[int, TwoRowFilling]:
+    """The filling of 1..n whose bottom row is the bit set b, entry j for
+    each bit j - 1, keyed by b.  Only the lift ``_coefficient_polys``
+    stores fillings, those of the keys it returns; ``verify`` lifts
+    nothing, so it stores none."""
+    return {}
 
 
 def _coefficient_polys(
@@ -563,7 +574,10 @@ def _coefficient_polys(
             row.extend([zero] * (power + 1 - len(row)))
             row[power] = Fraction(a, den)
     # each row ends in the entry set at its highest power, which is nonzero
-    fillings = _bottom_row_fillings(ctx)
+    n, fillings = ctx.n, _bottom_row_fillings(ctx)
+    for b in dense:
+        if b not in fillings:
+            fillings.setdefault(b, filling_from_monomial([b >> i & 1 for i in range(n)], n))
     return {fillings[b]: TPoly._make(tuple(row)) for b, row in dense.items()}
 
 
@@ -639,7 +653,7 @@ def straighten_by_solve(
         raise ConsistencyError(
             f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
         )
-    bound, keys, columns = matrix.row_bound, matrix.column_keys, matrix.value_columns
+    bound, keys, columns = matrix.row_bound, matrix.column_keys, _value_columns(ctx)
     by_degree: dict[int, Coordinates] = {}
     pack: list[tuple[int, int, int, list[int]]] = []
     used = 0
@@ -670,34 +684,6 @@ def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     complete values are stored, so threads sharing the memo may compute
     an entry twice but never read a partial one."""
     return {}
-
-
-class _Lazy(dict):
-    """A dict that makes a missing value as make(key) and keeps it; racing
-    threads all get the first value stored."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.make(key))
-
-
-@_per_context
-def _bottom_row_fillings(ctx: SpringerContext) -> _Lazy:
-    """The filling of 1..n whose bottom row is the bit set b, entry j for
-    each bit j - 1, keyed by b and made when first read."""
-    n = ctx.n
-    return _Lazy(lambda b: filling_from_monomial([b >> i & 1 for i in range(n)], n))
-
-
-@_per_context
-def _standard_keys(ctx: SpringerContext) -> _Lazy:
-    """Whether the filling of the bit set b is standard, keyed by b and
-    decided by ``is_standard`` when first read."""
-    fillings = _bottom_row_fillings(ctx)
-    return _Lazy(lambda b: is_standard(fillings[b]))
 
 
 def _combine(
@@ -791,12 +777,13 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
 
     An explicit work stack drives the rewriting, so no power is too high
     for the interpreter's recursion limit.  Squarefree monomials of
-    degree at most k are tested for standardness through the context's
-    ``_standard_keys``; every other one takes a ``_rewrite_expansion``
-    step, whose terms are checked for the step's degree as their x-parts
-    are read off.  ``expanding`` maps each monomial this call has
-    rewritten but not yet finished to its expansion; those monomials form
-    the chain from alpha to the top of the stack, so meeting one again is
+    degree at most k are tested for standardness by ``is_standard``, at
+    most once per context, since the memo then holds the outcome; every
+    other one takes a ``_rewrite_expansion`` step, whose terms are checked
+    for the step's degree as their x-parts are read off.  ``expanding``
+    maps each monomial this call has rewritten but not yet finished to its
+    expansion; those monomials form the chain from alpha to the top of the
+    stack, so meeting one again is
     a cycle.  It is private to the call, and only finished values reach
     the memo."""
     memo = _rewrite_memo(ctx)
@@ -804,7 +791,6 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
     if value is not None:
         return value
     n, k = ctx.n, ctx.k
-    standard = _standard_keys(ctx)
     expanding: dict[tuple[int, ...], tuple[list[tuple[tuple[int, ...], int]], int]] = {}
     stack = [alpha]
     while stack:
@@ -820,12 +806,10 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
             stack.pop()
             continue
         degree = sum(beta)
-        if degree <= k and max(beta) <= 1:
-            b = sum(e << i for i, e in enumerate(beta))
-            if standard[b]:
-                memo[beta] = (((b, 1),), 1)
-                stack.pop()
-                continue
+        if degree <= k and max(beta) <= 1 and is_standard(filling_from_monomial(beta, n)):
+            memo[beta] = (((sum(e << i for i, e in enumerate(beta)), 1),), 1)
+            stack.pop()
+            continue
         terms, divisor = _rewrite_expansion(ctx, beta)
         subs = [(mono[:n], c) for mono, c in terms if sum(mono) == degree]
         if len(subs) != len(terms):
@@ -914,12 +898,12 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
         straightened.append((alpha, coordinates))
     size = (bound.bit_length() + 2 + 7) // 8
     packed = dict(zip(matrix.column_keys, (_pack(column, size) for column in zip(*core))))
-    mismatches = 0
+    columns, mismatches = _value_columns(ctx), 0
     for alpha, (numerators, den) in straightened:
         lhs = 0
         for b, a in numerators:
             lhs += a * packed[b]
-        mismatches += lhs != den * _pack(_monomial_values(matrix.value_columns, alpha), size)
+        mismatches += lhs != den * _pack(_monomial_values(columns, alpha), size)
     return mismatches
 
 
@@ -1083,10 +1067,11 @@ class OrdinaryCheck:
 def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
     """dim Q[x]/J = C(n, k), from J0 (``_j_standard_monomials``); J equals I
     at t = 0 (``_specializes_to_j``) and Tanisaki's ideal, by certificates
-    on the generator lists.  Tanisaki's e1 and products are J's, and each
-    e2(omit i) = e2(all) - x_i e1 + x_i^2, with 2 e2(all) = e1^2 - sum x_i^2,
-    has normal form zero against J0's basis; J0 lies in J.  Conversely
-    x_i^2 = x_i e1 - e2(all) + e2(omit i), and e2(all) is the sum of the
+    on the generator lists, with no normal form.  Tanisaki's e1 and
+    products are J's, and J's squares are x_i^2 = x_i e1 - e2(all) +
+    e2(omit i), so each e2(omit i) lies in J once e2(all) does: the
+    identity 2 e2(all) = e1^2 - sum x_i^2, checked on J's e1 and squares,
+    shows it.  Conversely e2(all) is the sum of the
     e2(omit i) over n - 2 for n >= 3, x1 x2 (a multiple of a product
     generator) for n = 2, 0 for n = 1.  A list of another shape fails even
     if its ideal is J."""
@@ -1111,6 +1096,9 @@ def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
         tanisaki_equal=standard is not None
         and [e1, *squares, *(p.terms for p in products)] == j
         and e2_in
-        and not any(groebner.normal_form(g, _j0(n)[1]) for g in e2_omit),
+        # past the list comparison, e1 is J's e1 and j[1 : n + 1] J's squares
+        and all(sum(m) == 1 for m in e1)
+        and _linear_product([{m.index(1): c for m, c in e1.items()}] * 2, (0,) * n)
+        == _sum_terms((2, e2), *((1, square) for square in j[1 : n + 1])),
         specialization_equal=_specializes_to_j(ctx),
     )

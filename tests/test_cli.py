@@ -3,6 +3,7 @@ import json
 import sys
 import time
 import weakref
+from math import comb
 
 import pytest
 
@@ -224,6 +225,28 @@ def test_verify_refuses_a_straighten_core_past_the_limit_at_once(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "11", "--checks", "fixed-points")
     assert code == 0
     assert "fixed-points[n=11,k=5]" in out
+
+
+def test_verify_refuses_fixed_points_past_the_listing_limit_at_once(capsys):
+    # each context builds up to C(n, n // 2) fixed points of n entries,
+    # first too many at n = 22; the walk up to it makes no huge comb
+    assert 21 * comb(21, 10) <= LISTING_LIMIT < 22 * comb(22, 11)
+    refusal = (
+        f"error: C(22,11) fixed points would build more than {LISTING_LIMIT} exponent entries\n"
+    )
+    builders = [n for n in CHECK_NAMES if n not in ("hook-identity", "square-reduction")]
+    for n_max in ("22", str(10**9)):
+        for checks in (",".join(builders), *builders, "hook-identity,ordinary"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "verify", "--n-max", n_max, "--checks", checks)
+            assert time.perf_counter() - started < 1.0
+            assert (code, out) == (2, ""), checks
+            if not {"straighten", "basis-determinant"} & set(checks.split(",")):
+                assert err == refusal, checks  # the other two are refused at C(11,5)
+    checks = "hook-identity,square-reduction"
+    code, out, _ = run(capsys, "verify", "--n-max", "40", "--k", "max", "--checks", checks)
+    assert code == 0
+    assert "hook-identity[n=40,k=20]" in out
 
 
 def test_verify_refuses_a_basis_determinant_core_past_the_limit_at_once(capsys, monkeypatch):
@@ -497,6 +520,36 @@ def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
         springer._j0.cache_clear()
     assert code == 0
     assert calls == []
+
+
+def test_verify_computes_no_normal_form(capsys, monkeypatch):
+    # ordinary proves Tanisaki's ideal inside J by identities on the
+    # generator lists, and no other check reduces a polynomial either
+    calls = []
+    monkeypatch.setattr(groebner, "normal_form", lambda *args: calls.append(args))
+    springer._j0.cache_clear()
+    try:
+        assert run(capsys, "verify", "--n-max", "5", "--k", "all", "--checks", "ordinary")[0] == 0
+        assert run(capsys, "verify", "--n-max", "5", "--k", "all")[0] == 0
+    finally:
+        springer._j0.cache_clear()
+    assert calls == []
+
+
+def test_verify_stores_no_fillings(capsys, monkeypatch):
+    # only the lift of a straightening stores tableau fillings, and verify
+    # lifts nothing: each of its 11 contexts up to n = 5 fills its rewrite
+    # memo but ends with no filling
+    made = []
+    context = springer.SpringerContext
+    monkeypatch.setattr(
+        cli, "SpringerContext", lambda **kw: made.append(context(**kw)) or made[-1]
+    )
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    assert code == 0
+    assert len(made) == 11
+    assert all(springer._rewrite_memo(ctx) for ctx in made)
+    assert [springer._bottom_row_fillings(ctx) for ctx in made] == [{}] * 11
 
 
 def test_verify_runs_buchberger_once_per_n(capsys, monkeypatch):

@@ -647,7 +647,7 @@ def _straighten_per_degree(f, ctx):
     matrix = basis_image_matrix(ctx)
     by_degree = {}
     for degree, component in f.homogeneous_components().items():
-        sums, scale = springer._component_values(matrix.value_columns, component)
+        sums, scale = springer._component_values(springer._value_columns(ctx), component)
         numerators, d = solve_rational(matrix.inverse, sums)
         nonzero = tuple((b, a) for b, a in zip(matrix.column_keys, numerators) if a)
         by_degree[degree] = nonzero, d * scale
@@ -923,8 +923,29 @@ def test_rewrite_memo_entries_have_polynomial_t_powers():
             assert all(basis[b].ell <= sum(alpha) and a for b, a in numerators), alpha
             assert denominator > 0, alpha
             assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
+        # the lift stores the filling of each key it returned, and only those
         fillings = springer._bottom_row_fillings(ctx)
-        assert all(fillings[b] == tab for b, tab in basis.items())
+        assert fillings and all(basis[b] == tab for b, tab in fillings.items())
+
+
+def test_rewrite_walk_tests_standardness_once_per_monomial(monkeypatch):
+    # the memo holds each outcome, so the walk asks is_standard about a
+    # squarefree monomial of degree at most k once per context: exactly
+    # the memo's squarefree entries of that degree
+    asked = []
+    original = springer.is_standard
+    monkeypatch.setattr(springer, "is_standard", lambda f: asked.append(f.bottom) or original(f))
+    for n, k in ((5, 2), (7, 3)):
+        ctx = SpringerContext(n, k)
+        asked.clear()
+        monomials = sample_monomials(ctx, 60, 7) + squarefree_monomials(ctx, k + 2)
+        for mono in monomials:
+            straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
+        assert springer.straightening_mismatches(ctx, monomials) == 0
+        memo = springer._rewrite_memo(ctx)
+        low = {filling_from_monomial(a, n).bottom for a in memo if max(a) <= 1 and sum(a) <= k}
+        assert len(asked) == len(set(asked)) == len(low) > 0
+        assert set(asked) == low
 
 
 def test_rewrite_memo_grows_only_as_needed():
@@ -1075,7 +1096,7 @@ def _reference_mismatches(ctx, monomials):
             if b.bit_count() > sum(mono):
                 raise ConsistencyError(springer.NON_POLYNOMIAL)
             sums = [s + a * v for s, v in zip(sums, column[b])]
-        values = springer._monomial_values(matrix.value_columns, alpha)
+        values = springer._monomial_values(springer._value_columns(ctx), alpha)
         mismatches += sums != [den * v for v in values]
     return mismatches
 
@@ -1134,8 +1155,8 @@ def test_packed_check_counts_one_tampered_entry():
 
 
 def test_fillings_are_freed_with_their_context():
-    # the rewriting route's fillings live on the context: x1 at (1000,1)
-    # reads 1,000 fillings of 1,000 entries, and none outlives the context
+    # the lift's fillings live on the context: x1 at (1000,1) lifts onto
+    # 1,000 tableaux, whose fillings of 1,000 entries none outlives it
     tracemalloc.start()
     try:
         ctx = SpringerContext(1000, 1)

@@ -298,12 +298,22 @@ def _check_kernel_ideal(ctx):
         detail = "step 1 (vanishing): a generator of I does not vanish at every fixed point"
     elif not report.specializes_to_j:
         detail = "step 2 (I + (t) = J + (t)): I's generators at t = 0 do not telescope to J's"
+    elif report.span_counts != report.expected_counts:
+        d, count = next(
+            (d, c) for d, c in enumerate(report.span_counts) if c != report.expected_counts[d]
+        )
+        detail = f"step 3 (spanning): the paper's rule at t = 0 fails in degree {d}"
+        if count is not None:
+            detail = (
+                f"step 3 (spanning): in degree {d} the paper's rule at t = 0 leaves {count} "
+                f"standard monomials, not C(n,d) - C(n,d-1) = {report.expected_counts[d]}"
+            )
     elif report.quotient_dimension is None:
-        detail = "step 3 (standard monomials): J's list is not e1, the squares and the products"
+        detail = "step 3 (spanning): J's list is not e1, the squares and the products"
     elif not report.tableau_standard:
         detail = (
-            f"step 3 (standard monomials): J's (quotient dim {report.quotient_dimension}) "
-            f"are not the {size} tableau monomials"
+            f"step 3 (spanning): the {size} tableau monomials are not the "
+            f"{report.quotient_dimension} standard monomials that span Q[x]/J"
         )
     elif not report.points_distinct:
         detail = f"step 4 (distinct points): the fixed points are not {size} distinct points"
@@ -315,7 +325,8 @@ def _check_kernel_ideal(ctx):
     else:
         detail = (
             f"I = kernel in all degrees (I vanishes at the fixed points, I + (t) = J + (t), "
-            f"J's standard monomials are the tableau monomials, N = {size} distinct points: "
+            f"the paper's rule at t = 0 spans Q[x]/J by the tableau monomials, "
+            f"N = {size} distinct points: "
             f"a free Q[t]-basis by graded Nakayama); tableaux by bottom size {counts} "
             f"= C(n,d) - C(n,d-1)"
         )

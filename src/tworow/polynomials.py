@@ -7,9 +7,10 @@ slots.  All variables have weight one, so every generator handled by
 this package is homogeneous in the total degree.
 
 The one monomial order is grevlex with x1 > x2 > ... > xn > t.  The
-order decides which monomials are standard for a Groebner basis, and
-the kernel certificate in ``springer`` compares the standard monomials
-of J with the tableau monomials, which it finds under grevlex.
+order decides which monomials are standard for a Groebner basis; the
+tests find the standard monomials of J to be the tableau monomials
+under grevlex, a cross-check of the kernel certificate in ``springer``,
+which needs no monomial order.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Three presentation ideals are constructed:
   forms (``_generator_forms``); the checks read only those factors.
 * ``ordinary_ideal``: the t = 0 shadow J in Q[x1..xn], generated by J0 =
   (e1, x_1^2, ..., x_n^2) and all squarefree (k+1)-fold products; the
-  checks run Buchberger only on J0, once per n (``_j0``).
+  checks compute no Groebner basis: the paper's straightening rule at
+  t = 0 shows the tableau monomials span Q[x]/J (``_rule_span_counts``).
 * ``tanisaki_ideal``: the classical elementary-symmetric presentation of
   the same ordinary cohomology ring.
 
@@ -47,7 +48,6 @@ from .tableaux import (
     monomial_from_filling,
 )
 from .tpoly import TPoly
-from . import groebner
 
 SAMPLE_SEED = 1729  # seeds the deterministic straightening spot-checks
 
@@ -271,30 +271,102 @@ def ideal_by_name(ctx: SpringerContext, name: str) -> IdealPresentation:
     return table[name](ctx)
 
 
-@lru_cache(maxsize=None)
-def _j0(n: int) -> tuple[tuple[MPoly, ...], tuple[Monomial, ...]]:
-    """J0 = (e1, x_1^2, ..., x_n^2), J without its products, built here and
-    not read from ``ordinary_ideal``: its generators and the standard
-    monomials of its reduced Groebner basis, computed once per n for
-    every k."""
+@_per_context
+def _j_is_j0_plus_products(ctx: SpringerContext) -> bool:
+    """J's list is J0 = (e1, x_1^2, ..., x_n^2), built here and not read
+    from ``ordinary_ideal``, followed by every squarefree (k+1)-product.
+    A monomial of degree k + 1 is squarefree or a multiple of a square, so
+    then J = J0 + m^(k+1), m = (x_1, ..., x_n).  Cached per context, for
+    ``kernel_ideal_comparisons`` and ``ordinary_presentation_check``."""
+    n = ctx.n
     squares = (MPoly.from_monomial(tuple(2 * (p == i) for p in range(n))) for i in range(n))
-    generators = (elementary_symmetric(n, 1, range(n)), *squares)
-    return generators, tuple(groebner.quotient_dimension(groebner.buchberger(generators))[1])
+    subsets = combinations(range(n), ctx.k + 1)
+    products = (MPoly.from_monomial(tuple(int(p in s) for p in range(n))) for s in subsets)
+    expected = [elementary_symmetric(n, 1, range(n)), *squares, *products]
+    return list(ordinary_ideal(ctx).generators) == expected
+
+
+def _first_bad_column(mask: int, n: int) -> int:
+    """The first column, 1-based, of the two-row filling with bottom row
+    the set bits of mask (the support of a squarefree monomial, as
+    ``filling_from_monomial`` reads it) whose top entry exceeds its bottom
+    one; 0 for a standard filling.  A ballot scan, independent of
+    ``is_standard``: the b-th bottom entry's column is bad when fewer than
+    b top entries precede it."""
+    tops = bottoms = 0
+    for p in range(n):
+        if mask >> p & 1:
+            bottoms += 1
+            if tops < bottoms:
+                return bottoms
+        else:
+            tops += 1
+    return 0
+
+
+def _rule_at_zero(mask: int, j: int, n: int, order: Mapping[int, int]) -> bool:
+    """Whether the paper's non-standard rule at t = 0, in column j, writes
+    x_S, S the set bits of mask, as a combination of later squarefree
+    monomials of its degree modulo J0.
+
+    With head the first j - 1 top entries and tail the bottom entries past
+    column j, the rule's relation rest^j - (-head)^j, rest = e1 - head,
+    times x_tail lies in J0.  Modulo the squares, (-head)^j vanishes, as
+    head has j - 1 variables, and rest^j x_tail is j! e_j(rest minus
+    tail) x_tail.  So x_S must occur there exactly once, and every other
+    term must be later than S: a key of ``order`` (a subset of S's size)
+    whose first bad column is 0 or past S's."""
+    top = [p for p in range(n) if not mask >> p & 1]
+    bottom = [p for p in range(n) if mask >> p & 1]
+    if not 1 <= j <= len(bottom):
+        return False
+    tail = sum(1 << p for p in bottom[j:])
+    head = sum(1 << p for p in top[: j - 1])
+    free = [1 << p for p in range(n) if not (head | tail) >> p & 1]
+    own, hits = order[mask], 0
+    for chosen in combinations(free, j):
+        term = tail | sum(chosen)
+        if term == mask:
+            hits += 1
+        elif term not in order or 0 < order[term] <= own:
+            return False
+    return hits == 1
+
+
+@lru_cache(maxsize=None)
+def _rule_span_counts(n: int) -> tuple[Optional[int], ...]:
+    """Per degree d = 0..n/2, the number of standard d-subsets when the
+    paper's rule at t = 0 (``_rule_at_zero``) reduces every non-standard
+    d-subset, at its first bad column, to later ones; None where it fails.
+    Squarefree monomials span Q[x]_d modulo J0, so by induction on
+    d - (first bad column) the standard ones span (Q[x]/J0)_d, and the
+    count bounds its dimension from above.  Computed once per n for every
+    k."""
+    counts = []
+    for d in range(n // 2 + 1):
+        masks = (sum(1 << p for p in s) for s in combinations(range(n), d))
+        order = {mask: _first_bad_column(mask, n) for mask in masks}
+        spans = all(_rule_at_zero(mask, j, n, order) for mask, j in order.items() if j)
+        counts.append(sum(not j for j in order.values()) if spans else None)
+    return tuple(counts)
+
+
+def _graded_dimensions(n: int, k: int) -> tuple[int, ...]:
+    """C(n, d) - C(n, d - 1) for d = 0..k: the Betti numbers of the
+    Springer fiber, and a lower bound on dim (Q[x]/J0)_d."""
+    return tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(k + 1))
 
 
 @_per_context
-def _j_standard_monomials(ctx: SpringerContext) -> Optional[tuple[Monomial, ...]]:
-    """J0's standard monomials of degree at most k, which are J's when J's
-    list is J0's followed by every squarefree (k+1)-product (step 3 of
-    ``kernel_ideal_comparisons``); None for a list of another shape.
-    Cached per context, for ``kernel_ideal_comparisons`` and
-    ``ordinary_presentation_check``."""
-    n, (generators, standard) = ctx.n, _j0(ctx.n)
-    subsets = combinations(range(n), ctx.k + 1)
-    products = [MPoly.from_monomial(tuple(int(p in s) for p in range(n))) for s in subsets]
-    if list(ordinary_ideal(ctx).generators) != [*generators, *products]:
+def _j_quotient_dimension(ctx: SpringerContext) -> Optional[int]:
+    """dim Q[x]/J, or None when J's list is of another shape
+    (``_j_is_j0_plus_products``) or, in some degree d <= k, the lower
+    bound C(n, d) - C(n, d - 1) differs from the upper bound of
+    ``_rule_span_counts`` (step 3 of ``kernel_ideal_comparisons``)."""
+    counts = _rule_span_counts(ctx.n)[: ctx.k + 1]
+    if not _j_is_j0_plus_products(ctx) or counts != _graded_dimensions(ctx.n, ctx.k):
         return None
-    return tuple(m for m in standard if sum(m) <= ctx.k)
+    return sum(counts)
 
 
 # -- localization ------------------------------------------------------------
@@ -983,7 +1055,10 @@ class KernelIdealCheck:
     """The certificate that I is the kernel of localization, one boolean
     per step of the proof in ``kernel_ideal_comparisons``, in order.
     ``quotient_dimension`` is that of Q[x]/J, None for a J list of another
-    shape (step 3); ``graded_counts`` holds #{T : ell(T) = d} over the basis tableaux and
+    shape or a degree where its bounds differ (step 3); ``span_counts``
+    holds, for d = 0..k, the standard d-subsets that the paper's rule at
+    t = 0 leaves spanning (Q[x]/J0)_d, None where the rule fails;
+    ``graded_counts`` holds #{T : ell(T) = d} over the basis tableaux and
     ``expected_counts`` the closed form C(n, d) - C(n, d - 1), d = 0..k."""
 
     generators_vanish: bool
@@ -991,6 +1066,7 @@ class KernelIdealCheck:
     tableau_standard: bool
     quotient_dimension: Optional[int]
     points_distinct: bool
+    span_counts: tuple[Optional[int], ...]
     graded_counts: tuple[int, ...]
     expected_counts: tuple[int, ...]
 
@@ -1006,13 +1082,22 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
 
     1. I's generators vanish at every fixed point (``verify_relations``).
     2. I + (t) = J + (t) (``_specializes_to_j``).
-    3. J's list is J0's, J0 = (e1, x_1^2, ..., x_n^2), then every
-       squarefree (k+1)-product, and J0's standard monomials of degree at
-       most k are the N tableau monomials x_T.  A monomial of degree
-       D = k + 1 is squarefree or a multiple of a square, so
-       J = J0 + m^D, m = (x_1, ..., x_n), and LT(J) = LT(J0) + m^D: the
-       homogeneous J and J0 agree below degree D, and every monomial of
-       degree D or more lies in J.  So the x_T are J's standard monomials.
+    3. The N tableau monomials x_T are a basis of Q[x]/J.  J's list is
+       J0's, J0 = (e1, x_1^2, ..., x_n^2), then every squarefree
+       (k+1)-product, so J = J0 + m^(k+1), m = (x_1, ..., x_n)
+       (``_j_is_j0_plus_products``): Q[x]/J is (Q[x]/J0)_d in degree
+       d <= k and 0 above.  Modulo the non-squarefree monomials, (J0)_d
+       is spanned by the C(n, d - 1) products e1 x_R, so
+       dim (Q[x]/J0)_d >= C(n, d) - C(n, d - 1).  The paper's
+       non-standard rule at t = 0 writes each non-standard squarefree
+       monomial as a combination of later ones modulo J0
+       (``_rule_span_counts``), so the standard d-subsets, found by a
+       ballot scan, span (Q[x]/J0)_d and bound its dimension from
+       above.  Where the two bounds meet for every d <= k
+       (``_j_quotient_dimension``), the standard monomials are a basis;
+       they are the x_T when the tableau bottoms are distinct, standard
+       by the same scan, of size at most k and as many.
+
     4. The fixed points are N distinct points w = (w(1), ..., w(n)).
 
     By 2 and 3 the x_T form a Q-basis of M/tM = Q[x]/J, where
@@ -1033,18 +1118,21 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
     The graded counts #{T : ell(T) = d} are the Betti numbers of the
     Springer fiber and must equal C(n, d) - C(n, d - 1).
     """
-    n = ctx.n
-    standard = _j_standard_monomials(ctx)
+    n, k = ctx.n, ctx.k
+    dimension = _j_quotient_dimension(ctx)
     tableaux = standard_monomial_basis(ctx)
+    bottoms = {sum(1 << (b - 1) for b in tab.bottom) for tab in tableaux}
     return KernelIdealCheck(
         generators_vanish=verify_relations(ctx).ok,
         specializes_to_j=_specializes_to_j(ctx),
-        tableau_standard=standard is not None
-        and set(standard) == {monomial_from_filling(tab)[:n] for tab in tableaux},
-        quotient_dimension=None if standard is None else len(standard),
+        tableau_standard=dimension is not None
+        and len(bottoms) == len(tableaux) == dimension
+        and all(mask.bit_count() <= k and not _first_bad_column(mask, n) for mask in bottoms),
+        quotient_dimension=dimension,
         points_distinct=len({w.w for w in fixed_points(ctx)}) == len(tableaux),
-        graded_counts=tuple(sum(tab.ell == d for tab in tableaux) for d in range(ctx.k + 1)),
-        expected_counts=tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(ctx.k + 1)),
+        span_counts=_rule_span_counts(n)[: k + 1],
+        graded_counts=tuple(sum(tab.ell == d for tab in tableaux) for d in range(k + 1)),
+        expected_counts=_graded_dimensions(n, k),
     )
 
 
@@ -1065,18 +1153,23 @@ class OrdinaryCheck:
 
 
 def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
-    """dim Q[x]/J = C(n, k), from J0 (``_j_standard_monomials``); J equals I
-    at t = 0 (``_specializes_to_j``) and Tanisaki's ideal, by certificates
-    on the generator lists, with no normal form.  Tanisaki's e1 and
-    products are J's, and J's squares are x_i^2 = x_i e1 - e2(all) +
-    e2(omit i), so each e2(omit i) lies in J once e2(all) does: the
+    """dim Q[x]/J = C(n, k); J equals I at t = 0 (``_specializes_to_j``)
+    and Tanisaki's ideal, by certificates on the generator lists, with no
+    normal form and no Groebner basis.  The dimension comes from two bounds
+    in each degree d <= k (``_j_quotient_dimension``), with J = J0 +
+    m^(k+1) read off J's list: C(n, d) - C(n, d - 1) from below, as the
+    products e1 x_R span (J0)_d modulo the non-squarefree monomials, and
+    the standard d-subsets from above, as the paper's rule at t = 0
+    reduces every other squarefree monomial to them.  It runs neither step
+    1 nor step 4 of ``kernel_ideal_comparisons`` and reads no fixed point,
+    so this check stays cheap on its own.  Tanisaki's
+    e1 and products are J's, and J's squares are x_i^2 = x_i e1 - e2(all)
+    + e2(omit i), so each e2(omit i) lies in J once e2(all) does: the
     identity 2 e2(all) = e1^2 - sum x_i^2, checked on J's e1 and squares,
-    shows it.  Conversely e2(all) is the sum of the
-    e2(omit i) over n - 2 for n >= 3, x1 x2 (a multiple of a product
-    generator) for n = 2, 0 for n = 1.  A list of another shape fails even
-    if its ideal is J."""
+    shows it.  Conversely e2(all) is the sum of the e2(omit i) over n - 2
+    for n >= 3, x1 x2 (a multiple of a product generator) for n = 2, 0 for
+    n = 1.  A list of another shape fails even if its ideal is J."""
     n = ctx.n
-    standard = _j_standard_monomials(ctx)
     j = [g.terms for g in ordinary_ideal(ctx).generators]
     # tanisaki_ideal lists e1, e2(omit i) for i = n, n - 1, ..., 1, the products
     tanisaki = tanisaki_ideal(ctx).generators
@@ -1091,9 +1184,9 @@ def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
         x_i_e1 = {tuple(e + (p == i) for p, e in enumerate(m)): c for m, c in e1.items()}
         squares.append(_sum_terms((1, x_i_e1), (-1, e2), (1, g.terms)))
     return OrdinaryCheck(
-        dimension=None if standard is None else len(standard),
+        dimension=_j_quotient_dimension(ctx),
         expected_dimension=comb(n, ctx.k),
-        tanisaki_equal=standard is not None
+        tanisaki_equal=_j_is_j0_plus_products(ctx)
         and [e1, *squares, *(p.terms for p in products)] == j
         and e2_in
         # past the list comparison, e1 is J's e1 and j[1 : n + 1] J's squares

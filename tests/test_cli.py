@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import sys
@@ -504,7 +505,7 @@ def test_verify_builds_no_exact_inverse(capsys, monkeypatch):
 def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
     # I's generators, the square-rule check and the rewrite rules expand
     # products of linear forms as integer terms; with every context fresh
-    # and the per-n cache of J0 emptied, no check adds, subtracts,
+    # and the per-n cache of the spanning witness emptied, no check adds, subtracts,
     # multiplies or powers an MPoly
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__"):
@@ -513,11 +514,11 @@ def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(MPoly, name, counted)
-    springer._j0.cache_clear()
+    springer._rule_span_counts.cache_clear()
     try:
         code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     finally:
-        springer._j0.cache_clear()
+        springer._rule_span_counts.cache_clear()
     assert code == 0
     assert calls == []
 
@@ -527,12 +528,12 @@ def test_verify_computes_no_normal_form(capsys, monkeypatch):
     # generator lists, and no other check reduces a polynomial either
     calls = []
     monkeypatch.setattr(groebner, "normal_form", lambda *args: calls.append(args))
-    springer._j0.cache_clear()
+    springer._rule_span_counts.cache_clear()
     try:
         assert run(capsys, "verify", "--n-max", "5", "--k", "all", "--checks", "ordinary")[0] == 0
         assert run(capsys, "verify", "--n-max", "5", "--k", "all")[0] == 0
     finally:
-        springer._j0.cache_clear()
+        springer._rule_span_counts.cache_clear()
     assert calls == []
 
 
@@ -552,34 +553,34 @@ def test_verify_stores_no_fillings(capsys, monkeypatch):
     assert [springer._bottom_row_fillings(ctx) for ctx in made] == [{}] * 11
 
 
-def test_verify_runs_buchberger_once_per_n(capsys, monkeypatch):
-    # kernel-ideal and ordinary read J from J0 = (e1, x_i^2), which does
-    # not depend on k: 11 contexts up to n = 5, one run per n, on rings 1..5
-    rings = []
-    original = groebner.buchberger
-
-    def counted(gens):
-        rings.append(gens[0].nvars)
-        return original(gens)
-
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    springer._j0.cache_clear()
-    try:
-        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
-    finally:
-        springer._j0.cache_clear()
+def test_verify_runs_no_groebner_basis(capsys, monkeypatch):
+    # kernel-ideal and ordinary prove that the tableau monomials span
+    # Q[x]/J by the paper's rule at t = 0, a witness that does not depend
+    # on k: 11 contexts up to n = 5, one witness per n, and no Buchberger
+    # run or quotient dimension anywhere
+    calls, witnessed = [], []
+    for name in ("buchberger", "quotient_dimension"):
+        monkeypatch.setattr(groebner, name, lambda *args, name=name: calls.append(name))
+    witness = springer._rule_span_counts.__wrapped__
+    monkeypatch.setattr(
+        springer,
+        "_rule_span_counts",
+        functools.lru_cache(maxsize=None)(lambda n: witnessed.append(n) or witness(n)),
+    )
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0
-    assert rings == [1, 2, 3, 4, 5]
+    assert calls == []
+    assert witnessed == [1, 2, 3, 4, 5]
 
 
 def test_verify_reads_js_list_certificate_once_per_context(capsys, monkeypatch):
-    # kernel-ideal and ordinary both read J's standard monomials: 11
+    # kernel-ideal and ordinary both read J's list certificate: 11
     # contexts up to n = 5, 22 reads, one computation per context
     computed, reads = [], []
-    compute = springer._j_standard_monomials.__wrapped__
+    compute = springer._j_is_j0_plus_products.__wrapped__
     cached = springer._per_context(lambda ctx: computed.append(ctx) or compute(ctx))
     monkeypatch.setattr(
-        springer, "_j_standard_monomials", lambda ctx: reads.append(ctx) or cached(ctx)
+        springer, "_j_is_j0_plus_products", lambda ctx: reads.append(ctx) or cached(ctx)
     )
     code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0

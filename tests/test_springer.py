@@ -51,6 +51,7 @@ from tworow.springer import (
 from tworow.tableaux import (
     TwoRowFilling,
     filling_from_monomial,
+    is_standard,
     monomial_from_filling,
 )
 from tworow.tpoly import TPoly
@@ -1338,7 +1339,7 @@ def test_ideal_slices_match_the_certificate():
 def ideal_basis(ctx, name):
     """The reduced grevlex Groebner basis of the named presentation ideal,
     by Buchberger on its whole generator list: the cross-check of the
-    certificates, which run Buchberger only on J0."""
+    certificates, which compute no Groebner basis."""
     return buchberger(ideal_by_name(ctx, name).generators)
 
 
@@ -1357,21 +1358,86 @@ def test_basis_of_i_specializes_to_the_basis_of_j():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_j0_gives_the_standard_monomials_of_j(n):
-    # J = J0 + m^(k+1), so J's standard monomials, from Buchberger on J's
-    # whole list, are J0's of degree at most k, at every k; both lists
-    # come in grevlex order
+    # the Groebner cross-check of step 3: J = J0 + m^(k+1), and the
+    # standard monomials of Buchberger's basis on J's whole list are
+    # exactly the tableau monomials, at every k
     for k in range(n // 2 + 1):
         ctx = SpringerContext(n, k)
         _, of_j = quotient_dimension(ideal_basis(ctx, "J"))
-        assert springer._j_standard_monomials(ctx) == tuple(of_j), k
+        tableaux = {monomial_from_filling(tab)[:n] for tab in standard_monomial_basis(ctx)}
+        assert len(of_j) == len(tableaux) and set(of_j) == tableaux, k
+        assert kernel_ideal_comparisons(ctx).quotient_dimension == len(of_j), k
 
 
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_j0_counts_c_n_k_at_the_largest_k(n):
-    # the Sperner property: Q[x]/J0 has dimension C(n,d) - C(n,d-1) in
-    # degree d <= n/2, so C(n, k) standard monomials of degree at most k
+    # the paper's rule at t = 0 leaves C(n,d) - C(n,d-1) standard
+    # d-subsets spanning (Q[x]/J0)_d, the lower bound, in every degree
+    # d <= n/2; so dim Q[x]/J = C(n, k) at the largest k
+    counts = springer._rule_span_counts(n)
+    assert counts == tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(n // 2 + 1))
     ctx = SpringerContext(n, n // 2)
-    assert len(springer._j_standard_monomials(ctx)) == comb(n, n // 2)
+    assert ordinary_presentation_check(ctx).dimension == sum(counts) == comb(n, n // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ballot_scan_finds_the_first_bad_column(n):
+    # the witness's standardness test, on bit masks, agrees with the
+    # tableau module's on every d-subset, d <= n/2; a bad column is one
+    # whose top entry exceeds its bottom one
+    for d in range(n // 2 + 1):
+        for bottom in combinations(range(1, n + 1), d):
+            filling = filling_from_monomial([int(p in bottom) for p in range(1, n + 1)], n)
+            bad = [c for c in range(d) if filling.top[c] > filling.bottom[c]]
+            mask = sum(1 << (b - 1) for b in bottom)
+            assert springer._first_bad_column(mask, n) == (bad[0] + 1 if bad else 0)
+            assert (not bad) == is_standard(filling)
+
+
+def _shift_rule_column(shift, keep_well_formed):
+    """A patch making the spanning witness apply the paper's rule at t = 0
+    in column j + shift instead of the first bad column j; with
+    keep_well_formed, only where 1 <= j + shift <= |S|, so that the
+    relation still lies in J0 and only the triangular order can fail."""
+
+    def patch(monkeypatch):
+        original = springer._rule_at_zero
+
+        def shifted(mask, j, n, order):
+            moved = j + shift
+            if keep_well_formed and not 1 <= moved <= mask.bit_count():
+                moved = j
+            return original(mask, moved, n, order)
+
+        monkeypatch.setattr(springer, "_rule_at_zero", shifted)
+
+    return patch
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("keep_well_formed", [False, True], ids=["any", "well-formed"])
+def test_step_3_fails_for_a_rule_off_by_one_column(shift, keep_well_formed, monkeypatch, capsys):
+    # the witness must reduce each non-standard subset at its first bad
+    # column; one column early or late, it no longer proves spanning:
+    # step 3 fails alone and by name, and ordinary reports no dimension
+    ctx = SpringerContext(6, 3)
+    springer._rule_span_counts.cache_clear()
+    try:
+        _shift_rule_column(shift, keep_well_formed)(monkeypatch)
+        check = kernel_ideal_comparisons(ctx)
+        assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
+        assert check.quotient_dimension is None
+        assert ordinary_presentation_check(ctx).dimension is None
+        failed_degree = 2 if keep_well_formed else 1
+        assert check.span_counts[failed_degree] is None
+        assert main(["verify", "--checks", "kernel-ideal,ordinary", "--n-max", "6",
+                     "--k", "max"]) == 1
+    finally:
+        springer._rule_span_counts.cache_clear()
+    out = capsys.readouterr().out
+    assert f"FAIL kernel-ideal[n=6,k=3]: {STEPS['tableau_standard']}: the paper's rule at " \
+        f"t = 0 fails in degree {failed_degree} [" in out
+    assert "FAIL ordinary[n=6,k=3]: dim None (expected 20)" in out
 
 
 def _change_j_list(change):
@@ -1476,7 +1542,7 @@ def _repeat_second_fixed_point(monkeypatch, ctx):
 STEPS = {
     "generators_vanish": "step 1 (vanishing)",
     "specializes_to_j": "step 2 (I + (t) = J + (t))",
-    "tableau_standard": "step 3 (standard monomials)",
+    "tableau_standard": "step 3 (spanning)",
     "points_distinct": "step 4 (distinct points)",
 }
 

@@ -31,13 +31,13 @@ results of ``buchberger`` and ``normal_form``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .polynomials import Monomial, MPoly, grevlex_key, monomial_divides
 
@@ -119,13 +119,10 @@ def _new_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "generators nvars")):
     """A reduced Groebner basis: monic generators, no generator's monomial
-    divisible by another generator's leading monomial."""
-
-    generators: tuple[MPoly, ...]
-    nvars: int  # the ring's variable count, kept for the zero ideal too
+    divisible by another generator's leading monomial.  ``nvars`` is the
+    ring's variable count, kept for the zero ideal too."""
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading_monomial() for g in self.generators]
@@ -308,8 +305,7 @@ def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
     return _mpoly(f.nvars, {m: Fraction(c, s * d) for m, c in rest.items()})
 
 
-@dataclass(frozen=True)
-class IdealComparison:
+class IdealComparison(NamedTuple):
     equal: bool
     witness: Optional[MPoly] = None
     witness_side: Optional[str] = None  # "left" or "right": which input owns the witness

@@ -30,13 +30,13 @@ against localization instead, with no inverse (``straightening_mismatches``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
 from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_divides
@@ -56,19 +56,22 @@ class ConsistencyError(RuntimeError):
     """An exact computation contradicted something the theory guarantees."""
 
 
-@dataclass(frozen=True)
-class SpringerContext:
-    """The pair (n, k) with 0 <= k <= n/2 and n >= 1."""
+class SpringerContext(namedtuple("SpringerContext", "n k")):
+    """The pair (n, k) with 0 <= k <= n/2 and n >= 1.  ``cache``, a dict
+    set per object, is no field: ``==``, ``hash`` and ``repr`` ignore it."""
 
-    n: int
-    k: int
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __new__(cls, n: int, k: int):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if not 0 <= k or 2 * k > n:
+            raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+        self = super().__new__(cls, n, k)
+        self.cache = {}
+        return self
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
-        if not 0 <= self.k or 2 * self.k > self.n:
-            raise ValueError(f"need 0 <= k <= n/2, got n={self.n}, k={self.k}")
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates and makes its own cache
+        return cls(*fields)
 
     @property
     def nvars(self) -> int:
@@ -95,8 +98,7 @@ def _per_context(fn):
     return cached
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A circle-fixed flag, recorded as the index list ell and the
     one-line permutation w it determines."""
 
@@ -161,8 +163,7 @@ def fixed_points_bruteforce(ctx: SpringerContext) -> list[tuple[int, ...]]:
 # -- presentation ideals -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(NamedTuple):
     """A named generator list; ``labels`` parallels ``generators``."""
 
     name: str  # "I", "J", or "tanisaki"
@@ -388,8 +389,7 @@ def localize_all(f: MPoly, ctx: SpringerContext) -> dict[FixedPoint, TPoly]:
     return {w: localize(f, w) for w in fixed_points(ctx)}
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     generators_checked: int
     fixed_points_checked: int
     failures: tuple[tuple[str, tuple[int, ...]], ...]
@@ -548,8 +548,7 @@ def standard_monomial_basis(ctx: SpringerContext) -> tuple[TwoRowFilling, ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
+class BasisMatrix(namedtuple("BasisMatrix", "integer_core column_keys")):
     """Localized images of the basis monomials.
 
     The restriction of x_T at w is (product of w(j) over bottom entries
@@ -569,9 +568,6 @@ class BasisMatrix:
     here and the context's ``_value_columns`` beside it, so neither is
     rebuilt per polynomial.
     """
-
-    integer_core: tuple[tuple[int, ...], ...]
-    column_keys: tuple[int, ...]
 
     @cached_property
     def core_determinant(self) -> int:
@@ -1050,8 +1046,7 @@ def _specializes_to_j(ctx: SpringerContext) -> bool:
 # -- ideal equals kernel, in every degree -----------------------------------
 
 
-@dataclass(frozen=True)
-class KernelIdealCheck:
+class KernelIdealCheck(NamedTuple):
     """The certificate that I is the kernel of localization, one boolean
     per step of the proof in ``kernel_ideal_comparisons``, in order.
     ``quotient_dimension`` is that of Q[x]/J, None for a J list of another
@@ -1139,8 +1134,7 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
 # -- ordinary cohomology checks ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrdinaryCheck:
+class OrdinaryCheck(NamedTuple):
     dimension: Optional[int]
     expected_dimension: int
     tanisaki_equal: bool

@@ -7,26 +7,27 @@ works for arbitrary partitions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from itertools import combinations
+from collections import namedtuple
 from math import comb, factorial, prod
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition as a weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __new__(cls, parts: Iterable[int]):
+        parts = tuple(parts)
         if any(not isinstance(p, int) or p <= 0 for p in parts):
             raise ValueError("partition parts must be positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
     @property
     def size(self) -> int:
@@ -73,28 +74,29 @@ def hook_count(shape: Partition) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TwoRowFilling:
+class TwoRowFilling(namedtuple("TwoRowFilling", "top bottom")):
     """An injective placement of 1..n into a two-row shape.
 
     The alphabet constraint is enforced here; monotonicity along rows
     and columns is what the predicates below test.
     """
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+    def __new__(cls, top: Iterable[int], bottom: Iterable[int]):
+        top = tuple(top)
+        bottom = tuple(bottom)
         n = len(top) + len(bottom)
         if len(bottom) > len(top):
             raise ValueError("bottom row longer than top row")
         seen = set(top) | set(bottom)
         if seen != set(range(1, n + 1)) or len(top) + len(bottom) != len(seen):
             raise ValueError(f"filling must use 1..{n} exactly once")
+        return super().__new__(cls, top, bottom)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -106,7 +108,7 @@ class TwoRowFilling:
 
     def text(self) -> str:
         """Bracket form, top row first: [[1,3,4],[2]]."""
-        return json.dumps([list(self.top), list(self.bottom)], separators=(",", ":"))
+        return f"[[{','.join(map(str, self.top))}],[{','.join(map(str, self.bottom))}]]"
 
 
 def is_permissible(filling: TwoRowFilling) -> bool:
@@ -126,16 +128,22 @@ def is_standard(filling: TwoRowFilling) -> bool:
 
 def enumerate_standard_tableaux(n: int, ell: int) -> list[TwoRowFilling]:
     """All standard tableaux of shape (n - ell, ell), ordered
-    lexicographically by bottom row."""
+    lexicographically by bottom row.  A bottom row b_1 < ... < b_ell is
+    standard exactly when b_i >= 2i (the ballot condition: 1..b_i holds
+    at least i top entries), so only those rows are generated, each
+    prefix extended in increasing order; b_i <= n - ell + i leaves room
+    for the rest, so no prefix is a dead end."""
     if not 0 <= ell <= n - ell:
         raise ValueError(f"need 0 <= ell <= n - ell, got n={n}, ell={ell}")
+    bottoms = [()]
+    for i in range(1, ell + 1):
+        bottoms = [
+            b + (v,) for b in bottoms for v in range(max(b[-1] + 1 if b else 0, 2 * i), n - ell + i + 1)
+        ]
     found = []
-    universe = range(1, n + 1)
-    for bottom in combinations(universe, ell):
-        top = tuple(v for v in universe if v not in set(bottom))
-        filling = TwoRowFilling(top=top, bottom=bottom)
-        if is_standard(filling):
-            found.append(filling)
+    for bottom in bottoms:
+        used = set(bottom)
+        found.append(TwoRowFilling(top=tuple(v for v in range(1, n + 1) if v not in used), bottom=bottom))
     return found
 
 

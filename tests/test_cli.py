@@ -589,13 +589,20 @@ def test_verify_reads_js_list_certificate_once_per_context(capsys, monkeypatch):
 
 def test_verify_frees_every_context_it_made(monkeypatch):
     # what a context derives lives on it, so once verify returns, none of
-    # its 8 contexts up to n = 4 is alive, nor any basis matrix it built
+    # its 8 contexts up to n = 4 is alive, nor any basis matrix it built.
+    # Records are tuples, which take no weak reference, so each one holds
+    # a marker that nothing else refers to: it dies with its holder.
     refs = []
     original = springer.basis_image_matrix
 
+    class Marker:
+        pass
+
     def spied(ctx):
         matrix = original(ctx)
-        refs.extend((weakref.ref(ctx), weakref.ref(matrix)))
+        for holder in (ctx.cache, vars(matrix)):
+            marker = holder.setdefault("marker", Marker())
+            refs.append(weakref.ref(marker))
         return matrix
 
     monkeypatch.setattr(springer, "basis_image_matrix", spied)

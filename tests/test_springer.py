@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import sys
 import threading
@@ -49,6 +48,7 @@ from tworow.springer import (
     verify_square_reduction,
 )
 from tworow.tableaux import (
+    Partition,
     TwoRowFilling,
     filling_from_monomial,
     is_standard,
@@ -70,6 +70,91 @@ def test_context_validation():
         SpringerContext(0, 0)
     with pytest.raises(ValueError):
         SpringerContext(4, -1)
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (3, 2, "need 0 <= k <= n/2, got n=3, k=2"),
+        (0, 0, "need n >= 1, got n=0"),
+        (4, -1, "need 0 <= k <= n/2, got n=4, k=-1"),
+    ],
+)
+def test_context_validation_texts(n, k, message):
+    for build in (lambda: SpringerContext(n, k), lambda: SpringerContext(n=n, k=k)):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+def test_context_compares_and_hashes_by_n_and_k_only():
+    a, b = SpringerContext(4, 2), SpringerContext(n=4, k=2)
+    fixed_points(a)  # fills a's cache, and only a's
+    assert a.cache and not b.cache
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "SpringerContext(n=4, k=2)"
+    assert a != SpringerContext(4, 1)
+
+
+def test_replace_validates_and_gives_a_fresh_cache():
+    ctx = SpringerContext(4, 2)
+    fixed_points(ctx)
+    other = ctx._replace(k=1)
+    assert other == SpringerContext(4, 1) and other.cache == {} and ctx.cache
+    with pytest.raises(ValueError, match="need 0 <= k <= n/2, got n=4, k=3"):
+        ctx._replace(k=3)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((2, 1))._replace(parts=(1, 2))
+    with pytest.raises(ValueError, match="exactly once"):
+        TwoRowFilling((1, 3), (2,))._replace(bottom=(3,))
+
+
+def _records():
+    """One value of every record type the library returns."""
+    ctx = SpringerContext(4, 2)
+    j = ordinary_ideal(ctx)
+    return [
+        ctx,
+        fixed_points(ctx)[0],
+        j,
+        verify_relations(ctx),
+        basis_image_matrix(ctx),
+        kernel_ideal_comparisons(ctx),
+        ordinary_presentation_check(ctx),
+        Partition((2, 1)),
+        TwoRowFilling(top=(1, 3), bottom=(2,)),
+        buchberger(j.generators),
+        ideal_equal(j.generators, tanisaki_ideal(ctx).generators),
+    ]
+
+
+def test_record_fields_cannot_be_assigned():
+    records = _records()
+    assert len({type(r) for r in records}) == 11
+    for record in records:
+        for name in record._fields:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            assert getattr(record, name) is value
+
+
+def test_records_are_tuples_of_their_fields():
+    for record in _records():
+        assert record == tuple(getattr(record, name) for name in record._fields)
+        assert hash(record) == hash(tuple(record))
+    w = fixed_points(SpringerContext(4, 2))[-1]
+    assert w == ((3, 4), (1, 2, 3, 4)) == (w.ell, w.w)
+
+
+def test_cached_attributes_are_computed_once():
+    matrix = basis_image_matrix(SpringerContext(4, 2))
+    for name in ("core_determinant", "inverse", "row_bound"):
+        assert getattr(matrix, name) is getattr(matrix, name)
+    assert matrix.core_determinant != 0
+    basis = buchberger(ordinary_ideal(SpringerContext(4, 2)).generators)
+    assert basis.reducers is basis.reducers
+    assert len(basis.reducers) == len(basis.generators)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -1452,7 +1537,7 @@ def _change_j_list(change):
             if c != ctx:
                 return ideal
             generators, labels = change(list(ideal.generators), list(ideal.labels))
-            return dataclasses.replace(ideal, generators=tuple(generators), labels=tuple(labels))
+            return ideal._replace(generators=tuple(generators), labels=tuple(labels))
 
         monkeypatch.setattr(springer, "ordinary_ideal", changed)
 
@@ -1516,8 +1601,7 @@ def _drop(builders, dropped):
                     return kept
                 kept = [i for i, label in enumerate(ideal.labels) if not dropped(label)]
                 assert len(kept) < len(ideal.labels)
-                return dataclasses.replace(
-                    ideal,
+                return ideal._replace(
                     generators=tuple(ideal.generators[i] for i in kept),
                     labels=tuple(ideal.labels[i] for i in kept),
                 )
@@ -1641,7 +1725,7 @@ def _patch_generator(monkeypatch, ctx, builder, label, change):
         gens = list(ideal.generators)
         i = ideal.labels.index(label)
         gens[i] = change(gens[i])
-        return dataclasses.replace(ideal, generators=tuple(gens))
+        return ideal._replace(generators=tuple(gens))
 
     monkeypatch.setattr(springer, builder, patched)
 

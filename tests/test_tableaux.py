@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -24,6 +25,32 @@ def test_partition_validation():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition((2, 3)), "partition parts must be weakly decreasing"),
+        (lambda: Partition((2, 0)), "partition parts must be positive integers"),
+        (lambda: Partition([2, 1.5]), "partition parts must be positive integers"),
+        (lambda: TwoRowFilling(top=(1, 2), bottom=(3, 4, 5)), "bottom row longer than top row"),
+        (lambda: TwoRowFilling(top=(1, 1, 3), bottom=(2,)), "filling must use 1..4 exactly once"),
+        (lambda: TwoRowFilling((1, 5), (2,)), "filling must use 1..3 exactly once"),
+    ],
+)
+def test_validation_texts(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_records_coerce_their_rows_to_tuples():
+    assert Partition([3, 1]).parts == (3, 1)
+    assert Partition(iter([2, 2])) == Partition((2, 2)) == ((2, 2),)
+    filling = TwoRowFilling([1, 3, 4], iter([2]))
+    assert (filling.top, filling.bottom) == ((1, 3, 4), (2,))
+    assert filling == TwoRowFilling(top=(1, 3, 4), bottom=(2,))
+    assert repr(filling) == "TwoRowFilling(top=(1, 3, 4), bottom=(2,))"
 
 
 def test_predicate_examples():
@@ -158,13 +185,27 @@ def test_fillings_from_monomials_are_permissible(n, data):
 def test_text_form():
     filling = TwoRowFilling(top=(1, 3, 4), bottom=(2,))
     assert filling.text() == "[[1,3,4],[2]]"
+    assert TwoRowFilling(top=(1, 2, 3), bottom=()).text() == "[[1,2,3],[]]"
+    assert TwoRowFilling(top=(1,), bottom=()).text() == "[[1],[]]"
+    assert TwoRowFilling(top=(1, 2, 5), bottom=(3, 4)).text() == "[[1,2,5],[3,4]]"
+
+
+def test_enumeration_matches_the_filtered_subsets():
+    # the reference: a filling for every bottom subset, kept when standard
+    for n in range(13):
+        for ell in range(n // 2 + 1):
+            filtered = []
+            for bottom in combinations(range(1, n + 1), ell):
+                top = [v for v in range(1, n + 1) if v not in bottom]
+                filling = TwoRowFilling(top=top, bottom=bottom)
+                if is_standard(filling):
+                    filtered.append(filling)
+            assert enumerate_standard_tableaux(n, ell) == filtered
 
 
 def test_standard_exactly_when_enumerated():
     # a squarefree monomial's filling is standard precisely when it shows
     # up in the enumeration of its shape
-    from itertools import combinations
-
     for n in range(1, 8):
         for ell in range(n // 2 + 1):
             enumerated = set(enumerate_standard_tableaux(n, ell))

@@ -205,9 +205,7 @@ def _cmd_straighten(args) -> int:
         results["oracle"] = springer.straighten_by_solve(poly, ctx)
     if args.method in ("paper", "both"):
         results["paper"] = springer.straighten_by_rewrite(poly, ctx)
-    agree = None
-    if args.method == "both":
-        agree = results["oracle"] == results["paper"]
+    agree = results["oracle"] == results["paper"] if args.method == "both" else None
     coefficients = results.get("oracle", results.get("paper"))
     tabs = sorted(coefficients, key=lambda tab: (tab.ell, tab.bottom))
     try:
@@ -235,9 +233,7 @@ def _cmd_straighten(args) -> int:
     if agree is not None:
         lines.append(f"methods agree: {agree}")
     _emit(args, payload, lines)
-    if agree is False:
-        return 1
-    return 0
+    return 1 if agree is False else 0
 
 
 # -- the verification driver -------------------------------------------------
@@ -385,7 +381,6 @@ def _cmd_verify(args) -> int:
             _check_listing_size(n * comb(n, n // 2), f"C({n},{n // 2}) fixed points")
     started = time.perf_counter()
     entries = []
-    all_ok = True
     for n in range(1, args.n_max + 1):
         ks = range(n // 2 + 1) if args.k == "all" else (n // 2,)
         for k in ks:
@@ -399,7 +394,6 @@ def _cmd_verify(args) -> int:
                     # others still run and report
                     ok, details = False, f"consistency error: {exc}"
                 elapsed_ms = int((time.perf_counter() - tick) * 1000)
-                all_ok = all_ok and ok
                 entries.append(
                     {
                         "name": f"{name}[n={n},k={k}]",
@@ -421,12 +415,10 @@ def _cmd_verify(args) -> int:
         lines.append(
             f"{status:4} {entry['name']}: {entry['details']} [{entry['elapsed_ms']} ms]"
         )
-    lines.append(
-        f"# {len(entries)} checks, "
-        f"{sum(1 for e in entries if e['status'] == 'fail')} failed, {total_ms} ms"
-    )
+    failed = sum(entry["status"] == "fail" for entry in entries)
+    lines.append(f"# {len(entries)} checks, {failed} failed, {total_ms} ms")
     _emit(args, payload, lines)
-    return 0 if all_ok else 1
+    return 1 if failed else 0
 
 
 # -- parser ------------------------------------------------------------------

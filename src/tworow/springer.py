@@ -44,7 +44,6 @@ from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
     filling_from_monomial,
-    is_standard,
     monomial_from_filling,
 )
 from .tpoly import TPoly
@@ -222,7 +221,6 @@ def _generator_forms(ctx: SpringerContext) -> list[tuple[str, list[dict[int, int
     return pairs
 
 
-@_per_context
 def equivariant_ideal(ctx: SpringerContext) -> IdealPresentation:
     """The equivariant presentation ideal I in Q[x1..xn, t]: the products
     of ``_generator_forms``, expanded by ``_linear_product``.  Only the
@@ -248,7 +246,6 @@ def ordinary_ideal(ctx: SpringerContext) -> IdealPresentation:
     return IdealPresentation(name="J", generators=tuple(gens), labels=tuple(labels))
 
 
-@_per_context
 def tanisaki_ideal(ctx: SpringerContext) -> IdealPresentation:
     """Tanisaki's elementary-symmetric presentation ideal for the two-row
     shape: e1 of everything, e2 of every (n-1)-subset, and e_{k+1} of
@@ -291,8 +288,8 @@ def _first_bad_column(mask: int, n: int) -> int:
     """The first column, 1-based, of the two-row filling with bottom row
     the set bits of mask (the support of a squarefree monomial, as
     ``filling_from_monomial`` reads it) whose top entry exceeds its bottom
-    one; 0 for a standard filling.  A ballot scan, independent of
-    ``is_standard``: the b-th bottom entry's column is bad when fewer than
+    one; 0 for a standard filling.  A ballot scan, this module's one test
+    of standardness: the b-th bottom entry's column is bad when fewer than
     b top entries precede it."""
     tops = bottoms = 0
     for p in range(n):
@@ -305,24 +302,31 @@ def _first_bad_column(mask: int, n: int) -> int:
     return 0
 
 
+def _rule_split(mask: int, j: int, n: int) -> tuple[int, int]:
+    """The bit sets (head, tail) of the paper's rule in column j >= 1 on
+    x_S, S the set bits of mask: head the first j - 1 top entries, tail the
+    bottom entries past column j.  The rewrite step and the t = 0 witness
+    both split the linear relation as head + rest here."""
+    top = [p for p in range(n) if not mask >> p & 1]
+    bottom = [p for p in range(n) if mask >> p & 1]
+    return sum(1 << p for p in top[: j - 1]), sum(1 << p for p in bottom[j:])
+
+
 def _rule_at_zero(mask: int, j: int, n: int, order: Mapping[int, int]) -> bool:
     """Whether the paper's non-standard rule at t = 0, in column j, writes
     x_S, S the set bits of mask, as a combination of later squarefree
     monomials of its degree modulo J0.
 
-    With head the first j - 1 top entries and tail the bottom entries past
-    column j, the rule's relation rest^j - (-head)^j, rest = e1 - head,
-    times x_tail lies in J0.  Modulo the squares, (-head)^j vanishes, as
-    head has j - 1 variables, and rest^j x_tail is j! e_j(rest minus
-    tail) x_tail.  So x_S must occur there exactly once, and every other
-    term must be later than S: a key of ``order`` (a subset of S's size)
-    whose first bad column is 0 or past S's."""
-    top = [p for p in range(n) if not mask >> p & 1]
-    bottom = [p for p in range(n) if mask >> p & 1]
-    if not 1 <= j <= len(bottom):
+    With (head, tail) from ``_rule_split``, the rule's relation
+    rest^j - (-head)^j, rest = e1 - head, times x_tail lies in J0.  Modulo
+    the squares, (-head)^j vanishes when head has j - 1 variables, a
+    premise checked here, and rest^j x_tail is j! e_j(rest minus tail)
+    x_tail.  So x_S must occur there exactly once, and every other term
+    must be later than S: a key of ``order`` (a subset of S's size) whose
+    first bad column is 0 or past S's."""
+    head, tail = _rule_split(mask, j, n)
+    if not 1 <= j <= mask.bit_count() or head.bit_count() != j - 1:
         return False
-    tail = sum(1 << p for p in bottom[j:])
-    head = sum(1 << p for p in top[: j - 1])
     free = [1 << p for p in range(n) if not (head | tail) >> p & 1]
     own, hits = order[mask], 0
     for chosen in combinations(free, j):
@@ -611,6 +615,7 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 Coordinates = tuple[tuple[tuple[int, int], ...], int]
 
 NON_POLYNOMIAL = "straightening produced a non-polynomial coefficient"
+NO_BASIS_KEY = "straightening produced a coordinate at {:#b}, which is no basis key"
 
 
 @_per_context
@@ -630,7 +635,8 @@ def _coefficient_polys(
     D, each standing for (a / D) * t^(d - ell(T_b)) * x_{T_b}, where
     ell(T_b) is the number of bits of b.  A negative t-power would mean
     the coefficient is not polynomial, which the presentation theory rules
-    out; it raises ConsistencyError rather than returning a wrong answer."""
+    out; it raises ConsistencyError rather than returning a wrong answer,
+    as does a key of no basis tableau before its filling is first stored."""
     zero = Fraction(0)
     dense: dict[int, list] = {}
     for degree, (numerators, den) in by_degree.items():
@@ -645,6 +651,8 @@ def _coefficient_polys(
     n, fillings = ctx.n, _bottom_row_fillings(ctx)
     for b in dense:
         if b not in fillings:
+            if b >> n or b.bit_count() > ctx.k or _first_bad_column(b, n):
+                raise ConsistencyError(NO_BASIS_KEY.format(b))
             fillings.setdefault(b, filling_from_monomial([b >> i & 1 for i in range(n)], n))
     return {fillings[b]: TPoly._make(tuple(row)) for b, row in dense.items()}
 
@@ -797,12 +805,12 @@ def _rewrite_expansion(
     ctx: SpringerContext, alpha: tuple[int, ...]
 ) -> tuple[list[tuple[Monomial, int]], int]:
     """One rewriting step on the x-monomial with exponents alpha, which
-    must not already be a basis monomial.  Returns (terms, divisor), with
-    x^alpha = sum of c * x^m / divisor modulo the ideal: each m a full
-    monomial (t last), each c an integer, the divisor a positive integer,
-    and every x-part of an m strictly smaller than alpha: lower x-degree,
-    or the same degree with a longer strictly increasing column prefix.
-    """
+    must not already be a basis monomial (ConsistencyError).  Returns
+    (terms, divisor), with x^alpha = sum of c * x^m / divisor modulo the
+    ideal: each m a full monomial (t last), each c an integer, the divisor
+    a positive integer, and every x-part of an m strictly smaller than
+    alpha: lower x-degree, or the same degree with a longer strictly
+    increasing column prefix.  No filling is built."""
     n, k = ctx.n, ctx.k
     target = alpha + (0,)
     # a repeated variable: apply the square rule at the first one
@@ -811,29 +819,23 @@ def _rewrite_expansion(
             rest = target[:pos] + (e - 2,) + target[pos + 1 :]
             return [(tuple(map(add, m, rest)), c) for m, c in _square_rules(ctx)[pos]], 1
     support = tuple(i + 1 for i in range(n) if alpha[i])
-    ell = len(support)
-    if ell >= k + 1:
+    if len(support) > k:
         # eliminate the product of the k+1 smallest support variables
-        remainder = [0] * ctx.nvars
-        for i in support[k + 1 :]:
-            remainder[i - 1] = 1
-        relation = _linear_product(_product_forms(ctx, support[: k + 1]), tuple(remainder))
+        remainder = tuple(int(i in support[k + 1 :]) for i in range(1, ctx.nvars + 1))
+        relation = _linear_product(_product_forms(ctx, support[: k + 1]), remainder)
         return _cancel(relation, target, ctx)
-    # squarefree with a non-standard filling: cancel the monomial through
-    # the j-th power of the linear relation, j the first bad column.  The
-    # relation splits as head + rest with head the first j - 1 top entries,
-    # so rest^j - (-head)^j lies in the ideal; both sides multiply the
-    # monomial of the bottom entries past column j
-    filling = filling_from_monomial(alpha, n)
-    top, bottom = filling.top, filling.bottom
-    j = next(r for r in range(ell) if top[r] > bottom[r]) + 1  # 1-based
-    tail = [0] * ctx.nvars
-    for b in bottom[j:]:
-        tail[b - 1] = 1
-    rest = {p - 1: 1 for p in bottom + top[j - 1 :]}
+    # squarefree: cancel it through the j-th power of the linear relation,
+    # j its first bad column; rest^j - (-head)^j lies in the ideal
+    mask = sum(1 << (i - 1) for i in support)
+    j = _first_bad_column(mask, n)
+    if not j:
+        raise ConsistencyError(f"no rewriting step for the basis monomial {alpha}")
+    head, tail = _rule_split(mask, j, n)
+    base = tuple(tail >> p & 1 for p in range(ctx.nvars))
+    rest = {p: 1 for p in range(n) if not head >> p & 1}
     rest[n] = -(n * (n + 1) // 2)
-    relation = _power_terms(rest, j, tuple(tail))
-    for m, c in _power_terms({p - 1: -1 for p in top[: j - 1]}, j, tuple(tail)).items():
+    relation = _power_terms(rest, j, base)
+    for m, c in _power_terms({p: -1 for p in range(n) if head >> p & 1}, j, base).items():
         relation[m] = relation.get(m, 0) - c
     return _cancel(relation, target, ctx)
 
@@ -844,10 +846,11 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
     monomial over one denominator; a memoized alpha returns at once.
 
     An explicit work stack drives the rewriting, so no power is too high
-    for the interpreter's recursion limit.  Squarefree monomials of
-    degree at most k are tested for standardness by ``is_standard``, at
-    most once per context, since the memo then holds the outcome; every
-    other one takes a ``_rewrite_expansion`` step, whose terms are checked
+    for the interpreter's recursion limit.  A squarefree monomial of
+    degree at most k is its own basis key, its bit set, when the ballot
+    scan ``_first_bad_column`` passes it, at most once per context as the
+    memo then holds the outcome; every other one takes a
+    ``_rewrite_expansion`` step, whose terms are checked
     for the step's degree as their x-parts are read off.  ``expanding``
     maps each monomial this call has rewritten but not yet finished to its
     expansion; those monomials form the chain from alpha to the top of the
@@ -874,10 +877,12 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
             stack.pop()
             continue
         degree = sum(beta)
-        if degree <= k and max(beta) <= 1 and is_standard(filling_from_monomial(beta, n)):
-            memo[beta] = (((sum(e << i for i, e in enumerate(beta)), 1),), 1)
-            stack.pop()
-            continue
+        if degree <= k and max(beta) <= 1:
+            mask = sum(e << i for i, e in enumerate(beta))
+            if not _first_bad_column(mask, n):
+                memo[beta] = (((mask, 1),), 1)
+                stack.pop()
+                continue
         terms, divisor = _rewrite_expansion(ctx, beta)
         subs = [(mono[:n], c) for mono, c in terms if sum(mono) == degree]
         if len(subs) != len(terms):
@@ -948,8 +953,8 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     with the input, so no input overflows it.  The second pass compares
     them; only the memo's coordinates are kept between the passes, no
     values at the fixed points.  A key with more bits
-    than the monomial's degree raises ConsistencyError, as in
-    ``_coefficient_polys``."""
+    than the monomial's degree, or one that is no basis column, raises
+    ConsistencyError, as in ``_coefficient_polys``."""
     matrix = basis_image_matrix(ctx)
     core, n = matrix.integer_core, ctx.n
     bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
@@ -970,6 +975,8 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     for alpha, (numerators, den) in straightened:
         lhs = 0
         for b, a in numerators:
+            if b not in packed:
+                raise ConsistencyError(NO_BASIS_KEY.format(b))
             lhs += a * packed[b]
         mismatches += lhs != den * _pack(_monomial_values(columns, alpha), size)
     return mismatches

@@ -5,6 +5,7 @@ import sys
 import time
 import weakref
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,10 @@ from tworow.cli import (
     main,
 )
 from tworow.polynomials import MPoly
+
+
+# verify --n-max 5 --k all --format json, without elapsed_ms
+EXPECTED_SWEEP = Path(__file__).with_name("verify_n5_k_all.json")
 
 
 def run(capsys, *argv):
@@ -434,6 +439,15 @@ def test_verify_full_small_sweep(capsys):
     kernel = [e for e in payload["checks"] if e["name"].startswith("kernel-ideal")]
     assert len(kernel) == 8
     assert all("all degrees" in e["details"] for e in kernel)
+
+
+def test_verify_sweep_reports_match_the_expectation_file(capsys):
+    # every check's name, status and details of the sweep the benchmark
+    # runs, elapsed_ms left out; a changed text shows in the file's diff
+    code, payload, _ = run_json(capsys, "verify", "--n-max", "5", "--k", "all")
+    assert code == 0
+    found = [{key: e[key] for key in ("name", "status", "details")} for e in payload["checks"]]
+    assert found == json.loads(EXPECTED_SWEEP.read_text())
 
 
 def test_verify_check_subset_and_text_agreement(capsys):

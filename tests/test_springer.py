@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
@@ -1015,12 +1016,17 @@ def test_rewrite_memo_entries_have_polynomial_t_powers():
 
 
 def test_rewrite_walk_tests_standardness_once_per_monomial(monkeypatch):
-    # the memo holds each outcome, so the walk asks is_standard about a
+    # the memo holds each outcome, so the walk runs the ballot scan on a
     # squarefree monomial of degree at most k once per context: exactly
-    # the memo's squarefree entries of that degree
+    # the memo's squarefree entries of that degree.  The scan is the
+    # module's only standardness test, so its other calls are counted
+    # too: the rewrite step finds the bad column of each non-standard one
+    # once, and the lift vets each key once, when it stores its filling
     asked = []
-    original = springer.is_standard
-    monkeypatch.setattr(springer, "is_standard", lambda f: asked.append(f.bottom) or original(f))
+    original = springer._first_bad_column
+    monkeypatch.setattr(
+        springer, "_first_bad_column", lambda mask, n: asked.append(mask) or original(mask, n)
+    )
     for n, k in ((5, 2), (7, 3)):
         ctx = SpringerContext(n, k)
         asked.clear()
@@ -1029,9 +1035,11 @@ def test_rewrite_walk_tests_standardness_once_per_monomial(monkeypatch):
             straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
         assert springer.straightening_mismatches(ctx, monomials) == 0
         memo = springer._rewrite_memo(ctx)
-        low = {filling_from_monomial(a, n).bottom for a in memo if max(a) <= 1 and sum(a) <= k}
-        assert len(asked) == len(set(asked)) == len(low) > 0
-        assert set(asked) == low
+        low = [sum(e << i for i, e in enumerate(a)) for a in memo if max(a) <= 1 and sum(a) <= k]
+        bad = [mask for mask in low if original(mask, n)]
+        stored = list(springer._bottom_row_fillings(ctx))
+        assert len(low) > len(bad) > 0 and stored
+        assert Counter(asked) == Counter(low) + Counter(bad) + Counter(stored)
 
 
 def test_rewrite_memo_grows_only_as_needed():
@@ -1074,6 +1082,48 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
         straighten_by_rewrite(poly("x1^2", 3), ctx)
     # no entry of the failed rewrite reached the memo
     assert springer._rewrite_memo(ctx) == {}
+
+
+def test_rewrite_step_refuses_a_basis_monomial():
+    # the walk keeps a standard monomial as its own basis key; a step
+    # handed one has no bad column to cancel at and fails closed
+    with pytest.raises(ConsistencyError, match="basis monomial"):
+        springer._rewrite_expansion(SpringerContext(4, 2), (0, 1, 0, 1))
+    for n, k in ((5, 2), (6, 3)):
+        ctx = SpringerContext(n, k)
+        for tab in standard_monomial_basis(ctx):
+            with pytest.raises(ConsistencyError, match="basis monomial"):
+                springer._rewrite_expansion(ctx, monomial_from_filling(tab)[:n])
+
+
+def test_coefficient_lift_refuses_a_key_that_is_no_basis_key():
+    # x1 is non-standard, x1 x3 has more than k = 1 bits and bit 4 lies
+    # past x4: none is stored as a filling, so none can be printed
+    ctx = SpringerContext(4, 1)
+    for key in (0b1, 0b101, 0b10000):
+        with pytest.raises(ConsistencyError, match="no basis key"):
+            springer._coefficient_polys(ctx, {3: (((key, 1),), 1)})
+    assert springer._bottom_row_fillings(ctx) == {}
+    tab = standard_monomial_basis(ctx)[1]  # x2's, a basis key
+    assert tab.bottom == (2,)
+    assert springer._coefficient_polys(ctx, {1: (((0b10, 1),), 1)}) == {tab: TPoly.one()}
+
+
+def test_rewriting_builds_no_filling(monkeypatch):
+    # the walk and the step read bit sets only: filling the memo for the
+    # straighten check's monomials at (7,3) builds no filling; only the
+    # lift does, for the keys it returns
+    ctx = SpringerContext(7, 3)
+    built = []
+    original = springer.filling_from_monomial
+    monkeypatch.setattr(
+        springer, "filling_from_monomial", lambda *a: built.append(a) or original(*a)
+    )
+    monomials = squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
+    assert springer.straightening_mismatches(ctx, monomials) == 0
+    assert len(springer._rewrite_memo(ctx)) > len(monomials) and built == []
+    coefficients = straighten_by_rewrite(poly("x1*x2*x3", 7), ctx)
+    assert len(built) == len(coefficients) > 0
 
 
 # -- the straighten check: rewritten coordinates against localization --------
@@ -1125,6 +1175,21 @@ def test_straighten_check_fails_closed_on_a_wrong_rule(rule, patch, failures, mo
             line.startswith(f"FAIL straighten[n={n},k={k}]: {count} of {total} monomials")
             for line in fail_lines
         ), (n, k)
+
+
+def test_straighten_check_fails_closed_when_every_subset_scans_standard(monkeypatch, capsys):
+    # a ballot scan that calls every subset standard makes the walk keep
+    # non-standard monomials as basis keys; the check meets a coordinate
+    # at a key that is no basis column and fails by name, no traceback
+    monkeypatch.setattr(springer, "_first_bad_column", lambda mask, n: 0)
+    assert main(["verify", "--checks", "straighten", "--n-max", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        f"FAIL straighten[n={n},k={k}]" for n, k in ((2, 1), (3, 1), (4, 1), (4, 2))
+    ]
+    assert all("consistency error" in line and "no basis key" in line for line in failed)
 
 
 def test_straighten_check_monomials_agree_between_routes(monkeypatch, capsys):
@@ -1525,6 +1590,38 @@ def test_step_3_fails_for_a_rule_off_by_one_column(shift, keep_well_formed, monk
     assert "FAIL ordinary[n=6,k=3]: dim None (expected 20)" in out
 
 
+def _longer_head(split):
+    """A split like ``split`` whose head takes one more top entry."""
+
+    def longer(mask, j, n):
+        head, tail = split(mask, j, n)
+        top = ~(mask | head) & ((1 << n) - 1)
+        return head | (top & -top), tail
+
+    return longer
+
+
+def test_step_3_fails_for_a_split_whose_head_is_one_entry_longer(monkeypatch, capsys):
+    # the rewrite step and the witness share one split.  Any split of the
+    # linear relation gives a relation in I, so the rewrite stays right;
+    # but with j top entries in head, (-head)^j no longer vanishes modulo
+    # the squares, the witness's premise fails and step 3 fails by name
+    ctx = SpringerContext(6, 3)
+    monkeypatch.setattr(springer, "_rule_split", _longer_head(springer._rule_split))
+    springer._rule_span_counts.cache_clear()
+    try:
+        check = kernel_ideal_comparisons(ctx)
+        assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
+        assert main(["verify", "--checks", "kernel-ideal,straighten", "--n-max", "6",
+                     "--k", "max"]) == 1
+    finally:
+        springer._rule_span_counts.cache_clear()
+    out = capsys.readouterr().out
+    assert f"FAIL kernel-ideal[n=6,k=3]: {STEPS['tableau_standard']}: the paper's rule at " \
+        "t = 0 fails in degree 1 [" in out
+    assert "PASS straighten[n=6,k=3]:" in out
+
+
 def _change_j_list(change):
     """A patch making springer.ordinary_ideal return, at the patched
     context only, the list change(generators, labels)."""
@@ -1706,11 +1803,18 @@ def test_ordinary_check_examples():
 
 
 def test_ordinary_ideals_are_cached_per_context():
-    # once per context object; an equal but distinct context builds its own
-    for build in (ordinary_ideal, tanisaki_ideal, equivariant_ideal):
-        ctx, twin = SpringerContext(5, 2), SpringerContext(5, 2)
-        assert build(ctx) is build(ctx) and build(twin) is build(twin)
-        assert build(ctx) == build(twin) and build(ctx) is not build(twin)
+    # J, which several checks read, once per context object; an equal but
+    # distinct context builds its own.  No check reads I's or Tanisaki's
+    # list twice in a context, so they are built afresh per call and
+    # leave the context's cache as it was
+    ctx, twin = SpringerContext(5, 2), SpringerContext(5, 2)
+    build = ordinary_ideal
+    assert build(ctx) is build(ctx) and build(twin) is build(twin)
+    assert build(ctx) == build(twin) and build(ctx) is not build(twin)
+    for build in (tanisaki_ideal, equivariant_ideal):
+        cached = dict(ctx.cache)
+        assert build(ctx) == build(ctx) and build(ctx) is not build(ctx)
+        assert ctx.cache == cached
 
 
 def _patch_generator(monkeypatch, ctx, builder, label, change):

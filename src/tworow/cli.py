@@ -37,6 +37,11 @@ STRAIGHTEN_DEGREE_LIMIT = 3000
 # its limit stands in for budgets not yet in place
 STRAIGHTEN_CORE_LIMIT = 252
 
+# the most work ``verify`` walks, n^3 per context (n, k), square-reduction's
+# cost; passed at n = 63 for --k all and n = 141 for --k max, and the
+# largest walks below take 4-6 s of both cheap checks on a 2-vCPU VM
+VERIFY_WORK_LIMIT = 10**8
+
 # the most boxes ``tableaux --shape`` takes: n! and the hook product grow
 # to about a million digits, and the shape (80000,80000) takes about 2 s
 SHAPE_BOX_LIMIT = 160_000
@@ -370,15 +375,19 @@ def _cmd_verify(args) -> int:
             )
         if len(set(selected)) != len(selected):
             raise UsageError(f"--checks names a check twice: {args.checks!r}")
-    # every check but these two builds the C(n, k) fixed points, of n
-    # entries each, and two build the basis core; both peak at k = n // 2
-    # and grow with n, so the walk stops at the first n too large
+    # every check but hook-identity and square-reduction builds C(n, k) fixed
+    # points of n entries, and two the basis core; both peak at k = n // 2,
+    # and they and all work grow with n, so the walk stops at the first n too large
     cored = [name for name in ("straighten", "basis-determinant") if name in selected]
-    if set(selected) - {"hook-identity", "square-reduction"}:
-        for n in range(1, args.n_max + 1):
-            for name in cored:
-                _check_core_size(n, n // 2, f"for the {name} check; leave it out of --checks")
+    builds, work = set(selected) - {"hook-identity", "square-reduction"}, 0
+    for n in range(1, args.n_max + 1):
+        for name in cored:
+            _check_core_size(n, n // 2, f"for the {name} check; leave it out of --checks")
+        if builds:
             _check_listing_size(n * comb(n, n // 2), f"C({n},{n // 2}) fixed points")
+        work += n**3 * (n // 2 + 1 if args.k == "all" else 1)
+        if work > VERIFY_WORK_LIMIT:
+            raise UsageError(f"the walk up to n={n} exceeds the work limit of {VERIFY_WORK_LIMIT}")
     started = time.perf_counter()
     entries = []
     for n in range(1, args.n_max + 1):

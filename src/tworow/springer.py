@@ -44,6 +44,7 @@ from .tableaux import (
     TwoRowFilling,
     enumerate_standard_tableaux,
     filling_from_monomial,
+    is_standard,
     monomial_from_filling,
 )
 from .tpoly import TPoly
@@ -288,9 +289,9 @@ def _first_bad_column(mask: int, n: int) -> int:
     """The first column, 1-based, of the two-row filling with bottom row
     the set bits of mask (the support of a squarefree monomial, as
     ``filling_from_monomial`` reads it) whose top entry exceeds its bottom
-    one; 0 for a standard filling.  A ballot scan, this module's one test
-    of standardness: the b-th bottom entry's column is bad when fewer than
-    b top entries precede it."""
+    one; 0 for a standard filling.  A ballot scan: the b-th bottom entry's
+    column is bad when fewer than b top entries precede it.  The lift
+    checks its keys by ``is_standard`` instead."""
     tops = bottoms = 0
     for p in range(n):
         if mask >> p & 1:
@@ -636,7 +637,9 @@ def _coefficient_polys(
     ell(T_b) is the number of bits of b.  A negative t-power would mean
     the coefficient is not polynomial, which the presentation theory rules
     out; it raises ConsistencyError rather than returning a wrong answer,
-    as does a key of no basis tableau before its filling is first stored."""
+    as does a key of no basis tableau (past x_n, of more than k bits, or
+    not ``is_standard``, which shares no code with the ballot scan that
+    decides keys) before its filling is first stored."""
     zero = Fraction(0)
     dense: dict[int, list] = {}
     for degree, (numerators, den) in by_degree.items():
@@ -648,12 +651,13 @@ def _coefficient_polys(
             row.extend([zero] * (power + 1 - len(row)))
             row[power] = Fraction(a, den)
     # each row ends in the entry set at its highest power, which is nonzero
-    n, fillings = ctx.n, _bottom_row_fillings(ctx)
+    n, k, fillings = ctx.n, ctx.k, _bottom_row_fillings(ctx)
     for b in dense:
         if b not in fillings:
-            if b >> n or b.bit_count() > ctx.k or _first_bad_column(b, n):
+            bits = [b >> i & 1 for i in range(n)]
+            if b >> n or b.bit_count() > k or not is_standard(tab := filling_from_monomial(bits, n)):
                 raise ConsistencyError(NO_BASIS_KEY.format(b))
-            fillings.setdefault(b, filling_from_monomial([b >> i & 1 for i in range(n)], n))
+            fillings.setdefault(b, tab)
     return {fillings[b]: TPoly._make(tuple(row)) for b, row in dense.items()}
 
 
@@ -803,14 +807,14 @@ def _cancel(
 
 def _rewrite_expansion(
     ctx: SpringerContext, alpha: tuple[int, ...]
-) -> tuple[list[tuple[Monomial, int]], int]:
-    """One rewriting step on the x-monomial with exponents alpha, which
-    must not already be a basis monomial (ConsistencyError).  Returns
-    (terms, divisor), with x^alpha = sum of c * x^m / divisor modulo the
-    ideal: each m a full monomial (t last), each c an integer, the divisor
-    a positive integer, and every x-part of an m strictly smaller than
-    alpha: lower x-degree, or the same degree with a longer strictly
-    increasing column prefix.  No filling is built."""
+) -> Optional[tuple[list[tuple[Monomial, int]], int]]:
+    """One rewriting step on the x-monomial with exponents alpha, the one
+    place that picks its rule; None for a basis monomial, which the ballot
+    scan ``_first_bad_column`` finds standard.  Otherwise (terms, divisor),
+    with x^alpha = sum of c * x^m / divisor modulo the ideal: each m a full
+    monomial (t last), each c an integer, the divisor a positive integer,
+    and every x-part of an m strictly smaller than alpha: lower x-degree,
+    or the same degree with a longer strictly increasing column prefix."""
     n, k = ctx.n, ctx.k
     target = alpha + (0,)
     # a repeated variable: apply the square rule at the first one
@@ -829,7 +833,7 @@ def _rewrite_expansion(
     mask = sum(1 << (i - 1) for i in support)
     j = _first_bad_column(mask, n)
     if not j:
-        raise ConsistencyError(f"no rewriting step for the basis monomial {alpha}")
+        return None
     head, tail = _rule_split(mask, j, n)
     base = tuple(tail >> p & 1 for p in range(ctx.nvars))
     rest = {p: 1 for p in range(n) if not head >> p & 1}
@@ -846,17 +850,14 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
     monomial over one denominator; a memoized alpha returns at once.
 
     An explicit work stack drives the rewriting, so no power is too high
-    for the interpreter's recursion limit.  A squarefree monomial of
-    degree at most k is its own basis key, its bit set, when the ballot
-    scan ``_first_bad_column`` passes it, at most once per context as the
-    memo then holds the outcome; every other one takes a
-    ``_rewrite_expansion`` step, whose terms are checked
-    for the step's degree as their x-parts are read off.  ``expanding``
-    maps each monomial this call has rewritten but not yet finished to its
-    expansion; those monomials form the chain from alpha to the top of the
-    stack, so meeting one again is
-    a cycle.  It is private to the call, and only finished values reach
-    the memo."""
+    for the interpreter's recursion limit.  Each monomial not in the memo
+    takes one ``_rewrite_expansion`` step, which alone decides its rule;
+    one that returns None keeps a basis monomial as its own key, its bit
+    set, and the terms of any other are checked for the step's degree.
+    ``expanding`` maps each monomial this call has rewritten but not yet
+    finished to its expansion; those form the chain from alpha to the top
+    of the stack, so meeting one again is a cycle.  It is private to the
+    call, and only finished values reach the memo."""
     memo = _rewrite_memo(ctx)
     value = memo.get(alpha)
     if value is not None:
@@ -866,24 +867,17 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
     stack = [alpha]
     while stack:
         beta = stack[-1]
+        if beta in expanding:
+            # every monomial of the expansion has been finished above beta
+            terms, divisor = expanding.pop(beta)
+            memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
+        elif beta not in memo and (step := _rewrite_expansion(ctx, beta)) is None:
+            memo[beta] = (((sum(e << i for i, e in enumerate(beta)), 1),), 1)
         if beta in memo:
             stack.pop()
             continue
-        step = expanding.pop(beta, None)
-        if step is not None:
-            # every monomial of the expansion has been finished above beta
-            terms, divisor = step
-            memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
-            stack.pop()
-            continue
+        terms, divisor = step
         degree = sum(beta)
-        if degree <= k and max(beta) <= 1:
-            mask = sum(e << i for i, e in enumerate(beta))
-            if not _first_bad_column(mask, n):
-                memo[beta] = (((mask, 1),), 1)
-                stack.pop()
-                continue
-        terms, divisor = _rewrite_expansion(ctx, beta)
         subs = [(mono[:n], c) for mono, c in terms if sum(mono) == degree]
         if len(subs) != len(terms):
             raise ConsistencyError(f"rewriting {beta} left degree {degree} for n={n}, k={k}")

@@ -15,6 +15,7 @@ from tworow.cli import (
     LISTING_LIMIT,
     STRAIGHTEN_CORE_LIMIT,
     STRAIGHTEN_DEGREE_LIMIT,
+    VERIFY_WORK_LIMIT,
     main,
 )
 from tworow.polynomials import MPoly
@@ -253,6 +254,28 @@ def test_verify_refuses_fixed_points_past_the_listing_limit_at_once(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "40", "--k", "max", "--checks", checks)
     assert code == 0
     assert "hook-identity[n=40,k=20]" in out
+
+
+@pytest.mark.parametrize(
+    "checks", ["hook-identity", "square-reduction", "hook-identity,square-reduction"]
+)
+def test_verify_refuses_a_walk_past_the_work_limit_at_once(checks):
+    # checks that build no fixed points meet no listing limit; the walk's
+    # n^3 work per context is first too much at n = 141 for --k max.  A
+    # subprocess, so that a hang fails this test instead of the suite
+    import subprocess
+
+    argv = ["verify", "--n-max", str(10**9), "--k", "max", "--checks", checks]
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "tworow", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert time.perf_counter() - started < 1.0
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: the walk up to n=141 exceeds the work limit of {VERIFY_WORK_LIMIT}\n"
+    )
+    assert 140**2 * 141**2 // 4 <= VERIFY_WORK_LIMIT < 141**2 * 142**2 // 4
 
 
 def test_verify_refuses_a_basis_determinant_core_past_the_limit_at_once(capsys, monkeypatch):

@@ -974,7 +974,9 @@ def test_rewrite_steps_match_reference(n, k, monkeypatch):
     steps = {}
 
     def recording(ctx, alpha):
-        steps[alpha] = step = expand(ctx, alpha)
+        step = expand(ctx, alpha)
+        if step is not None:  # None keeps a basis monomial as its own key
+            steps[alpha] = step
         return step
 
     expand = springer._rewrite_expansion
@@ -1016,12 +1018,11 @@ def test_rewrite_memo_entries_have_polynomial_t_powers():
 
 
 def test_rewrite_walk_tests_standardness_once_per_monomial(monkeypatch):
-    # the memo holds each outcome, so the walk runs the ballot scan on a
-    # squarefree monomial of degree at most k once per context: exactly
-    # the memo's squarefree entries of that degree.  The scan is the
-    # module's only standardness test, so its other calls are counted
-    # too: the rewrite step finds the bad column of each non-standard one
-    # once, and the lift vets each key once, when it stores its filling
+    # the rewrite step alone decides a monomial's rule, and the memo holds
+    # each outcome, so the ballot scan runs once per context on each
+    # squarefree monomial of degree at most k: exactly the memo's
+    # squarefree entries of that degree, standard or not.  The lift vets
+    # its keys by the tableau rule, so it adds no scan
     asked = []
     original = springer._first_bad_column
     monkeypatch.setattr(
@@ -1037,9 +1038,8 @@ def test_rewrite_walk_tests_standardness_once_per_monomial(monkeypatch):
         memo = springer._rewrite_memo(ctx)
         low = [sum(e << i for i, e in enumerate(a)) for a in memo if max(a) <= 1 and sum(a) <= k]
         bad = [mask for mask in low if original(mask, n)]
-        stored = list(springer._bottom_row_fillings(ctx))
-        assert len(low) > len(bad) > 0 and stored
-        assert Counter(asked) == Counter(low) + Counter(bad) + Counter(stored)
+        assert len(low) > len(bad) > 0 and springer._bottom_row_fillings(ctx)
+        assert Counter(asked) == Counter(low)
 
 
 def test_rewrite_memo_grows_only_as_needed():
@@ -1084,16 +1084,19 @@ def test_rewrite_fails_closed_on_a_broken_step(broken, message, monkeypatch):
     assert springer._rewrite_memo(ctx) == {}
 
 
-def test_rewrite_step_refuses_a_basis_monomial():
-    # the walk keeps a standard monomial as its own basis key; a step
-    # handed one has no bad column to cancel at and fails closed
-    with pytest.raises(ConsistencyError, match="basis monomial"):
-        springer._rewrite_expansion(SpringerContext(4, 2), (0, 1, 0, 1))
-    for n, k in ((5, 2), (6, 3)):
+def test_rewrite_step_returns_none_for_every_basis_monomial():
+    # a standard monomial has no bad column to cancel at: the step, which
+    # alone picks each monomial's rule, returns None, and the walk keeps
+    # the monomial as its own basis key
+    for n, k in ((4, 2), (5, 2), (6, 3)):
         ctx = SpringerContext(n, k)
         for tab in standard_monomial_basis(ctx):
-            with pytest.raises(ConsistencyError, match="basis monomial"):
-                springer._rewrite_expansion(ctx, monomial_from_filling(tab)[:n])
+            assert springer._rewrite_expansion(ctx, monomial_from_filling(tab)[:n]) is None
+        tab = standard_monomial_basis(ctx)[-1]
+        alpha = monomial_from_filling(tab)
+        straighten_by_rewrite(MPoly.from_monomial(alpha), ctx)
+        key = sum(1 << (j - 1) for j in tab.bottom)
+        assert springer._rewrite_memo(ctx) == {alpha[:n]: (((key, 1),), 1)}
 
 
 def test_coefficient_lift_refuses_a_key_that_is_no_basis_key():
@@ -1190,6 +1193,17 @@ def test_straighten_check_fails_closed_when_every_subset_scans_standard(monkeypa
         f"FAIL straighten[n={n},k={k}]" for n, k in ((2, 1), (3, 1), (4, 1), (4, 2))
     ]
     assert all("consistency error" in line and "no basis key" in line for line in failed)
+
+
+def test_paper_straightening_refuses_a_key_the_tableau_rule_rejects(monkeypatch, capsys):
+    # the lift checks each key by is_standard, not by the ballot scan that
+    # decided it: with the scan calling every subset standard, x1 at (4,2)
+    # would lift onto the non-standard key x1; it exits 1, printing nothing
+    monkeypatch.setattr(springer, "_first_bad_column", lambda mask, n: 0)
+    argv = ["straighten", "--n", "4", "--k", "2", "--method", "paper", "--poly", "x1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no basis key" in captured.err
 
 
 def test_straighten_check_monomials_agree_between_routes(monkeypatch, capsys):
@@ -1319,6 +1333,15 @@ def test_fillings_are_freed_with_their_context():
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
+
+
+def test_paper_straightening_builds_no_basis():
+    # the lift stores the fillings of the keys it returns, one at a time:
+    # x1 at (40,20) lifts onto its 40 keys, none of the C(40,20) basis
+    ctx = SpringerContext(40, 20)
+    assert len(straighten_by_rewrite(ctx.x(1), ctx)) == 40
+    built = {fn.__name__ for fn in ctx.cache}
+    assert not built & {"standard_monomial_basis", "fixed_points", "basis_image_matrix"}
 
 
 def test_rewrite_memo_is_thread_safe():

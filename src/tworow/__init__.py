@@ -36,6 +36,7 @@ from .springer import (
     basis_combination,
     basis_image_matrix,
     build_fixed_point,
+    core_determinant,
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,

@@ -273,9 +273,8 @@ def _check_square_reduction(ctx):
 
 
 def _check_basis_determinant(ctx):
-    bm = springer.basis_image_matrix(ctx)
-    ok = bm.core_determinant != 0
-    return ok, f"integer core determinant {bm.core_determinant}"
+    det = springer.core_determinant(ctx)
+    return det != 0, f"integer core determinant {det}"
 
 
 def _check_straighten(ctx):

@@ -16,7 +16,8 @@ and S-pairs share one heap under the normal selection strategy, a
 generator enters the basis only if it does not reduce to zero, and the
 Gebauer-Moeller update prunes pairs and keeps the active basis minimal.
 One pass of tail reduction makes the basis reduced; only then are the
-elements made monic over Q.
+elements made monic over Q; the basis keeps that pass's reducers, so
+``normal_form`` builds none.
 
 A monomial in N variables is packed into one integer (Bachmann-Schoenemann,
 ISSAC 1998): exponent i in bit slot i, BITS bits wide, the total degree in
@@ -31,8 +32,6 @@ results of ``buchberger`` and ``normal_form``.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
@@ -80,7 +79,7 @@ def _lcm(a: int, b: int, nvars: int) -> int:
 # removed, leading coefficient positive) split into its leading monomial,
 # leading coefficient and tail.
 Terms = dict[int, int]
-Reducer = tuple[int, int, list[tuple[int, int]]]
+Reducer = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def _integer_terms(terms: dict[Monomial, Fraction]) -> tuple[int, Terms]:
@@ -96,7 +95,7 @@ def _reducer(terms: Terms, nvars: int) -> Reducer:
     content = gcd(*terms.values())
     if terms[lm] < 0:
         content = -content
-    tail = [(m, c // content) for m, c in terms.items() if m != lm]
+    tail = tuple((m, c // content) for m, c in terms.items() if m != lm)
     return lm, terms[lm] // content, tail
 
 
@@ -119,19 +118,18 @@ def _new_pairs(
     return pairs
 
 
-class GroebnerBasis(namedtuple("GroebnerBasis", "generators nvars")):
+class GroebnerBasis(NamedTuple):
     """A reduced Groebner basis: monic generators, no generator's monomial
     divisible by another generator's leading monomial.  ``nvars`` is the
-    ring's variable count, kept for the zero ideal too."""
+    ring's variable count, kept for the zero ideal too; ``reducers`` holds
+    the generators' primitive integer reducers, in order."""
+
+    generators: tuple[MPoly, ...]
+    nvars: int
+    reducers: tuple[Reducer, ...]
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading_monomial() for g in self.generators]
-
-    @cached_property
-    def reducers(self) -> list[Reducer]:
-        """The generators as integer reducers, built on the first
-        ``normal_form`` and then kept."""
-        return [_reducer(_integer_terms(g.terms)[1], self.nvars) for g in self.generators]
 
 
 def _reduce(p: Terms, reducers: Sequence[Reducer], nvars: int) -> tuple[int, Terms]:
@@ -292,7 +290,7 @@ def buchberger(generators: Sequence[MPoly]) -> GroebnerBasis:
         glm, glc, tail = minimal[i] = _reducer({glm: s * glc, **rest}, nvars)
         monic = {m: Fraction(c, glc) for m, c in tail}
         reduced.append(_mpoly(nvars, {glm: Fraction(1), **monic}))
-    return GroebnerBasis(generators=tuple(reduced), nvars=nvars)
+    return GroebnerBasis(generators=tuple(reduced), nvars=nvars, reducers=tuple(minimal))
 
 
 def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:

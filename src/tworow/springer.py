@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import wraps
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
@@ -57,8 +57,8 @@ class ConsistencyError(RuntimeError):
 
 
 class SpringerContext(namedtuple("SpringerContext", "n k")):
-    """The pair (n, k) with 0 <= k <= n/2 and n >= 1.  ``cache``, a dict
-    set per object, is no field: ``==``, ``hash`` and ``repr`` ignore it."""
+    """The pair (n, k) with 0 <= k <= n/2 and n >= 1.  ``cache``, a dict set
+    per object, is no field: ``==``, ``hash``, ``repr``, pickles and copies ignore it."""
 
     def __new__(cls, n: int, k: int):
         if n < 1:
@@ -72,6 +72,9 @@ class SpringerContext(namedtuple("SpringerContext", "n k")):
     @classmethod
     def _make(cls, fields):  # so that _replace validates and makes its own cache
         return cls(*fields)
+
+    def __reduce__(self):  # pickle and copy as (n, k), each copy with its own cache
+        return type(self), tuple(self)
 
     @property
     def nvars(self) -> int:
@@ -308,9 +311,13 @@ def _rule_split(mask: int, j: int, n: int) -> tuple[int, int]:
     x_S, S the set bits of mask: head the first j - 1 top entries, tail the
     bottom entries past column j.  The rewrite step and the t = 0 witness
     both split the linear relation as head + rest here."""
-    top = [p for p in range(n) if not mask >> p & 1]
-    bottom = [p for p in range(n) if mask >> p & 1]
-    return sum(1 << p for p in top[: j - 1]), sum(1 << p for p in bottom[j:])
+    tops = later = ~mask & ((1 << n) - 1)
+    tail = mask
+    for _ in range(j - 1):
+        later &= later - 1  # drop the lowest top entry
+    for _ in range(j):
+        tail &= tail - 1  # drop the lowest bottom entry
+    return tops ^ later, tail
 
 
 def _rule_at_zero(mask: int, j: int, n: int, order: Mapping[int, int]) -> bool:
@@ -334,22 +341,21 @@ def _rule_at_zero(mask: int, j: int, n: int, order: Mapping[int, int]) -> bool:
         term = tail | sum(chosen)
         if term == mask:
             hits += 1
-        elif term not in order or 0 < order[term] <= own:
+        elif 0 < order.get(term, 1) <= own:  # a term not in order fails too
             return False
     return hits == 1
 
 
-@lru_cache(maxsize=None)
-def _rule_span_counts(n: int) -> tuple[Optional[int], ...]:
-    """Per degree d = 0..n/2, the number of standard d-subsets when the
+@_per_context
+def _rule_span_counts(ctx: SpringerContext) -> tuple[Optional[int], ...]:
+    """Per degree d = 0..k, the number of standard d-subsets when the
     paper's rule at t = 0 (``_rule_at_zero``) reduces every non-standard
     d-subset, at its first bad column, to later ones; None where it fails.
     Squarefree monomials span Q[x]_d modulo J0, so by induction on
     d - (first bad column) the standard ones span (Q[x]/J0)_d, and the
-    count bounds its dimension from above.  Computed once per n for every
-    k."""
-    counts = []
-    for d in range(n // 2 + 1):
+    count bounds its dimension from above.  Kept per context for kernel-ideal and ordinary."""
+    n, counts = ctx.n, []
+    for d in range(ctx.k + 1):
         masks = (sum(1 << p for p in s) for s in combinations(range(n), d))
         order = {mask: _first_bad_column(mask, n) for mask in masks}
         spans = all(_rule_at_zero(mask, j, n, order) for mask, j in order.items() if j)
@@ -367,9 +373,9 @@ def _graded_dimensions(n: int, k: int) -> tuple[int, ...]:
 def _j_quotient_dimension(ctx: SpringerContext) -> Optional[int]:
     """dim Q[x]/J, or None when J's list is of another shape
     (``_j_is_j0_plus_products``) or, in some degree d <= k, the lower
-    bound C(n, d) - C(n, d - 1) differs from the upper bound of
-    ``_rule_span_counts`` (step 3 of ``kernel_ideal_comparisons``)."""
-    counts = _rule_span_counts(ctx.n)[: ctx.k + 1]
+    bound C(n, d) - C(n, d - 1) differs from the upper bound of the
+    context's ``_rule_span_counts`` (step 3 of ``kernel_ideal_comparisons``)."""
+    counts = _rule_span_counts(ctx)
     if not _j_is_j0_plus_products(ctx) or counts != _graded_dimensions(ctx.n, ctx.k):
         return None
     return sum(counts)
@@ -553,7 +559,7 @@ def standard_monomial_basis(ctx: SpringerContext) -> tuple[TwoRowFilling, ...]:
     return tuple(basis)
 
 
-class BasisMatrix(namedtuple("BasisMatrix", "integer_core column_keys")):
+class BasisMatrix(NamedTuple):
     """Localized images of the basis monomials.
 
     The restriction of x_T at w is (product of w(j) over bottom entries
@@ -562,32 +568,14 @@ class BasisMatrix(namedtuple("BasisMatrix", "integer_core column_keys")):
     that of ``standard_monomial_basis``.  The determinant of the images
     therefore factors as ``core_determinant`` times a power of t, and a
     nonzero integer core is exactly linear independence over the fraction
-    field of Q[t].  ``core_determinant``, computed when first read, is 0
-    for a singular core, so that ``basis-determinant`` fails by name.
-    ``inverse`` is the core's exact inverse as integers (adj, d), None when
-    singular, built on the first straightening solve and then kept, so
-    that every solve is an integer substitution; ``verify`` never builds
-    it, and the solve never reads the determinant.  ``row_bound`` is kept
-    beside it.  The solve and ``straightening_mismatches`` read
+    field of Q[t].  The solve and ``straightening_mismatches`` read
     ``column_keys`` (the bottom-row bit set of each column's tableau) from
     here and the context's ``_value_columns`` beside it, so neither is
     rebuilt per polynomial.
     """
 
-    @cached_property
-    def core_determinant(self) -> int:
-        return integer_det_bareiss(self.integer_core)
-
-    @cached_property
-    def inverse(self) -> Optional[ScaledInverse]:
-        return rational_inverse(self.integer_core)
-
-    @cached_property
-    def row_bound(self) -> int:
-        """The largest absolute row sum of adj in ``inverse`` = (adj, d):
-        no numerator of a solve exceeds it times the largest absolute
-        entry of the right-hand side.  Needs a nonsingular core."""
-        return max(sum(map(abs, row)) for row in self.inverse[0])
+    integer_core: tuple[tuple[int, ...], ...]
+    column_keys: tuple[int, ...]
 
 
 @_per_context
@@ -606,6 +594,21 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
         integer_core=core,
         column_keys=tuple(sum(1 << (j - 1) for j in tab.bottom) for tab in tableaux),
     )
+
+
+def core_determinant(ctx: SpringerContext) -> int:
+    """The basis matrix's integer core determinant by Bareiss elimination,
+    computed per call and 0 when singular; the solve never reads it."""
+    return integer_det_bareiss(basis_image_matrix(ctx).integer_core)
+
+
+@_per_context
+def _core_inverse(ctx: SpringerContext) -> Optional[tuple[ScaledInverse, int]]:
+    """The integer core's exact inverse (adj, d), None when singular, and
+    adj's largest absolute row sum R: no solve's numerator exceeds R times
+    its largest absolute right-hand entry.  Built on the first solve only."""
+    inverse = rational_inverse(basis_image_matrix(ctx).integer_core)
+    return inverse and (inverse, max(sum(map(abs, row)) for row in inverse[0]))
 
 
 # -- straightening, route one: solve against the localized basis -------------
@@ -714,7 +717,7 @@ def straighten_by_solve(
     share one matrix, so they are made together by Kronecker substitution
     at t = 2^B: consecutive degrees are packed into one right-hand side
     per fixed point, in slots of width bits(R * max_w |s_d,w|) + 2, with R
-    the adjugate's largest absolute row sum (``BasisMatrix.row_bound``),
+    the adjugate's largest absolute row sum (``_core_inverse``),
     and a pack is closed before it passes PACK_BITS bits.  A slot that
     wide holds every numerator of its degree, so decoding the balanced
     residues of one solution gives each degree's numerators exactly; bits
@@ -727,13 +730,11 @@ def straighten_by_solve(
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
-    matrix = basis_image_matrix(ctx)
-    inverse = matrix.inverse
-    if inverse is None:
-        raise ConsistencyError(
-            f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}"
-        )
-    bound, keys, columns = matrix.row_bound, matrix.column_keys, _value_columns(ctx)
+    factored = _core_inverse(ctx)
+    if factored is None:
+        raise ConsistencyError(f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}")
+    inverse, bound = factored
+    keys, columns = basis_image_matrix(ctx).column_keys, _value_columns(ctx)
     by_degree: dict[int, Coordinates] = {}
     pack: list[tuple[int, int, int, list[int]]] = []
     used = 0
@@ -1086,10 +1087,10 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
        is spanned by the C(n, d - 1) products e1 x_R, so
        dim (Q[x]/J0)_d >= C(n, d) - C(n, d - 1).  The paper's
        non-standard rule at t = 0 writes each non-standard squarefree
-       monomial as a combination of later ones modulo J0
-       (``_rule_span_counts``), so the standard d-subsets, found by a
-       ballot scan, span (Q[x]/J0)_d and bound its dimension from
-       above.  Where the two bounds meet for every d <= k
+       monomial as a combination of later ones modulo J0 (checked for
+       d <= k once per context, ``_rule_span_counts``), so the standard
+       d-subsets, found by a ballot scan, span (Q[x]/J0)_d and bound its
+       dimension from above.  Where the two bounds meet for every d <= k
        (``_j_quotient_dimension``), the standard monomials are a basis;
        they are the x_T when the tableau bottoms are distinct, standard
        by the same scan, of size at most k and as many.
@@ -1126,7 +1127,7 @@ def kernel_ideal_comparisons(ctx: SpringerContext) -> KernelIdealCheck:
         and all(mask.bit_count() <= k and not _first_bad_column(mask, n) for mask in bottoms),
         quotient_dimension=dimension,
         points_distinct=len({w.w for w in fixed_points(ctx)}) == len(tableaux),
-        span_counts=_rule_span_counts(n)[: k + 1],
+        span_counts=_rule_span_counts(ctx),
         graded_counts=tuple(sum(tab.ell == d for tab in tableaux) for d in range(k + 1)),
         expected_counts=_graded_dimensions(n, k),
     )

@@ -1,4 +1,3 @@
-import functools
 import gc
 import json
 import sys
@@ -541,9 +540,8 @@ def test_verify_builds_no_exact_inverse(capsys, monkeypatch):
 
 def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
     # I's generators, the square-rule check and the rewrite rules expand
-    # products of linear forms as integer terms; with every context fresh
-    # and the per-n cache of the spanning witness emptied, no check adds, subtracts,
-    # multiplies or powers an MPoly
+    # products of linear forms as integer terms; with every context fresh,
+    # no check adds, subtracts, multiplies or powers an MPoly
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__"):
         def counted(*args, name=name, original=getattr(MPoly, name)):
@@ -551,11 +549,7 @@ def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(MPoly, name, counted)
-    springer._rule_span_counts.cache_clear()
-    try:
-        code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
-    finally:
-        springer._rule_span_counts.cache_clear()
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0
     assert calls == []
 
@@ -565,12 +559,8 @@ def test_verify_computes_no_normal_form(capsys, monkeypatch):
     # generator lists, and no other check reduces a polynomial either
     calls = []
     monkeypatch.setattr(groebner, "normal_form", lambda *args: calls.append(args))
-    springer._rule_span_counts.cache_clear()
-    try:
-        assert run(capsys, "verify", "--n-max", "5", "--k", "all", "--checks", "ordinary")[0] == 0
-        assert run(capsys, "verify", "--n-max", "5", "--k", "all")[0] == 0
-    finally:
-        springer._rule_span_counts.cache_clear()
+    assert run(capsys, "verify", "--n-max", "5", "--k", "all", "--checks", "ordinary")[0] == 0
+    assert run(capsys, "verify", "--n-max", "5", "--k", "all")[0] == 0
     assert calls == []
 
 
@@ -592,9 +582,9 @@ def test_verify_stores_no_fillings(capsys, monkeypatch):
 
 def test_verify_runs_no_groebner_basis(capsys, monkeypatch):
     # kernel-ideal and ordinary prove that the tableau monomials span
-    # Q[x]/J by the paper's rule at t = 0, a witness that does not depend
-    # on k: 11 contexts up to n = 5, one witness per n, and no Buchberger
-    # run or quotient dimension anywhere
+    # Q[x]/J by the paper's rule at t = 0, a witness kept per context and
+    # shared by both checks: 11 contexts up to n = 5, one witness each, and
+    # no Buchberger run or quotient dimension anywhere
     calls, witnessed = [], []
     for name in ("buchberger", "quotient_dimension"):
         monkeypatch.setattr(groebner, name, lambda *args, name=name: calls.append(name))
@@ -602,12 +592,12 @@ def test_verify_runs_no_groebner_basis(capsys, monkeypatch):
     monkeypatch.setattr(
         springer,
         "_rule_span_counts",
-        functools.lru_cache(maxsize=None)(lambda n: witnessed.append(n) or witness(n)),
+        springer._per_context(lambda ctx: witnessed.append(ctx) or witness(ctx)),
     )
     code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0
     assert calls == []
-    assert witnessed == [1, 2, 3, 4, 5]
+    assert witnessed == [(n, k) for n in range(1, 6) for k in range(n // 2 + 1)]
 
 
 def test_verify_reads_js_list_certificate_once_per_context(capsys, monkeypatch):
@@ -628,12 +618,19 @@ def test_verify_frees_every_context_it_made(monkeypatch):
     # what a context derives lives on it, so once verify returns, none of
     # its 8 contexts up to n = 4 is alive, nor any basis matrix it built.
     # Records are tuples, which take no weak reference, so each one holds
-    # a marker that nothing else refers to: it dies with its holder.
+    # a marker that nothing else refers to: it dies with its holder.  A
+    # plain BasisMatrix has no __dict__ to hold one, so verify builds a
+    # subclass that has.
     refs = []
     original = springer.basis_image_matrix
 
     class Marker:
         pass
+
+    class Held(springer.BasisMatrix):
+        pass
+
+    monkeypatch.setattr(springer, "BasisMatrix", Held)
 
     def spied(ctx):
         matrix = original(ctx)

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import sys
 import threading
 import time
@@ -29,6 +31,7 @@ from tworow.springer import (
     basis_combination,
     basis_image_matrix,
     build_fixed_point,
+    core_determinant,
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
@@ -110,6 +113,17 @@ def test_replace_validates_and_gives_a_fresh_cache():
         TwoRowFilling((1, 3), (2,))._replace(bottom=(3,))
 
 
+def test_warm_context_pickles_and_copies_with_a_fresh_cache():
+    # a context that has cached values still pickles, say for a worker
+    # process, and no copy shares or carries its cache
+    ctx = SpringerContext(4, 2)
+    fixed_points(ctx)
+    for copied in (pickle.loads(pickle.dumps(ctx)), copy.copy(ctx), copy.deepcopy(ctx)):
+        assert type(copied) is SpringerContext and copied == ctx
+        assert copied.cache == {} and copied.cache is not ctx.cache
+    assert ctx.cache
+
+
 def _records():
     """One value of every record type the library returns."""
     ctx = SpringerContext(4, 2)
@@ -149,11 +163,15 @@ def test_records_are_tuples_of_their_fields():
 
 
 def test_cached_attributes_are_computed_once():
-    matrix = basis_image_matrix(SpringerContext(4, 2))
-    for name in ("core_determinant", "inverse", "row_bound"):
-        assert getattr(matrix, name) is getattr(matrix, name)
-    assert matrix.core_determinant != 0
-    basis = buchberger(ordinary_ideal(SpringerContext(4, 2)).generators)
+    # the solve's inverse and row bound are one value kept on the context;
+    # the determinant is computed per call; a Groebner basis carries its
+    # reducers as a field
+    ctx = SpringerContext(4, 2)
+    factored = springer._core_inverse(ctx)
+    assert factored is springer._core_inverse(ctx)
+    assert ctx.cache[springer._core_inverse.__wrapped__] is factored
+    assert core_determinant(ctx) != 0
+    basis = buchberger(ordinary_ideal(ctx).generators)
     assert basis.reducers is basis.reducers
     assert len(basis.reducers) == len(basis.generators)
 
@@ -596,14 +614,14 @@ def test_basis_matrix_n2():
     assert [t.bottom for t in standard_monomial_basis(ctx)] == [(), (2,)]
     assert [w.w for w in fixed_points(ctx)] == [(2, 1), (1, 2)]
     assert bm.integer_core == ((1, 1), (1, 2))
-    assert bm.core_determinant == 1
-    assert bm.inverse == (((2, -1), (-1, 1)), 1)
+    assert core_determinant(ctx) == 1
+    assert springer._core_inverse(ctx) == ((((2, -1), (-1, 1)), 1), 3)
 
 
 def test_basis_matrix_point():
-    bm = basis_image_matrix(SpringerContext(1, 0))
-    assert bm.integer_core == ((1,),)
-    assert bm.core_determinant == 1
+    ctx = SpringerContext(1, 0)
+    assert basis_image_matrix(ctx).integer_core == ((1,),)
+    assert core_determinant(ctx) == 1
 
 
 def test_basis_matrix_determinant_factorization(cofactor_det):
@@ -621,22 +639,25 @@ def test_basis_matrix_determinant_factorization(cofactor_det):
                     mono[j - 1] = 1
                 image = localize(MPoly.from_monomial(tuple(mono)), w)
                 assert image == TPoly.term(weight, tab.ell)
-        assert bm.core_determinant == cofactor_det(bm.integer_core) != 0
+        assert core_determinant(ctx) == cofactor_det(bm.integer_core) != 0
 
 
 def test_basis_matrix_inverse_invariants():
-    # the stored factorization is the exact inverse of the core, and the
-    # classical adjugate core_determinant * adj / d is integral
+    # the stored factorization is the exact inverse of the core, the
+    # classical adjugate core_determinant * adj / d is integral, and the
+    # stored row bound is adj's largest absolute row sum
     for n, k in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3)):
-        bm = basis_image_matrix(SpringerContext(n, k))
-        core, (adj, d) = bm.integer_core, bm.inverse
+        ctx = SpringerContext(n, k)
+        (adj, d), bound = springer._core_inverse(ctx)
+        core = basis_image_matrix(ctx).integer_core
         size = len(core)
         assert d > 0
         for i in range(size):
             for j in range(size):
                 entry = sum(core[i][m] * adj[m][j] for m in range(size))
                 assert entry == (d if i == j else 0)
-        assert all(bm.core_determinant * a % d == 0 for row in adj for a in row)
+        assert all(core_determinant(ctx) * a % d == 0 for row in adj for a in row)
+        assert bound == max(sum(map(abs, row)) for row in adj)
 
 
 def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
@@ -648,7 +669,7 @@ def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
     f = poly("x1^2*x3 - 2*x4*t^2 + x5", 5)
     assert straighten_by_solve(f, ctx) == straighten_by_rewrite(f, ctx)
     with pytest.raises(AssertionError, match="read the core determinant"):
-        basis_image_matrix(ctx).core_determinant
+        core_determinant(ctx)
 
 
 def test_standard_monomial_basis_size():
@@ -735,7 +756,7 @@ def _straighten_per_degree(f, ctx):
     by_degree = {}
     for degree, component in f.homogeneous_components().items():
         sums, scale = springer._component_values(springer._value_columns(ctx), component)
-        numerators, d = solve_rational(matrix.inverse, sums)
+        numerators, d = solve_rational(springer._core_inverse(ctx)[0], sums)
         nonzero = tuple((b, a) for b, a in zip(matrix.column_keys, numerators) if a)
         by_degree[degree] = nonzero, d * scale
     return springer._coefficient_polys(ctx, by_degree)
@@ -801,8 +822,8 @@ def test_packed_solve_refuses_bits_above_its_top_slot(monkeypatch):
     # the decoding must notice rather than return shifted coordinates
     ctx = SpringerContext(4, 2)
     f = poly("x1^5 + 3*x2^2*t + 7", 4)
-    matrix = basis_image_matrix(ctx)
-    monkeypatch.setitem(matrix.__dict__, "row_bound", 0)
+    inverse, _ = springer._core_inverse(ctx)
+    monkeypatch.setitem(ctx.cache, springer._core_inverse.__wrapped__, (inverse, 0))
     with pytest.raises(ConsistencyError, match="top slot"):
         straighten_by_solve(f, ctx)
 
@@ -1344,12 +1365,22 @@ def test_paper_straightening_builds_no_basis():
     assert not built & {"standard_monomial_basis", "fixed_points", "basis_image_matrix"}
 
 
-def test_rewrite_memo_is_thread_safe():
-    # threads racing on a fresh context get the memo and the basis matrix
-    # stored first, and sharing the memo they neither see one another's
-    # half-finished entries as cycles nor get other answers or entries
-    reference = SpringerContext(5, 2)
+def test_rewrite_memo_is_thread_safe(monkeypatch):
+    # threads racing on a fresh context get the memo, the basis matrix and
+    # the solve's inverse stored first, and sharing the memo they neither
+    # see one another's half-finished entries as cycles nor get other
+    # answers or entries; every solve of every thread uses the stored
+    # inverse, counted through the name springer calls.  At (6, 3) the
+    # 20 x 20 inverse takes long enough for the threads to overlap.
+    reference = SpringerContext(6, 3)
     polys = [MPoly.from_monomial(m) for m in sample_monomials(reference, 30, 6)]
+    solved_with = {}
+
+    def recorded(inverse, rhs):
+        solved_with.setdefault(threading.get_ident(), []).append(inverse)
+        return solve_rational(inverse, rhs)
+
+    monkeypatch.setattr(springer, "solve_rational", recorded)
 
     def straighten_all(ctx):
         return [(straighten_by_rewrite(p, ctx), straighten_by_solve(p, ctx)) for p in polys]
@@ -1359,15 +1390,16 @@ def test_rewrite_memo_is_thread_safe():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            ctx = SpringerContext(5, 2)
+            ctx = SpringerContext(6, 3)
             start = threading.Barrier(4)
-            shared, results, errors = [], [], []
+            shared, results, errors, used = [], [], [], []
 
             def work():
                 start.wait(timeout=10)
                 try:
                     shared.append((basis_image_matrix(ctx), springer._rewrite_memo(ctx)))
                     results.append(straighten_all(ctx))
+                    used.append(solved_with.pop(threading.get_ident()))
                 except ConsistencyError as exc:
                     errors.append(exc)
 
@@ -1382,6 +1414,8 @@ def test_rewrite_memo_is_thread_safe():
             stored = basis_image_matrix(ctx), springer._rewrite_memo(ctx)
             assert len(shared) == 4 and all(a is b for got in shared for a, b in zip(got, stored))
             assert stored[1] == springer._rewrite_memo(reference)
+            inverse = springer._core_inverse(ctx)[0]
+            assert len(used) == 4 and all(got is inverse for solves in used for got in solves)
     finally:
         sys.setswitchinterval(interval)
 
@@ -1547,10 +1581,26 @@ def test_j0_counts_c_n_k_at_the_largest_k(n):
     # the paper's rule at t = 0 leaves C(n,d) - C(n,d-1) standard
     # d-subsets spanning (Q[x]/J0)_d, the lower bound, in every degree
     # d <= n/2; so dim Q[x]/J = C(n, k) at the largest k
-    counts = springer._rule_span_counts(n)
-    assert counts == tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(n // 2 + 1))
     ctx = SpringerContext(n, n // 2)
+    counts = springer._rule_span_counts(ctx)
+    assert counts == tuple(comb(n, d) - (d and comb(n, d - 1)) for d in range(n // 2 + 1))
     assert ordinary_presentation_check(ctx).dimension == sum(counts) == comb(n, n // 2)
+
+
+def test_witness_scans_only_the_degrees_up_to_k(monkeypatch):
+    # the witness is kept per context and covers d = 0..k, the degrees
+    # its two callers read: at (16, 1) it scans 1-subsets, not every
+    # d-subset up to d = 8
+    scanned = []
+    original = springer._rule_at_zero
+
+    def spied(mask, j, n, order):
+        scanned.append(mask)
+        return original(mask, j, n, order)
+
+    monkeypatch.setattr(springer, "_rule_at_zero", spied)
+    assert ordinary_presentation_check(SpringerContext(16, 1)).ok
+    assert scanned and max(mask.bit_count() for mask in scanned) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -1594,19 +1644,15 @@ def test_step_3_fails_for_a_rule_off_by_one_column(shift, keep_well_formed, monk
     # column; one column early or late, it no longer proves spanning:
     # step 3 fails alone and by name, and ordinary reports no dimension
     ctx = SpringerContext(6, 3)
-    springer._rule_span_counts.cache_clear()
-    try:
-        _shift_rule_column(shift, keep_well_formed)(monkeypatch)
-        check = kernel_ideal_comparisons(ctx)
-        assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
-        assert check.quotient_dimension is None
-        assert ordinary_presentation_check(ctx).dimension is None
-        failed_degree = 2 if keep_well_formed else 1
-        assert check.span_counts[failed_degree] is None
-        assert main(["verify", "--checks", "kernel-ideal,ordinary", "--n-max", "6",
-                     "--k", "max"]) == 1
-    finally:
-        springer._rule_span_counts.cache_clear()
+    _shift_rule_column(shift, keep_well_formed)(monkeypatch)
+    check = kernel_ideal_comparisons(ctx)
+    assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
+    assert check.quotient_dimension is None
+    assert ordinary_presentation_check(ctx).dimension is None
+    failed_degree = 2 if keep_well_formed else 1
+    assert check.span_counts[failed_degree] is None
+    assert main(["verify", "--checks", "kernel-ideal,ordinary", "--n-max", "6",
+                 "--k", "max"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL kernel-ideal[n=6,k=3]: {STEPS['tableau_standard']}: the paper's rule at " \
         f"t = 0 fails in degree {failed_degree} [" in out
@@ -1631,14 +1677,10 @@ def test_step_3_fails_for_a_split_whose_head_is_one_entry_longer(monkeypatch, ca
     # the squares, the witness's premise fails and step 3 fails by name
     ctx = SpringerContext(6, 3)
     monkeypatch.setattr(springer, "_rule_split", _longer_head(springer._rule_split))
-    springer._rule_span_counts.cache_clear()
-    try:
-        check = kernel_ideal_comparisons(ctx)
-        assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
-        assert main(["verify", "--checks", "kernel-ideal,straighten", "--n-max", "6",
-                     "--k", "max"]) == 1
-    finally:
-        springer._rule_span_counts.cache_clear()
+    check = kernel_ideal_comparisons(ctx)
+    assert {step for step in STEPS if not getattr(check, step)} == {"tableau_standard"}
+    assert main(["verify", "--checks", "kernel-ideal,straighten", "--n-max", "6",
+                 "--k", "max"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL kernel-ideal[n=6,k=3]: {STEPS['tableau_standard']}: the paper's rule at " \
         "t = 0 fails in degree 1 [" in out

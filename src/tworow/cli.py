@@ -432,7 +432,31 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's help text, handler and arguments; every command also takes --format
+_REQUIRED_INT = {"type": int, "required": True}
+_COMMANDS = {
+    "fixed-points": ("list the circle-fixed points", _cmd_fixed_points,
+                     {"--n": _REQUIRED_INT, "--k": _REQUIRED_INT}),
+    "generators": ("list presentation ideal generators", _cmd_generators,
+                   {"--n": _REQUIRED_INT, "--k": _REQUIRED_INT,
+                    "--ideal": {"choices": ("I", "J", "tanisaki"), "default": "I"}}),
+    "straighten": ("expand a polynomial over the tableau basis", _cmd_straighten,
+                   {"--n": _REQUIRED_INT, "--k": _REQUIRED_INT,
+                    "--poly": {"type": str, "required": True},
+                    "--method": {"choices": ("oracle", "paper", "both"), "default": "both"}}),
+    "tableaux": ("standard tableau enumeration and hook data", _cmd_tableaux,
+                 {"--n": {"type": int}, "--ell": {"type": int},
+                  "--shape": {"type": str, "help": "comma-separated partition, e.g. 4,3,2,1,1"}}),
+    "verify": ("run the verification suite", _cmd_verify,
+               {"--n-max": _REQUIRED_INT, "--k": {"choices": ("all", "max"), "default": "all"},
+                "--checks": {"type": str, "default": None,
+                             "help": "comma-separated subset of: " + ", ".join(CHECK_NAMES)}}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with only the named
+    command's; its usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="tworow",
         description=(
@@ -440,58 +464,26 @@ def build_parser() -> argparse.ArgumentParser:
             "cohomology of two-row Springer varieties."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    # one subparser alone would list only its name in the usage line; the
+    # full parser needs no metavar, which would rename the command in its
+    # "invalid choice" and "required" errors
+    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("fixed-points", help="list the circle-fixed points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_fixed_points)
-
-    p = sub.add_parser("generators", help="list presentation ideal generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ideal", choices=("I", "J", "tanisaki"), default="I")
-    add_format(p)
-    p.set_defaults(func=_cmd_generators)
-
-    p = sub.add_parser("straighten", help="expand a polynomial over the tableau basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--poly", type=str, required=True)
-    p.add_argument("--method", choices=("oracle", "paper", "both"), default="both")
-    add_format(p)
-    p.set_defaults(func=_cmd_straighten)
-
-    p = sub.add_parser("tableaux", help="standard tableau enumeration and hook data")
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--shape", type=str, help="comma-separated partition, e.g. 4,3,2,1,1")
-    add_format(p)
-    p.set_defaults(func=_cmd_tableaux)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", choices=("all", "max"), default="all")
-    p.add_argument(
-        "--checks",
-        type=str,
-        default=None,
-        help="comma-separated subset of: " + ", ".join(CHECK_NAMES),
-    )
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # the other four subparsers would take about a third of a small verify's wall
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,6 +23,9 @@ from typing import Iterable, Mapping, Union
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+# the unit coefficient every generator term shares; Fractions are immutable
+_ONE = Fraction(1)
+
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
@@ -95,11 +98,11 @@ class MPoly:
         if not 0 <= position < nvars:
             raise ValueError(f"variable position {position} out of range")
         mono = tuple(1 if i == position else 0 for i in range(nvars))
-        return cls._make(nvars, {mono: Fraction(1)})
+        return cls._make(nvars, {mono: _ONE})
 
     @classmethod
-    def from_monomial(cls, mono: Monomial, coeff: Scalar = 1) -> "MPoly":
-        c = Fraction(coeff)
+    def from_monomial(cls, mono: Monomial, coeff: Scalar = _ONE) -> "MPoly":
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
         if not c:
             return cls.zero(len(mono))
         return cls._make(len(mono), {tuple(mono): c})
@@ -255,7 +258,7 @@ def elementary_symmetric(nvars: int, degree: int, positions: Iterable[int]) -> M
         mono = [0] * nvars
         for p in chosen:
             mono[p] = 1
-        terms[tuple(mono)] = Fraction(1)
+        terms[tuple(mono)] = _ONE
     return MPoly._make(nvars, terms)
 
 

@@ -946,14 +946,15 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     to whole bytes, no slot of the difference reaches 2^(W-1), so the
     packed sides are equal exactly when every slot is; the width grows
     with the input, so no input overflows it.  The second pass compares
-    them; only the memo's coordinates are kept between the passes, no
-    values at the fixed points.  A key with more bits
-    than the monomial's degree, or one that is no basis column, raises
-    ConsistencyError, as in ``_coefficient_polys``."""
+    them once per distinct x-part, which alone decides the comparison, and
+    counts a mismatch once per monomial; only the memo's coordinates are
+    kept between the passes, no values at the fixed points.  A key with
+    more bits than the monomial's degree, or one that is no basis column,
+    raises ConsistencyError, as in ``_coefficient_polys``."""
     matrix = basis_image_matrix(ctx)
     core, n = matrix.integer_core, ctx.n
     bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
-    straightened = []
+    straightened = {}  # x-part: [coordinates, how many monomials have it]
     for mono in monomials:
         alpha = mono[:n]
         numerators, den = coordinates = _straighten_x_monomial(ctx, alpha)
@@ -963,17 +964,17 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
                 raise ConsistencyError(NON_POLYNOMIAL)
             weight += abs(a)
         bound = max(bound, top * weight + den * n ** sum(alpha))
-        straightened.append((alpha, coordinates))
+        straightened.setdefault(alpha, [coordinates, 0])[1] += 1
     size = (bound.bit_length() + 2 + 7) // 8
     packed = dict(zip(matrix.column_keys, (_pack(column, size) for column in zip(*core))))
     columns, mismatches = _value_columns(ctx), 0
-    for alpha, (numerators, den) in straightened:
+    for alpha, ((numerators, den), count) in straightened.items():
         lhs = 0
         for b, a in numerators:
             if b not in packed:
                 raise ConsistencyError(NO_BASIS_KEY.format(b))
             lhs += a * packed[b]
-        mismatches += lhs != den * _pack(_monomial_values(columns, alpha), size)
+        mismatches += count * (lhs != den * _pack(_monomial_values(columns, alpha), size))
     return mismatches
 
 
@@ -1185,9 +1186,10 @@ def ordinary_presentation_check(ctx: SpringerContext) -> OrdinaryCheck:
         tanisaki_equal=_j_is_j0_plus_products(ctx)
         and [e1, *squares, *(p.terms for p in products)] == j
         and e2_in
-        # past the list comparison, e1 is J's e1 and j[1 : n + 1] J's squares
-        and all(sum(m) == 1 for m in e1)
-        and _linear_product([{m.index(1): c for m, c in e1.items()}] * 2, (0,) * n)
+        # past the list comparison, e1 is J's e1 and j[1 : n + 1] J's squares;
+        # e1 squares as an integer form, so a non-integral coefficient fails
+        and all(sum(m) == 1 and c.denominator == 1 for m, c in e1.items())
+        and _linear_product([{m.index(1): c.numerator for m, c in e1.items()}] * 2, (0,) * n)
         == _sum_terms((2, e2), *((1, square) for square in j[1 : n + 1])),
         specialization_equal=_specializes_to_j(ctx),
     )

@@ -1,8 +1,10 @@
+import argparse
 import gc
 import json
 import sys
 import time
 import weakref
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -22,6 +24,11 @@ from tworow.polynomials import MPoly
 
 # verify --n-max 5 --k all --format json, without elapsed_ms
 EXPECTED_SWEEP = Path(__file__).with_name("verify_n5_k_all.json")
+
+# exit code, stdout and stderr of 13 invocations, each printed by the
+# parser with all five commands, at the Python version and COLUMNS given;
+# argparse words some messages differently on other versions
+CLI_TEXT = json.loads(Path(__file__).with_name("cli_text.json").read_text())
 
 
 def run(capsys, *argv):
@@ -552,6 +559,53 @@ def test_verify_does_no_mpoly_arithmetic(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
     assert code == 0
     assert calls == []
+
+
+def test_verify_does_no_fraction_arithmetic(capsys, monkeypatch):
+    # generator coefficients share one unit Fraction, and the certificates
+    # compare and expand integer terms: no check adds, multiplies, divides,
+    # negates or powers a Fraction
+    calls = []
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__neg__", "__pow__")
+    for name in names:
+        def counted(*args, name=name, original=getattr(Fraction, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    code, _, _ = run(capsys, "verify", "--n-max", "5", "--k", "all")
+    assert code == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "case", CLI_TEXT["invocations"], ids=lambda case: " ".join(case["argv"]) or "no-arguments"
+)
+def test_cli_text_is_the_full_parsers(case, capsys, monkeypatch):
+    # a call naming a command builds only that command's subparser, yet
+    # prints what the full parser prints, byte for byte, and exits alike
+    monkeypatch.setenv("COLUMNS", str(CLI_TEXT["columns"]))
+    got = run(capsys, *case["argv"])
+    if sys.version_info[:2] == tuple(CLI_TEXT["python"]):
+        assert got == (case["code"], case["stdout"], case["stderr"])
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full())
+    assert run(capsys, *case["argv"]) == got
+
+
+@pytest.mark.parametrize("argv, built", [(["verify", "--n-max", "2"], 2), (["-h"], 6)])
+def test_main_builds_only_the_named_commands_parser(argv, built, capsys, monkeypatch):
+    parsers = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(parsers) == built
 
 
 def test_verify_computes_no_normal_form(capsys, monkeypatch):

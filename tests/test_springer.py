@@ -1340,6 +1340,27 @@ def test_packed_check_counts_one_tampered_entry():
     assert _reference_mismatches(ctx, monomials) == 1
 
 
+def test_packed_check_compares_each_x_part_once(monkeypatch):
+    # with the square rule wrong, x1^2 at (3,1) mismatches: given at t^0
+    # and t^2 it counts two mismatches, as the reference does, from one
+    # packed comparison of its values
+    monkeypatch.setattr(springer, "_square_terms", _t_squared_plus_one(springer._square_terms))
+    ctx = SpringerContext(3, 1)
+    basis_image_matrix(ctx)  # evaluates the basis monomials
+    compared = []
+    original = springer._monomial_values
+
+    def recorded(columns, alpha):
+        compared.append(alpha)
+        return original(columns, alpha)
+
+    monkeypatch.setattr(springer, "_monomial_values", recorded)
+    monomials = [(2, 0, 0, 0), (2, 0, 0, 2)]
+    assert springer.straightening_mismatches(ctx, monomials) == 2
+    assert compared == [(2, 0, 0)]
+    assert _reference_mismatches(ctx, monomials) == 2
+
+
 def test_fillings_are_freed_with_their_context():
     # the lift's fillings live on the context: x1 at (1000,1) lifts onto
     # 1,000 tableaux, whose fillings of 1,000 entries none outlives it
@@ -1947,6 +1968,28 @@ def test_ordinary_certificates_fail_closed(patch, failed, monkeypatch, capsys):
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fail_lines) == 1
     assert fail_lines[0].startswith("FAIL ordinary[n=4,k=2]: ")
+
+
+def test_ordinary_certificates_fail_closed_on_a_non_integral_e1(monkeypatch, capsys):
+    # J's linear generator and Tanisaki's e1 both halved at (4,2): the
+    # ideals are unchanged, as the Groebner comparison confirms, but the
+    # certificates read the lists, whose e1 has no integer form; the check
+    # fails on its own line, with no exception and nothing truncated
+    ctx = SpringerContext(4, 2)
+    for builder, label in (("ordinary_ideal", "linear"), ("tanisaki_ideal", "e1")):
+        _patch_generator(monkeypatch, ctx, builder, label, lambda g: g * Fraction(1, 2))
+    j_gens = list(springer.ordinary_ideal(ctx).generators)
+    tanisaki = list(springer.tanisaki_ideal(ctx).generators)
+    assert j_gens[0] == tanisaki[0] and set(j_gens[0].terms.values()) == {Fraction(1, 2)}
+    assert ideal_equal(j_gens, tanisaki).equal
+    assert not ordinary_presentation_check(ctx).tanisaki_equal
+    assert main(["verify", "--checks", "ordinary", "--n-max", "4", "--k", "max"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err and captured.err == ""
+    fail_lines = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith("FAIL ordinary[n=4,k=2]: ")
+    assert "consistency error" not in fail_lines[0]
 
 
 def test_ordinary_n2_needs_e2_in_tanisaki(monkeypatch):

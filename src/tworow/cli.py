@@ -4,15 +4,22 @@ Every command takes ``--format text|json``; JSON verification reports
 use the schema {command, context: {n, k}, checks: [{name, status,
 details, elapsed_ms}], elapsed_ms} and the process exits 0 exactly when
 every check passed.
+
+The ``_COMMANDS`` table declares each command's arguments once.  A plain
+command line (a command, then distinct ``--flag value`` pairs whose
+values the table accepts) is read straight from the table, with no
+parser built and argparse never imported; every other command line goes
+to argparse, which prints the help and every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from math import comb
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import springer, tableaux
 from .polynomials import (
@@ -22,6 +29,9 @@ from .polynomials import (
     variable_names,
 )
 from .springer import ConsistencyError, SpringerContext
+
+if TYPE_CHECKING:
+    import argparse
 
 # the most exponent entries a listing command may build, 10-15 s of work
 # on a 2-vCPU VM; larger requests are refused before anything is built
@@ -110,7 +120,7 @@ def _cmd_generators(args) -> int:
     if args.ideal == "tanisaki":
         terms += n * comb(n - 1, 2)
     _check_listing_size(terms * (n + 1), f"1 + {n} + C({n},{k + 1}) generators")
-    ideal = springer.ideal_by_name(ctx, args.ideal)  # argparse's choices vet the name
+    ideal = springer.ideal_by_name(ctx, args.ideal)  # the table's choices vet the name
     names = variable_names(ctx.n, include_t=(ideal.name == "I"))
     rendered = [format_poly(g, names) for g in ideal.generators]
     payload = {
@@ -434,6 +444,7 @@ def _cmd_verify(args) -> int:
 
 # each command's help text, handler and arguments; every command also takes --format
 _REQUIRED_INT = {"type": int, "required": True}
+_FORMAT = {"choices": ("text", "json"), "default": "text"}
 _COMMANDS = {
     "fixed-points": ("list the circle-fixed points", _cmd_fixed_points,
                      {"--n": _REQUIRED_INT, "--k": _REQUIRED_INT}),
@@ -454,9 +465,41 @@ _COMMANDS = {
 }
 
 
+def _plain_args(argv) -> SimpleNamespace | None:
+    """What argparse returns for a plain command line, read from the table
+    with no parser built; None for any other line.  A plain line is a
+    command, then distinct ``--flag value`` pairs, each flag spelled as in
+    the table and each value passing its flag's type and choices without
+    starting with "-", and every required flag among them."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    arguments = {**arguments, "--format": _FORMAT}
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        options = arguments.get(flag)
+        if options is None or flag in given or text.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(options.get("required") and flag not in given for flag, options in arguments.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, options in arguments.items():
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, options.get("default")))
+    return args
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every command's subparser, or with only the named
     command's; its usage line names every command either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tworow",
         description=(
@@ -472,9 +515,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in _COMMANDS if command is None else (command,):
         help_text, func, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments.items():
+        for flag, options in {**arguments, "--format": _FORMAT}.items():
             p.add_argument(flag, **options)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
     return parser
 
@@ -482,12 +524,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the other four subparsers would take about a third of a small verify's wall
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        # help, errors and every other spelling go to argparse; a call that
+        # names a command builds only its subparser, since the other four
+        # would take about a third of a small verify's wall
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     args.command_echo = "tworow " + " ".join(argv)
     try:
         return args.func(args)

@@ -994,13 +994,23 @@ def basis_combination(
 def sample_monomials(ctx: SpringerContext, count: int = 50, max_degree: int = 5) -> list[Monomial]:
     """Deterministic pseudo-random monomials in x1..xn, t of total degree
     at most max_degree, for straightening spot-checks."""
-    rng = random.Random(f"{SAMPLE_SEED}:{ctx.n}:{ctx.k}")
+    # the draws of rng.randint(0, max_degree) and rng.randrange(nvars):
+    # getrandbits of the bound's bit length, out-of-range draws rejected,
+    # as CPython's Random._randbelow does, without its per-call overhead
+    bits = random.Random(f"{SAMPLE_SEED}:{ctx.n}:{ctx.k}").getrandbits
+    nvars = ctx.nvars
+    degree_bits, var_bits = (max_degree + 1).bit_length(), nvars.bit_length()
     out = []
     for _ in range(count):
-        degree = rng.randint(0, max_degree)
-        mono = [0] * ctx.nvars
+        degree = bits(degree_bits)
+        while degree > max_degree:
+            degree = bits(degree_bits)
+        mono = [0] * nvars
         for _ in range(degree):
-            mono[rng.randrange(ctx.nvars)] += 1
+            var = bits(var_bits)
+            while var >= nvars:
+                var = bits(var_bits)
+            mono[var] += 1
         out.append(tuple(mono))
     return out
 

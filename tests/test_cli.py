@@ -1,14 +1,22 @@
 import argparse
+import contextlib
 import gc
+import importlib.util
+import io
 import json
+import re
+import shlex
+import subprocess
 import sys
 import time
 import weakref
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tworow import cli, groebner, springer
 from tworow.cli import (
@@ -594,7 +602,9 @@ def test_cli_text_is_the_full_parsers(case, capsys, monkeypatch):
     assert run(capsys, *case["argv"]) == got
 
 
-@pytest.mark.parametrize("argv, built", [(["verify", "--n-max", "2"], 2), (["-h"], 6)])
+@pytest.mark.parametrize(
+    "argv, built", [(["verify", "--n-max=2"], 2), (["-h"], 6), (["verify", "--n-max", "2"], 0)]
+)
 def test_main_builds_only_the_named_commands_parser(argv, built, capsys, monkeypatch):
     parsers = []
     original = argparse.ArgumentParser.__init__
@@ -606,6 +616,176 @@ def test_main_builds_only_the_named_commands_parser(argv, built, capsys, monkeyp
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(capsys, *argv)[0] == 0
     assert len(parsers) == built
+
+
+def _argparse_namespace(argv):
+    """What the full parser returns for argv; the test fails if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses a line read as plain: {argv}")
+
+
+_FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for flag in arguments})
+_FLAGS.append("--format")
+_DASHED = ["-1", "-3", "-h", "--", "-", "-x1", "--n", "--n=2", "--format"]
+_VALUES = [
+    "0", "2", "5", " 3", "+4", "1_0", "1.5", "x", "", "x1^2*t - 1/2", "4,3,1", "all", "max",
+    "both", "paper", "oracle", "I", "J", "tanisaki", "text", "json", "bogus",
+    "ordinary,hook-identity", *_DASHED,
+]
+_values = st.sampled_from(_VALUES)
+_dashed = st.sampled_from(_DASHED)
+_flags = st.sampled_from(_FLAGS)
+_pieces = st.one_of(
+    st.tuples(_flags, _values).map(list),
+    st.builds(lambda flag, value: [f"{flag}={value}"], _flags, _values),
+    st.builds(lambda flag, cut, value: [flag[:cut], value], _flags, st.integers(1, 6), _values),
+    st.sampled_from([["-h"], ["--help"], ["--"], [""], ["extra"]]),
+)
+_heads = st.lists(st.sampled_from([*cli._COMMANDS, "verif", "bogus", "", "-h", "--"]), max_size=1)
+_free_lines = st.builds(
+    lambda head, pieces: head + list(chain.from_iterable(pieces)), _heads, st.lists(_pieces, max_size=6)
+)
+
+
+@st.composite
+def _plain_lines(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    arguments = {**cli._COMMANDS[command][2], "--format": cli._FORMAT}
+    argv = [command]
+    for flag in draw(st.permutations(list(arguments))):
+        options = arguments[flag]
+        if not options.get("required") and draw(st.booleans()):
+            continue
+        if "choices" in options:
+            value = draw(st.sampled_from(options["choices"]))
+        elif options.get("type") is int:
+            value = str(draw(st.integers(0, 10**6)))
+        else:
+            value = draw(st.text(max_size=8).filter(lambda text: not text.startswith("-")))
+        argv += [flag, value]
+    return argv
+
+
+@st.composite
+def _near_plain_lines(draw):
+    """A plain line with up to three edits: a flag's value replaced, a
+    piece inserted, a token deleted, or a flag joined to its value."""
+    argv = draw(_plain_lines())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["value", "insert", "delete", "join"]))
+        if edit == "value" and len(argv) > 2:
+            argv[2 * draw(st.integers(1, (len(argv) - 1) // 2))] = draw(st.one_of(_dashed, _values))
+        elif edit == "insert":
+            argv[i:i] = draw(_pieces)
+        elif edit == "delete":
+            del argv[i]
+        elif i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        if not argv:
+            break
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_near_plain_lines(), _free_lines))
+@example(["straighten", "--n", "2", "--k", "1", "--poly", "-h"])
+@example(["verify", "--n-max", "2", "--checks", "--"])
+@example(["generators", "--n", "2", "--k", "1", "--ideal", "K"])
+def test_a_plain_line_reads_as_argparse_reads_it(argv):
+    # every command, flag, abbreviation, --flag=value, repeat, negative or
+    # non-integer value, bad choice, missing flag, -h, -- and ''
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(_argparse_namespace(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_lines())
+def test_every_plain_line_is_read_without_a_parser(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(_argparse_namespace(argv))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# "$(python -c '...')" in a CI command line, replaced by what it prints
+_SUBSTITUTION = re.compile(r"\"\$\(python -c '([^']*)'\)\"")
+
+
+def _printed_by(match):
+    result = subprocess.run(
+        [sys.executable, "-c", match[1]], capture_output=True, text=True, check=True
+    )
+    return shlex.quote(result.stdout.rstrip("\n"))
+
+
+def _ci_tworow_lines():
+    """The arguments of every tworow call in the CI workflow; a folded
+    ``run: >-`` block is one command line, a ``run: |`` block one a line."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        head, run_key, rest = line.partition("run:")
+        if not run_key or head.strip():
+            continue
+        rest = rest.strip()
+        if rest not in (">-", "|"):
+            commands.append(rest)
+            continue
+        indent = len(line) - len(line.lstrip())
+        block = []
+        for body in lines[i + 1 :]:
+            if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                break
+            block.append(body.strip())
+        commands += [" ".join(block)] if rest == ">-" else block
+    found = []
+    for command in commands:
+        tokens = shlex.split(_SUBSTITUTION.sub(_printed_by, command))
+        if "tworow" in tokens:
+            found.append(tokens[tokens.index("tworow") + 1 :])
+    return found
+
+
+def _benchmark_verify_lines(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return [
+        bench.verify_argv(bench.workload_spec(name, tiny))
+        for name, workload in bench.WORKLOADS.items()
+        if workload["mode"] == "verify"
+        for tiny in (False, True)
+    ]
+
+
+def test_benchmark_and_ci_command_lines_are_plain(monkeypatch):
+    ci = _ci_tworow_lines()
+    calls = [argv for argv in ci if argv[0] in ("verify", "straighten") and "--help" not in argv]
+    assert len(calls) == 6
+    benchmark = _benchmark_verify_lines(monkeypatch)
+    assert len(benchmark) == 4
+    for argv in calls + benchmark:
+        assert cli._plain_args(argv) is not None, argv
+
+
+def test_a_plain_call_imports_no_argparse():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "from tworow import cli; cli.main(['verify', '--n-max', '2']); "
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_computes_no_normal_form(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import time
@@ -1439,6 +1440,29 @@ def test_rewrite_memo_is_thread_safe(monkeypatch):
             assert len(used) == 4 and all(got is inverse for solves in used for got in solves)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _sample_monomials_by_randint(ctx, count, max_degree):
+    """sample_monomials as written with randint and randrange."""
+    rng = random.Random(f"{springer.SAMPLE_SEED}:{ctx.n}:{ctx.k}")
+    out = []
+    for _ in range(count):
+        mono = [0] * ctx.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(ctx.nvars)] += 1
+        out.append(tuple(mono))
+    return out
+
+
+# the default, every (count, max_degree) the tests pass, and the one- and
+# two-value degree ranges, whose draws reject most often
+@pytest.mark.parametrize("count, max_degree", [(50, 5), (40, 6), (60, 7), (30, 6), (20, 0), (20, 1)])
+def test_sampled_monomials_are_the_randint_draws(count, max_degree):
+    for n in range(1, 11):
+        for k in range(n // 2 + 1):
+            ctx = SpringerContext(n, k)
+            expected = _sample_monomials_by_randint(ctx, count, max_degree)
+            assert sample_monomials(ctx, count, max_degree) == expected
 
 
 def test_sampled_monomials_are_deterministic():

@@ -42,9 +42,10 @@ LISTING_LIMIT = 10**7
 STRAIGHTEN_DEGREE_LIMIT = 3000
 
 # the largest basis core C(n, k) that ``straighten --method oracle|both``
-# inverts and ``verify``'s basis-determinant check runs Bareiss on: C(10, 5).
-# ``verify``'s straighten check inverts nothing ((11, 5) takes about 10 s);
-# its limit stands in for budgets not yet in place
+# inverts and ``verify``'s basis-determinant check reduces mod a prime:
+# C(10, 5).  ``verify``'s straighten check inverts nothing, and at (11, 5)
+# it and the residue take about 1-1.5 s each; for both checks the limit
+# stands in for budgets not yet in place
 STRAIGHTEN_CORE_LIMIT = 252
 
 # the most work ``verify`` walks, n^3 per context (n, k), square-reduction's
@@ -283,8 +284,12 @@ def _check_square_reduction(ctx):
 
 
 def _check_basis_determinant(ctx):
-    det = springer.core_determinant(ctx)
-    return det != 0, f"integer core determinant {det}"
+    witness = springer.core_determinant_residue(ctx)
+    if witness is None:
+        primes = ", ".join(map(str, springer.DETERMINANT_PRIMES))
+        return False, f"integer core determinant is 0 mod each of {primes}"
+    p, residue = witness
+    return True, f"integer core determinant mod {p} = {residue}, so nonzero"
 
 
 def _check_straighten(ctx):

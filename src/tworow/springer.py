@@ -598,8 +598,75 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
 
 def core_determinant(ctx: SpringerContext) -> int:
     """The basis matrix's integer core determinant by Bareiss elimination,
-    computed per call and 0 when singular; the solve never reads it."""
+    computed per call and 0 when singular.  No check reads it: the tests
+    cross-check ``core_determinant_residue`` against it."""
     return integer_det_bareiss(basis_image_matrix(ctx).integer_core)
+
+
+# The primes ``core_determinant_residue`` reduces the core modulo, in the
+# order it tries them: the three largest below 2^31.
+DETERMINANT_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _determinant_residue(matrix: tuple[tuple[int, ...], ...], p: int) -> int:
+    """det(matrix) mod the prime p, in 0..p-1, by Gaussian elimination on
+    residues.  Each step takes the first row whose leading entry is
+    nonzero mod p as pivot, reduces it mod p and scales it to a leading 1,
+    and subtracts (leading entry mod p) times it from every later row,
+    dropping the column.  Only the pivot row is reduced, so an entry moves
+    by less than (p - 1)^2 a step and stays below p + n (p - 1)^2 in
+    absolute value.  Each row is one integer of signed slots, one per
+    column, of W = bits(p + n (p - 1)^2) + 1 bits, so a row's update is
+    one big-integer multiply-add: the low slot, read balanced, is the
+    leading entry, and shifting it out drops the column."""
+    n = len(matrix)
+    width = (p + n * (p - 1) ** 2).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (half << 1) - 1
+    rows = []
+    for entries in matrix:
+        row = 0
+        for a in reversed(entries):
+            row = row << width | a % p
+        rows.append(row)
+    det = 1
+    for length in range(n - 1, -1, -1):
+        for at, row in enumerate(rows):
+            lead = ((row + half) & mask) - half
+            if lead % p:
+                break
+        else:
+            return 0
+        if at:
+            rows[0], rows[at] = row, rows[0]
+            det = -det
+        det = det * lead % p
+        inverse = pow(lead, -1, p)
+        rest, pivot = (row - lead) >> width, 0
+        for i in range(length):  # the pivot row's later slots, low first
+            a = ((rest + half) & mask) - half
+            rest = (rest - a) >> width
+            pivot |= a * inverse % p << width * i
+        del rows[0]
+        for i, row in enumerate(rows):
+            lead = ((row + half) & mask) - half
+            rows[i] = ((row - lead) >> width) - lead % p * pivot
+    return det % p
+
+
+def core_determinant_residue(ctx: SpringerContext) -> Optional[tuple[int, int]]:
+    """A witness that the integer core is nonsingular, (p, det(core) mod
+    p) with a nonzero residue, from the first of ``DETERMINANT_PRIMES``
+    that gives one; None when the residue vanishes modulo all three, which
+    a nonsingular core can still do, so the check fails closed.  Computed
+    per call; it builds no inverse, and no entry grows past p + N (p - 1)^2
+    for an N x N core."""
+    core = basis_image_matrix(ctx).integer_core
+    for p in DETERMINANT_PRIMES:
+        residue = _determinant_residue(core, p)
+        if residue:
+            return p, residue
+    return None
 
 
 @_per_context
@@ -773,9 +840,16 @@ def _combine(
     """The sum of c * (numerators / D) over entries ((numerators, D), c),
     divided by the divisor, as integer numerators per basis key over one
     positive denominator, in lowest terms; zero numerators are
-    dropped."""
-    scale = lcm(*(den * c.denominator for (_, den), c in entries))
+    dropped.  When every D is 1, every c an int and the divisor 1, as in
+    most rewriting steps, the sum is already in lowest terms over 1, so
+    no lcm, scaling or gcd is taken."""
     accum: dict[int, int] = {}
+    if divisor == 1 and all(den == 1 and type(c) is int for (_, den), c in entries):
+        for (numerators, _), c in entries:
+            for q, a in numerators:
+                accum[q] = accum.get(q, 0) + c * a
+        return tuple([(q, a) for q, a in accum.items() if a]), 1
+    scale = lcm(*(den * c.denominator for (_, den), c in entries))
     for (numerators, den), c in entries:
         factor = c.numerator * (scale // (den * c.denominator))
         for q, a in numerators:
@@ -826,7 +900,9 @@ def _rewrite_expansion(
     support = tuple(i + 1 for i in range(n) if alpha[i])
     if len(support) > k:
         # eliminate the product of the k+1 smallest support variables
-        remainder = tuple(int(i in support[k + 1 :]) for i in range(1, ctx.nvars + 1))
+        remainder = list(target)
+        for i in support[: k + 1]:
+            remainder[i - 1] = 0
         relation = _linear_product(_product_forms(ctx, support[: k + 1]), remainder)
         return _cancel(relation, target, ctx)
     # squarefree: cancel it through the j-th power of the linear relation,
@@ -868,13 +944,19 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
     stack = [alpha]
     while stack:
         beta = stack[-1]
-        if beta in expanding:
+        pending = expanding.pop(beta, None)
+        if pending is not None:
             # every monomial of the expansion has been finished above beta
-            terms, divisor = expanding.pop(beta)
+            terms, divisor = pending
             memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
-        elif beta not in memo and (step := _rewrite_expansion(ctx, beta)) is None:
+            stack.pop()
+            continue
+        if beta in memo:  # finished since it was pushed
+            stack.pop()
+            continue
+        step = _rewrite_expansion(ctx, beta)
+        if step is None:
             memo[beta] = (((sum(e << i for i, e in enumerate(beta)), 1),), 1)
-        if beta in memo:
             stack.pop()
             continue
         terms, divisor = step
@@ -883,7 +965,7 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
         if len(subs) != len(terms):
             raise ConsistencyError(f"rewriting {beta} left degree {degree} for n={n}, k={k}")
         expanding[beta] = (subs, divisor)
-        for sub in dict.fromkeys(sub for sub, _ in subs):
+        for sub, _ in subs:  # distinct: the terms are, and share one degree
             if sub in memo:
                 continue
             if sub in expanding:
@@ -945,30 +1027,43 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     every w(i) lies in 1..n.  In slots of W = bits(B) + 2 bits, rounded up
     to whole bytes, no slot of the difference reaches 2^(W-1), so the
     packed sides are equal exactly when every slot is; the width grows
-    with the input, so no input overflows it.  The second pass compares
-    them once per distinct x-part, which alone decides the comparison, and
-    counts a mismatch once per monomial; only the memo's coordinates are
-    kept between the passes, no values at the fixed points.  A key with
-    more bits than the monomial's degree, or one that is no basis column,
-    raises ConsistencyError, as in ``_coefficient_polys``."""
+    with the input, so no input overflows it.
+
+    The x-part alone decides the comparison, so the monomials are first
+    grouped by x-part, each with its count and its lowest total degree;
+    each distinct x-part is then straightened, bounded and compared once,
+    and a mismatch counts once per monomial.  Only the memo's coordinates
+    are kept between the passes, no values at the fixed points.  A key
+    with more bits than the lowest degree of its x-part, which is some
+    monomial's degree, or one that is no basis column, raises
+    ConsistencyError, as in ``_coefficient_polys``."""
     matrix = basis_image_matrix(ctx)
     core, n = matrix.integer_core, ctx.n
-    bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
-    straightened = {}  # x-part: [coordinates, how many monomials have it]
+    groups: dict[tuple[int, ...], list[int]] = {}  # x-part: [count, lowest degree]
     for mono in monomials:
-        alpha = mono[:n]
+        alpha, degree = mono[:n], sum(mono)
+        group = groups.get(alpha)
+        if group is None:
+            groups[alpha] = [1, degree]
+        else:
+            group[0] += 1
+            if degree < group[1]:
+                group[1] = degree
+    bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
+    straightened = []  # (x-part, coordinates, count)
+    for alpha, (count, lowest) in groups.items():
         numerators, den = coordinates = _straighten_x_monomial(ctx, alpha)
-        degree, weight = sum(mono), 0
+        weight = 0
         for b, a in numerators:
-            if b.bit_count() > degree:
+            if b.bit_count() > lowest:
                 raise ConsistencyError(NON_POLYNOMIAL)
             weight += abs(a)
         bound = max(bound, top * weight + den * n ** sum(alpha))
-        straightened.setdefault(alpha, [coordinates, 0])[1] += 1
+        straightened.append((alpha, coordinates, count))
     size = (bound.bit_length() + 2 + 7) // 8
     packed = dict(zip(matrix.column_keys, (_pack(column, size) for column in zip(*core))))
     columns, mismatches = _value_columns(ctx), 0
-    for alpha, ((numerators, den), count) in straightened.items():
+    for alpha, (numerators, den), count in straightened:
         lhs = 0
         for b, a in numerators:
             if b not in packed:
@@ -1017,11 +1112,14 @@ def sample_monomials(ctx: SpringerContext, count: int = 50, max_degree: int = 5)
 
 def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomial]:
     """All squarefree monomials in x1..xn of x-degree up to the bound."""
-    return [
-        tuple(int(p in subset) for p in range(ctx.nvars))
-        for ell in range(min(max_x_degree, ctx.n) + 1)
-        for subset in combinations(range(ctx.n), ell)
-    ]
+    out = []
+    for ell in range(min(max_x_degree, ctx.n) + 1):
+        for subset in combinations(range(ctx.n), ell):
+            mono = [0] * ctx.nvars
+            for p in subset:
+                mono[p] = 1
+            out.append(tuple(mono))
+    return out
 
 
 # -- I at t = 0 is J ---------------------------------------------------------

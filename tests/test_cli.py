@@ -293,9 +293,9 @@ def test_verify_refuses_a_walk_past_the_work_limit_at_once(checks):
 
 
 def test_verify_refuses_a_basis_determinant_core_past_the_limit_at_once(capsys, monkeypatch):
-    # basis-determinant would run Bareiss on the 462 x 462 core at (11,5)
+    # basis-determinant would reduce the 462 x 462 core at (11,5) mod p
     calls = []
-    monkeypatch.setattr(springer, "integer_det_bareiss", lambda m: calls.append(m) or 1)
+    monkeypatch.setattr(springer, "_determinant_residue", lambda m, p: calls.append(m) or 1)
     started = time.perf_counter()
     code, out, err = run(capsys, "verify", "--n-max", "11", "--checks", "basis-determinant")
     assert time.perf_counter() - started < 1.0
@@ -520,12 +520,13 @@ def test_verify_k_policy_max(capsys):
 
 
 def test_verify_singular_core_fails_basis_determinant_alone(capsys, monkeypatch):
-    # a singular core at (4,2), the only 6 x 6 core up to n = 4, fails the
-    # one check that reads the determinant; kernel-ideal proves the core
-    # nonsingular by counting points, reads no determinant, and passes
-    original = springer.integer_det_bareiss
+    # a determinant at (4,2), the only 6 x 6 core up to n = 4, that
+    # vanishes mod every prime fails the one check that reads the
+    # determinant; kernel-ideal proves the core nonsingular by counting
+    # points, reads no determinant, and passes
+    original = springer._determinant_residue
     monkeypatch.setattr(
-        springer, "integer_det_bareiss", lambda m: 0 if len(m) == 6 else original(m)
+        springer, "_determinant_residue", lambda m, p: 0 if len(m) == 6 else original(m, p)
     )
     code, payload, _ = run_json(capsys, "verify", "--n-max", "4", "--k", "max")
     assert code == 1
@@ -534,7 +535,31 @@ def test_verify_singular_core_fails_basis_determinant_alone(capsys, monkeypatch)
     ]
     assert [e["name"] for e in payload["checks"]] == expected
     failed = {e["name"]: e["details"] for e in payload["checks"] if e["status"] == "fail"}
-    assert failed == {"basis-determinant[n=4,k=2]": "integer core determinant 0"}
+    assert failed == {
+        "basis-determinant[n=4,k=2]": "integer core determinant is 0 mod each of "
+        "2147483647, 2147483629, 2147483587"
+    }
+
+
+def test_verify_core_with_a_duplicated_row_fails_basis_determinant(capsys, monkeypatch):
+    # a core whose first row is repeated is singular: its determinant is 0
+    # mod each of the three primes, and the check names all three
+    original = springer.basis_image_matrix
+
+    def duplicated(ctx):
+        matrix = original(ctx)
+        if (ctx.n, ctx.k) != (4, 2):
+            return matrix
+        core = matrix.integer_core
+        return matrix._replace(integer_core=(core[0], core[0], *core[2:]))
+
+    monkeypatch.setattr(springer, "basis_image_matrix", duplicated)
+    argv = ["verify", "--n-max", "4", "--k", "all", "--checks", "basis-determinant"]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 1
+    failed = {e["name"]: e["details"] for e in payload["checks"] if e["status"] == "fail"}
+    assert list(failed) == ["basis-determinant[n=4,k=2]"]
+    assert all(str(p) in failed["basis-determinant[n=4,k=2]"] for p in springer.DETERMINANT_PRIMES)
 
 
 def test_verify_builds_no_exact_inverse(capsys, monkeypatch):

@@ -673,6 +673,70 @@ def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
         core_determinant(ctx)
 
 
+def test_core_determinant_residues_match_bareiss():
+    # for every core with n <= 9, the residue mod each prime is the Bareiss
+    # determinant's, and the witness is the first prime's nonzero residue
+    for n in range(1, 10):
+        for k in range(n // 2 + 1):
+            ctx = SpringerContext(n, k)
+            core = basis_image_matrix(ctx).integer_core
+            det = springer.integer_det_bareiss(core)
+            for p in springer.DETERMINANT_PRIMES:
+                assert springer._determinant_residue(core, p) == det % p, (n, k, p)
+            p = next(p for p in springer.DETERMINANT_PRIMES if det % p)
+            assert springer.core_determinant_residue(ctx) == (p, det % p)
+
+
+def test_determinant_residue_swaps_rows_and_finds_singular_matrices():
+    # a zero leading entry swaps rows, flipping the sign; a dependent row,
+    # or a determinant that is a multiple of p, gives the residue 0
+    cases = [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 2, 1], [3, 0, 5], [1, 4, 0]], None),
+        ([[1, 2], [2, 4]], 0),
+        ([[7, 0], [0, 5]], 35),
+        ([[-3, 10**40], [2, -(10**12)]], None),
+    ]
+    for matrix, det in cases:
+        det = springer.integer_det_bareiss(matrix) if det is None else det
+        for p in (5, 7, 2147483647):
+            assert springer._determinant_residue(matrix, p) == det % p, (matrix, p)
+
+
+def test_determinant_primes_are_prime():
+    # trial division by every integer up to the square root: the three
+    # moduli are prime, in decreasing order, the three largest below 2^31
+    def is_prime(m):
+        return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+    primes = springer.DETERMINANT_PRIMES
+    assert all(map(is_prime, primes))
+    assert [m for m in range(primes[-1], 2**31) if is_prime(m)] == sorted(primes)
+
+
+def test_core_determinant_residue_tries_the_next_prime(monkeypatch):
+    # a zero residue moves on to the next prime; when all three vanish
+    # there is no witness
+    seen = []
+    original = springer._determinant_residue
+
+    def first_vanishes(matrix, p):
+        seen.append(p)
+        return 0 if p == springer.DETERMINANT_PRIMES[0] else original(matrix, p)
+
+    monkeypatch.setattr(springer, "_determinant_residue", first_vanishes)
+    ctx = SpringerContext(5, 2)
+    det = core_determinant(ctx)
+    second = springer.DETERMINANT_PRIMES[1]
+    assert springer.core_determinant_residue(ctx) == (second, det % second)
+    assert seen == list(springer.DETERMINANT_PRIMES[:2])
+    monkeypatch.setattr(springer, "_determinant_residue", lambda matrix, p: seen.append(p) and 0)
+    seen.clear()
+    assert springer.core_determinant_residue(ctx) is None
+    assert seen == list(springer.DETERMINANT_PRIMES)
+
+
 def test_standard_monomial_basis_size():
     for n in range(1, 8):
         for k in range(n // 2 + 1):
@@ -1360,6 +1424,85 @@ def test_packed_check_compares_each_x_part_once(monkeypatch):
     assert springer.straightening_mismatches(ctx, monomials) == 2
     assert compared == [(2, 0, 0)]
     assert _reference_mismatches(ctx, monomials) == 2
+
+
+def test_packed_check_counts_each_monomial_of_a_wrong_x_part():
+    # a wrong coordinate for x1, given at t^0, t^1 and t^2, counts three
+    # mismatches from one straightening and one comparison of x1
+    ctx = SpringerContext(3, 1)
+    x1 = (1, 0, 0)
+    memo = springer._rewrite_memo(ctx)
+    memo[x1] = (((0b10, 1),), 1)  # x1 = x2, which localizes otherwise
+    straightened = []
+    original = springer._straighten_x_monomial
+
+    def recorded(ctx, alpha):
+        straightened.append(alpha)
+        return original(ctx, alpha)
+
+    monomials = [x1 + (0,), x1 + (1,), x1 + (2,)]
+    springer.straightening_mismatches(ctx, [])  # builds the basis matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(springer, "_straighten_x_monomial", recorded)
+        assert springer.straightening_mismatches(ctx, monomials) == 3
+    assert straightened == [x1]
+    assert _reference_mismatches(ctx, monomials) == 3
+
+
+def test_packed_check_bounds_keys_by_the_lowest_degree_of_an_x_part(monkeypatch):
+    # x1 given the two-bit key x2 x4 passes at x1 t (degree 2) but needs
+    # t^-1 at x1 (degree 1): the check refuses it even when x1 t comes first
+    original = springer._straighten_x_monomial
+
+    def overlong(ctx, alpha):
+        return (((0b1010, 1),), 1) if alpha == (1, 0, 0, 0) else original(ctx, alpha)
+
+    monkeypatch.setattr(springer, "_straighten_x_monomial", overlong)
+    ctx = SpringerContext(4, 2)
+    assert springer.straightening_mismatches(ctx, [(1, 0, 0, 0, 1), (1, 0, 0, 0, 3)]) == 2
+    for monomials in ([(1, 0, 0, 0, 1), (1, 0, 0, 0, 0)], [(1, 0, 0, 0, 0), (1, 0, 0, 0, 2)]):
+        with pytest.raises(ConsistencyError, match="non-polynomial"):
+            springer.straightening_mismatches(ctx, monomials)
+
+
+_keys = st.integers(min_value=0, max_value=15)
+_ints = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def _combine_entries(draw, integral):
+    # entries ((numerators, D), c), each entry's keys distinct and its
+    # numerators nonzero, as the memo holds them
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        numerators = draw(st.dictionaries(_keys, _ints.filter(bool), max_size=6))
+        den = 1 if integral else draw(st.integers(min_value=1, max_value=6))
+        if integral:
+            c = draw(_ints)
+        else:
+            c = draw(st.one_of(_ints, st.fractions(min_value=-9, max_value=9, max_denominator=6)))
+        entries.append(((tuple(numerators.items()), den), c))
+    return entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(_combine_entries(integral=True), _combine_entries(integral=False)),
+    st.integers(min_value=1, max_value=6),
+)
+def test_combine_matches_a_fraction_reference(entries, divisor):
+    # integral entries with int coefficients take the short path at divisor
+    # 1; every other input the general one; both give the Fraction sum in
+    # lowest terms over a positive denominator, zeros dropped
+    reference: dict[int, Fraction] = {}
+    for (numerators, den), c in entries:
+        for q, a in numerators:
+            reference[q] = reference.get(q, 0) + Fraction(c) * Fraction(a, den) / divisor
+    numerators, den = springer._combine(entries, divisor)
+    assert den > 0 and all(a for _, a in numerators)
+    assert gcd(den, *(a for _, a in numerators)) == 1
+    assert {q: Fraction(a, den) for q, a in numerators} == {q: v for q, v in reference.items() if v}
+    assert len({q for q, _ in numerators}) == len(numerators)
 
 
 def test_fillings_are_freed_with_their_context():

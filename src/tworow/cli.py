@@ -500,9 +500,8 @@ def _plain_args(argv) -> SimpleNamespace | None:
     return args
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or with only the named
-    command's; its usage line names every command either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command's subparser."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -512,13 +511,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "cohomology of two-row Springer varieties."
         ),
     )
-    # one subparser alone would list only its name in the usage line; the
-    # full parser needs no metavar, which would rename the command in its
-    # "invalid choice" and "required" errors
-    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, func, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in {**arguments, "--format": _FORMAT}.items():
             p.add_argument(flag, **options)
@@ -531,12 +525,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        # help, errors and every other spelling go to argparse; a call that
-        # names a command builds only its subparser, since the other four
-        # would take about a third of a small verify's wall
-        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        # help, errors and every other spelling go to the full parser
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     args.command_echo = "tworow " + " ".join(argv)

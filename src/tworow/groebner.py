@@ -1,12 +1,11 @@
 """Buchberger's algorithm, normal forms, and quotient dimensions over Q.
 
-Instance sizes in this package are small.  The checks run Buchberger
-only on J0 = (e1, x_1^2, ..., x_n^2), which CI verifies up to n = 14: 15
-generators in 14 variables.  The tests also run it on the whole lists of
-I and J up to (n, k) = (10, 5), where I has 221 generators in 11
-variables.  No check computes a normal form: ``normal_form`` and
-``ideal_equal``, which calls it, are reached only by the tests and the
-benchmark's tracer.  The monomial order is always grevlex with t last (see
+Instance sizes in this package are small.  No check runs Buchberger or
+computes a normal form: the checks' spanning witness is the paper's rule
+at t = 0 (``springer._rule_span_counts``).  Only the tests' cross-checks
+call ``buchberger``, ``normal_form`` and ``ideal_equal``, on the whole
+lists of I and J up to (n, k) = (10, 5), where I has 221 generators in
+11 variables; the benchmark's tracer wraps them by name.  The monomial order is always grevlex with t last (see
 ``polynomials``).  Inside this module a polynomial is a dict of integer
 coefficients, and every basis element is a primitive reducer: content
 removed, split once into leading monomial, leading coefficient and tail.

@@ -436,26 +436,6 @@ def _monomial_values(
     return (1,) * len(columns[0]) if values is None else tuple(values)
 
 
-def _component_values(
-    columns: tuple[tuple[int, ...], ...], component: MPoly
-) -> tuple[list[int], int]:
-    """The values of a homogeneous component at every fixed point.
-
-    Restriction sends a degree-d component to v_w * t^d, where v_w is
-    its value at x = (w(1), ..., w(n)), t = 1.  Returns integers s_w and
-    a common denominator D > 0 with v_w = s_w / D: an integer combination
-    of the values of its monomials, read from the columns
-    ``_value_columns(ctx)`` the caller passes.  ``localize`` computes the
-    same values one point at a time."""
-    n = len(columns)
-    scale = lcm(1, *(c.denominator for c in component.terms.values()))
-    sums = [0] * len(columns[0])
-    for mono, c in component.terms.items():
-        factor = c.numerator * (scale // c.denominator)
-        sums = [s + factor * v for s, v in zip(sums, _monomial_values(columns, mono[:n]))]
-    return sums, scale
-
-
 @_per_context
 def verify_relations(ctx: SpringerContext) -> RelationCheck:
     """Every generator of the equivariant ideal must localize to zero at
@@ -495,36 +475,27 @@ def verify_relations(ctx: SpringerContext) -> RelationCheck:
 # -- the square rewriting rule -----------------------------------------------
 
 
-def _square_terms(ctx: SpringerContext, i: int) -> list[tuple[Monomial, int]]:
-    """What x_i^2 equals modulo the ideal, as integer terms:
-    (n-k+i+1) t x_i + t (x_1 + ... + x_{i-1}) - ((n-k+1) + ... + (n-k+i)) t^2.
-    """
-    n, k = ctx.n, ctx.k
-
-    def t_times(pos: int) -> Monomial:
-        mono = [0] * ctx.nvars
-        mono[pos] += 1
-        mono[n] += 1
-        return tuple(mono)
-
-    terms = [(t_times(i - 1), n - k + i + 1)]
-    terms.extend((t_times(p - 1), 1) for p in range(1, i))
-    terms.append((t_times(n), -sum(n - k + p for p in range(1, i + 1))))
-    return terms
-
-
 @_per_context
 def _square_rules(ctx: SpringerContext) -> tuple[tuple[tuple[Monomial, int], ...], ...]:
-    """``_square_terms`` for i = 1..n, built once per context: entry
-    i - 1 is the rule for x_i^2."""
-    return tuple(tuple(_square_terms(ctx, i)) for i in range(1, ctx.n + 1))
+    """What x_i^2 equals modulo the ideal, as integer terms, for i = 1..n,
+    built once per context: entry i - 1 is
+    (n-k+i+1) t x_i + t (x_1 + ... + x_{i-1}) - ((n-k+1) + ... + (n-k+i)) t^2,
+    with its t^2 term last."""
+    n, k = ctx.n, ctx.k
+    t_times = [tuple((q == p) + (q == n) for q in range(ctx.nvars)) for p in range(ctx.nvars)]
+    return tuple(
+        ((t_times[i - 1], n - k + i + 1), *((t_times[p], 1) for p in range(i - 1)),
+         (t_times[n], -sum(range(n - k + 1, n - k + i + 1))))
+        for i in range(1, n + 1)
+    )
 
 
 def square_reduction(ctx: SpringerContext, i: int) -> MPoly:
-    """What x_i^2 equals modulo the ideal, ``_square_terms`` as a polynomial."""
+    """What x_i^2 equals modulo the ideal, entry i - 1 of ``_square_rules``
+    as a polynomial."""
     if not 1 <= i <= ctx.n:
         raise ValueError(f"index {i} out of range 1..{ctx.n}")
-    return MPoly(ctx.nvars, dict(_square_terms(ctx, i)))
+    return MPoly(ctx.nvars, dict(_square_rules(ctx)[i - 1]))
 
 
 def verify_square_reduction(ctx: SpringerContext) -> bool:
@@ -532,12 +503,12 @@ def verify_square_reduction(ctx: SpringerContext) -> bool:
     (x_i^2 - rhs_i) - (x_{i-1}^2 - rhs_{i-1}) as an exact polynomial
     identity, with the i = 0 term zero.  This is what makes the square
     rewriting rule a consequence of the ideal.  Both sides are integer
-    terms: the product expansion against the closed form of
-    ``_square_terms``."""
+    terms: the product expansion against the closed forms of
+    ``_square_rules``."""
     previous: dict[Monomial, int] = {}  # x_0^2 - rhs_0
-    for i in range(1, ctx.n + 1):
+    for i, rule in enumerate(_square_rules(ctx), 1):
         square = tuple(2 * (p == i - 1) for p in range(ctx.nvars))
-        current = _sum_terms((1, {square: 1}), (-1, dict(_square_terms(ctx, i))))
+        current = _sum_terms((1, {square: 1}), (-1, dict(rule)))
         relation = _linear_product(_pair_forms(ctx, i), (0,) * ctx.nvars)
         if relation != _sum_terms((1, current), (-1, previous)):
             return False
@@ -737,63 +708,35 @@ def _coefficient_polys(
 PACK_BITS = 4096
 
 
-def _solve_pack(
-    inverse: ScaledInverse,
-    keys: tuple[int, ...],
-    pack: list[tuple[int, int, int, list[int]]],
-    by_degree: dict[int, Coordinates],
-) -> None:
-    """Solve the components of one pack, (degree, scale, width, sums) from
-    the lowest slot up, with one ``solve_rational`` call, and add their
-    coordinates to ``by_degree``.  The right-hand side at w is the sum of
-    s_w * 2^offset over the slots, each offset the sum of the widths
-    below; the solve is linear, so each numerator packs the same way.
-    Adding half of every slot's range to a numerator makes every slot
-    nonnegative and below 2^width, so the slots read off as plain bit
-    fields, and the sum is below 2^(total width) unless a slot overflowed."""
-    rhs = pack[-1][3]
-    for _, _, width, sums in reversed(pack[:-1]):
-        rhs = [(r << width) + s for r, s in zip(rhs, sums)]
-    packed, d = solve_rational(inverse, rhs)
-    bias = top = 0
-    for _, _, width, _ in pack:
-        bias += 1 << (top + width - 1)
-        top += width
-    packed = [y + bias for y in packed]
-    if any(y >> top for y in packed):
-        raise ConsistencyError("a packed solve left bits above its top slot")
-    offset = 0
-    for degree, scale, width, _ in pack:
-        half = 1 << (width - 1)
-        mask = (half << 1) - 1
-        slot = [(y >> offset & mask) - half for y in packed]
-        by_degree[degree] = tuple((b, a) for b, a in zip(keys, slot) if a), d * scale
-        offset += width
-
-
 def straighten_by_solve(
     f: MPoly, ctx: SpringerContext
 ) -> dict[TwoRowFilling, TPoly]:
     """Coefficients c_T in Q[t] with f = sum of c_T x_T modulo the
     equivariant ideal, found by solving the localization system.
 
-    Each homogeneous component of degree d restricts to integer values
-    s_d over its own denominator times t^d at every fixed point, so the
-    system splits into one integer solve per degree against the integer
+    Each homogeneous component of degree d restricts to s_d / scale times
+    t^d at every fixed point, where scale is one common denominator of f's
+    coefficients and s_d sums, over the component's terms, each
+    coefficient times scale times the term's integer values
+    (``_monomial_values``); one pass over f's terms builds every s_d.  The
+    system so splits into one integer solve per degree against the integer
     core of the basis matrix, factored once per context.  Those solves
     share one matrix, so they are made together by Kronecker substitution
     at t = 2^B: consecutive degrees are packed into one right-hand side
-    per fixed point, in slots of width bits(R * max_w |s_d,w|) + 2, with R
-    the adjugate's largest absolute row sum (``_core_inverse``),
-    and a pack is closed before it passes PACK_BITS bits.  A slot that
-    wide holds every numerator of its degree, so decoding the balanced
-    residues of one solution gives each degree's numerators exactly; bits
-    left above the top slot raise ConsistencyError.  The numerators, keyed
-    by the bottom-row bit set of each basis column over d * scale_d, go
-    to the lift unchanged.  A singular core raises ConsistencyError, as
-    does a solution with a negative t-power (see ``_coefficient_polys``).
-    This route and ``straighten_by_rewrite`` cross-check each other in the
-    tests, in ``straighten --method both`` and in the benchmark's stream.
+    per fixed point, lowest degree in the lowest slot, in slots of width
+    bits(R * max_w |s_d,w|) + 2, with R the adjugate's largest absolute
+    row sum (``_core_inverse``), and a pack is closed before it passes
+    PACK_BITS bits.  The solve is linear, so each numerator packs the same
+    way, and a slot that wide holds every numerator of its degree: adding
+    half of every slot's range makes each slot nonnegative and below
+    2^width, so one ``solve_rational`` call per pack gives each degree's
+    numerators as plain bit fields; bits left above the top slot raise
+    ConsistencyError.  The numerators, keyed by the bottom-row bit set of
+    each basis column over d * scale, go to the lift unchanged.  A
+    singular core raises ConsistencyError, as does a solution with a
+    negative t-power (see ``_coefficient_polys``).  This route and
+    ``straighten_by_rewrite`` cross-check each other in the tests, in
+    ``straighten --method both`` and in the benchmark's stream.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
@@ -802,19 +745,38 @@ def straighten_by_solve(
         raise ConsistencyError(f"basis images are dependent over Q[t] for n={ctx.n}, k={ctx.k}")
     inverse, bound = factored
     keys, columns = basis_image_matrix(ctx).column_keys, _value_columns(ctx)
-    by_degree: dict[int, Coordinates] = {}
-    pack: list[tuple[int, int, int, list[int]]] = []
+    n, scale = ctx.n, lcm(1, *(c.denominator for c in f.terms.values()))
+    sums: dict[int, list[int]] = {}
+    for mono, c in f.terms.items():
+        factor = c.numerator * (scale // c.denominator)
+        values = zip(sums.get(degree := sum(mono), repeat(0)), _monomial_values(columns, mono[:n]))
+        sums[degree] = [s + factor * v for s, v in values]
+    packs: list[list[tuple[int, int]]] = []  # (degree, width), lowest slot first
     used = 0
-    for degree, component in f.homogeneous_components().items():
-        sums, scale = _component_values(columns, component)
-        width = (bound * max(map(abs, sums))).bit_length() + 2
-        if pack and used + width > PACK_BITS:
-            _solve_pack(inverse, keys, pack, by_degree)
-            pack, used = [], 0
-        pack.append((degree, scale, width, sums))
+    for degree in sorted(sums):
+        width = (bound * max(map(abs, sums[degree]))).bit_length() + 2
+        if not packs or used + width > PACK_BITS:
+            packs.append([])
+            used = 0
+        packs[-1].append((degree, width))
         used += width
-    if pack:
-        _solve_pack(inverse, keys, pack, by_degree)
+    by_degree: dict[int, Coordinates] = {}
+    for pack in packs:
+        rhs, bias, top = repeat(0), 0, 0
+        for degree, width in pack:
+            rhs = [r + (s << top) for r, s in zip(rhs, sums[degree])]
+            bias += 1 << (top + width - 1)
+            top += width
+        packed, d = solve_rational(inverse, rhs)
+        packed = [y + bias for y in packed]
+        if any(y >> top for y in packed):
+            raise ConsistencyError("a packed solve left bits above its top slot")
+        offset = 0
+        for degree, width in pack:
+            half = 1 << (width - 1)
+            slot = [(y >> offset & (2 * half - 1)) - half for y in packed]
+            by_degree[degree] = tuple((b, a) for b, a in zip(keys, slot) if a), d * scale
+            offset += width
     return _coefficient_polys(ctx, by_degree)
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -456,6 +456,21 @@ def _homogeneous(draw, n):
     return degree, MPoly(n + 1, terms)
 
 
+def _component_sums(ctx, component):
+    """The values of a homogeneous component at every fixed point, as
+    integers s_w over one denominator D > 0 with value s_w / D, summed
+    term by term from ``_monomial_values``: the reference for the sums
+    that the solve route builds in its one pass over a polynomial's terms."""
+    columns = springer._value_columns(ctx)
+    scale = lcm(1, *(c.denominator for c in component.terms.values()))
+    sums = [0] * len(fixed_points(ctx))
+    for mono, c in component.terms.items():
+        factor = c.numerator * (scale // c.denominator)
+        values = springer._monomial_values(columns, mono[: ctx.n])
+        sums = [s + factor * v for s, v in zip(sums, values)]
+    return sums, scale
+
+
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
@@ -465,7 +480,7 @@ def test_monomial_values_match_localize(n, k, data):
     ctx = SpringerContext(n, k)
     columns = springer._value_columns(ctx)
     degree, f = data.draw(_homogeneous(n))
-    sums, scale = springer._component_values(columns, f)
+    sums, scale = _component_sums(ctx, f)
     assert scale > 0
     assert [Fraction(s, scale) for s in sums] == [
         localize(f, w).coefficient(degree) for w in fixed_points(ctx)
@@ -492,12 +507,12 @@ def _reference_relation_failures(ctx, pairs):
     reference: each generator of the (label, forms) list multiplied out,
     split into homogeneous components, and each component's values read
     at every fixed point; a point fails when some component is nonzero."""
-    points, columns = fixed_points(ctx), springer._value_columns(ctx)
+    points = fixed_points(ctx)
     failures = []
     for label, forms in pairs:
         nonzero = [False] * len(points)
         for component in _expand(ctx, forms).homogeneous_components().values():
-            sums, _ = springer._component_values(columns, component)
+            sums, _ = _component_sums(ctx, component)
             nonzero = [bad or s != 0 for bad, s in zip(nonzero, sums)]
         failures.extend((label, w.ell) for w, bad in zip(points, nonzero) if bad)
     return tuple(failures)
@@ -820,7 +835,7 @@ def _straighten_per_degree(f, ctx):
     matrix = basis_image_matrix(ctx)
     by_degree = {}
     for degree, component in f.homogeneous_components().items():
-        sums, scale = springer._component_values(springer._value_columns(ctx), component)
+        sums, scale = _component_sums(ctx, component)
         numerators, d = solve_rational(springer._core_inverse(ctx)[0], sums)
         nonzero = tuple((b, a) for b, a in zip(matrix.column_keys, numerators) if a)
         by_degree[degree] = nonzero, d * scale
@@ -851,11 +866,8 @@ def test_packed_solve_matches_per_degree_solves(n, k, data):
     assert solved == straighten_by_rewrite(f, ctx)
 
 
-def test_packed_solve_splits_at_the_bit_budget(monkeypatch):
-    # a small budget closes a pack every few degrees; the solves are
-    # counted through the name springer calls
-    ctx = SpringerContext(5, 2)
-    f = poly(" + ".join(f"{d}/7*x{d % 5 + 1}^{d}*t" for d in range(1, 13)), 5)
+def _counting_solves(monkeypatch):
+    """Count the solves through the name springer calls."""
     calls = []
 
     def counted(inverse, rhs):
@@ -863,6 +875,45 @@ def test_packed_solve_splits_at_the_bit_budget(monkeypatch):
         return solve_rational(inverse, rhs)
 
     monkeypatch.setattr(springer, "solve_rational", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_zero_straightens_to_nothing_without_a_solve(n, k, monkeypatch):
+    ctx = SpringerContext(n, k)
+    calls = _counting_solves(monkeypatch)
+    zero = MPoly.zero(ctx.nvars)
+    assert straighten_by_solve(zero, ctx) == {} == straighten_by_rewrite(zero, ctx)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_multiples_of_the_linear_generator_change_neither_route(n, k, data):
+    # e1 - n(n+1)/2 t vanishes at every fixed point, so adding any multiple
+    # of it to f leaves both routes' coordinates as they are; alone, it
+    # straightens to nothing
+    ctx = SpringerContext(n, k)
+    ideal = equivariant_ideal(ctx)
+    assert ideal.labels[0] == "linear"
+    linear = ideal.generators[0]
+    assert _component_sums(ctx, linear) == ([0] * len(fixed_points(ctx)), 1)
+    f = data.draw(_many_degrees(n))
+    _, multiplier = data.draw(_homogeneous(n))
+    expected = straighten_by_solve(f, ctx)
+    assert expected == straighten_by_rewrite(f, ctx)
+    g = f + multiplier * linear
+    assert straighten_by_solve(g, ctx) == expected == straighten_by_rewrite(g, ctx)
+    assert straighten_by_solve(linear, ctx) == {} == straighten_by_rewrite(linear, ctx)
+
+
+def test_packed_solve_splits_at_the_bit_budget(monkeypatch):
+    # a small budget closes a pack every few degrees; the solves are
+    # counted through the name springer calls
+    ctx = SpringerContext(5, 2)
+    f = poly(" + ".join(f"{d}/7*x{d % 5 + 1}^{d}*t" for d in range(1, 13)), 5)
+    calls = _counting_solves(monkeypatch)
     unpacked = _straighten_per_degree(f, ctx)  # calls the test's own binding
     monkeypatch.setattr(springer, "PACK_BITS", 128)
     assert straighten_by_solve(f, ctx) == unpacked == straighten_by_rewrite(f, ctx)
@@ -1219,10 +1270,8 @@ def test_rewriting_builds_no_filling(monkeypatch):
 
 
 def _t_squared_plus_one(original):
-    def patched(ctx, i):
-        terms = original(ctx, i)
-        mono, c = terms[-1]  # the t^2 term
-        return terms[:-1] + [(mono, c + 1)]
+    def patched(ctx):  # each rule's t^2 term, its last, one larger
+        return tuple((*rule[:-1], (rule[-1][0], rule[-1][1] + 1)) for rule in original(ctx))
 
     return patched
 
@@ -1246,7 +1295,7 @@ def _odd_t_powers_negated(original):
 @pytest.mark.parametrize(
     "rule, patch, failures",
     [
-        ("_square_terms", _t_squared_plus_one, {(3, 1): 19, (4, 2): 32, (5, 2): 34}),
+        ("_square_rules", _t_squared_plus_one, {(3, 1): 19, (4, 2): 32, (5, 2): 34}),
         ("_product_forms", _last_t_coefficient_plus_one, {(3, 1): 30, (4, 1): 29, (5, 2): 24}),
         ("_power_terms", _odd_t_powers_negated, {(3, 1): 36, (4, 2): 39, (5, 2): 39}),
     ],
@@ -1409,7 +1458,7 @@ def test_packed_check_compares_each_x_part_once(monkeypatch):
     # with the square rule wrong, x1^2 at (3,1) mismatches: given at t^0
     # and t^2 it counts two mismatches, as the reference does, from one
     # packed comparison of its values
-    monkeypatch.setattr(springer, "_square_terms", _t_squared_plus_one(springer._square_terms))
+    monkeypatch.setattr(springer, "_square_rules", _t_squared_plus_one(springer._square_rules))
     ctx = SpringerContext(3, 1)
     basis_image_matrix(ctx)  # evaluates the basis monomials
     compared = []

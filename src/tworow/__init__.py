@@ -36,7 +36,6 @@ from .springer import (
     basis_combination,
     basis_image_matrix,
     build_fixed_point,
-    core_determinant,
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
@@ -45,7 +44,6 @@ from .springer import (
     localize_all,
     ordinary_ideal,
     ordinary_presentation_check,
-    square_reduction,
     standard_monomial_basis,
     straighten_by_rewrite,
     straighten_by_solve,

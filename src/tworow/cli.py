@@ -81,9 +81,13 @@ def _check_core_size(n: int, k: int, use: str) -> None:
         )
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, context: tuple, payload: dict, text_lines: list[str]) -> None:
+    """Print the text lines, or the JSON report: its header, the command
+    line and the context (n, k), then the payload."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        n, k = context
+        header = {"command": args.command_echo, "context": {"n": n, "k": k}}
+        print(json.dumps({**header, **payload}, indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -97,17 +101,11 @@ def _cmd_fixed_points(args) -> int:
     # each of the C(n, k) points is a permutation of n entries
     _check_listing_size(comb(ctx.n, ctx.k) * ctx.n, f"C({ctx.n},{ctx.k}) fixed points")
     points = springer.fixed_points(ctx)
-    payload = {
-        "command": args.command_echo,
-        "context": {"n": ctx.n, "k": ctx.k},
-        "fixed_points": [
-            {"ell": list(w.ell), "w": list(w.w)} for w in points
-        ],
-    }
+    payload = {"fixed_points": [{"ell": list(w.ell), "w": list(w.w)} for w in points]}
     lines = [f"# fixed points for n={ctx.n}, k={ctx.k}: {len(points)}"]
     for w in points:
         lines.append(f"ell={list(w.ell)} w={list(w.w)}")
-    _emit(args, payload, lines)
+    _emit(args, ctx, payload, lines)
     return 0
 
 
@@ -125,8 +123,6 @@ def _cmd_generators(args) -> int:
     names = variable_names(ctx.n, include_t=(ideal.name == "I"))
     rendered = [format_poly(g, names) for g in ideal.generators]
     payload = {
-        "command": args.command_echo,
-        "context": {"n": ctx.n, "k": ctx.k},
         "ideal": ideal.name,
         "count": len(ideal.generators),
         "generators": [
@@ -139,7 +135,7 @@ def _cmd_generators(args) -> int:
     ]
     for label, text in zip(ideal.labels, rendered):
         lines.append(f"{label}: {text}")
-    _emit(args, payload, lines)
+    _emit(args, ctx, payload, lines)
     return 0
 
 
@@ -168,8 +164,6 @@ def _cmd_tableaux(args) -> int:
             # str() refuses integers longer than sys.get_int_max_str_digits()
             raise UsageError("the tableau count has too many digits to print") from exc
         payload = {
-            "command": args.command_echo,
-            "context": {"n": shape.size, "k": None},
             "shape": list(shape.parts),
             "hook_lengths": hooks,
             "standard_tableau_count": count,
@@ -177,7 +171,7 @@ def _cmd_tableaux(args) -> int:
         lines = [f"# shape {list(shape.parts)}: {count_text} standard tableaux"]
         for row in hooks:
             lines.append("hooks: " + " ".join(map(str, row)))
-        _emit(args, payload, lines)
+        _emit(args, (shape.size, None), payload, lines)
         return 0
     if args.n is None or args.ell is None:
         raise UsageError("provide either --shape or both --n and --ell")
@@ -190,15 +184,13 @@ def _cmd_tableaux(args) -> int:
     _check_listing_size(comb(n, ell) * n, f"C({n},{ell}) candidate fillings")
     found = tableaux.enumerate_standard_tableaux(n, ell)
     payload = {
-        "command": args.command_echo,
-        "context": {"n": n, "k": None},
         "ell": ell,
         "count": len(found),
         "tableaux": [[list(f.top), list(f.bottom)] for f in found],
     }
     lines = [f"# standard tableaux of shape ({n - ell},{ell}): {len(found)}"]
     lines.extend(f.text() for f in found)
-    _emit(args, payload, lines)
+    _emit(args, (n, None), payload, lines)
     return 0
 
 
@@ -231,8 +223,6 @@ def _cmd_straighten(args) -> int:
         # str() refuses integers longer than sys.get_int_max_str_digits()
         raise UsageError("a coefficient has too many digits to print") from exc
     payload = {
-        "command": args.command_echo,
-        "context": {"n": ctx.n, "k": ctx.k},
         "polynomial": rendered,
         "method": args.method,
         "coefficients": [
@@ -248,7 +238,7 @@ def _cmd_straighten(args) -> int:
         lines.append("0")
     if agree is not None:
         lines.append(f"methods agree: {agree}")
-    _emit(args, payload, lines)
+    _emit(args, ctx, payload, lines)
     return 1 if agree is False else 0
 
 
@@ -426,12 +416,7 @@ def _cmd_verify(args) -> int:
                     }
                 )
     total_ms = int((time.perf_counter() - started) * 1000)
-    payload = {
-        "command": args.command_echo,
-        "context": {"n": args.n_max, "k": None},
-        "checks": entries,
-        "elapsed_ms": total_ms,
-    }
+    payload = {"checks": entries, "elapsed_ms": total_ms}
     lines = []
     for entry in entries:
         status = entry["status"].upper()
@@ -440,7 +425,7 @@ def _cmd_verify(args) -> int:
         )
     failed = sum(entry["status"] == "fail" for entry in entries)
     lines.append(f"# {len(entries)} checks, {failed} failed, {total_ms} ms")
-    _emit(args, payload, lines)
+    _emit(args, (args.n_max, None), payload, lines)
     return 1 if failed else 0
 
 

@@ -98,96 +98,60 @@ def solve_rational(
 
 
 def _integer_row(row: Mapping[Hashable, Fraction | int]) -> dict[Hashable, int]:
-    scale = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            scale = lcm(scale, v.denominator)
-    out = {}
-    for col, v in row.items():
-        iv = int(v * scale) if isinstance(v, Fraction) else v * scale
-        if iv:
-            out[col] = iv
-    return out
+    """The row times the lcm of its denominators, zero entries dropped."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {col: int(v * scale) for col, v in row.items() if v}
 
 
-def _content_reduce(row: dict[Hashable, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for col in row:
-            row[col] //= g
+def _eliminate(target: dict, prow: dict, col: Hashable) -> dict:
+    """target with its col entry cleared by prow, over the gcd of what is
+    left; {} when nothing is.  prow's col entry is positive and only
+    scales target, so target keeps its sign at every other column."""
+    a, b = prow[col], target[col]
+    out = {c: a * v for c, v in target.items()}
+    for c, v in prow.items():
+        value = out.get(c, 0) - b * v
+        if value:
+            out[c] = value
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return out if g == 1 else {c: v // g for c, v in out.items()}
 
 
 class SparseExactRREF:
-    """Incrementally maintained reduced row-echelon form over Q.
+    """Reduced row-echelon form over Q, built one row at a time.
 
     Rows are sparse integer vectors indexed by mutually comparable
     hashable column keys; the pivot of a row is its largest column.
-    Keeping the form fully reduced means every stored row touches only
-    its own pivot plus non-pivot columns, which keeps the rows short and
-    insertions cheap.  The library no longer calls it: the tests use it to
-    cross-check the kernel certificate, and the benchmark's tracer wraps
-    ``add_row`` by name.
+    Every stored row is primitive, positive at its pivot and zero in every
+    other row's pivot column, so a new row is reduced by the stored rows
+    its own columns name, and a new pivot is cleared from the stored rows
+    by scanning them.  The library no longer calls it: the tests use it
+    to cross-check the kernel certificate at n <= 5, and the benchmark's
+    tracer wraps ``add_row`` by name.
     """
 
     def __init__(self):
         self._rows: dict[Hashable, dict[Hashable, int]] = {}
-        self._touch: dict[Hashable, set[Hashable]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _index(self, row: dict, pivot: Hashable) -> None:
-        for col in row:
-            self._touch.setdefault(col, set()).add(pivot)
-
-    def _unindex(self, row: dict, pivot: Hashable) -> None:
-        for col in row:
-            owners = self._touch.get(col)
-            if owners:
-                owners.discard(pivot)
-                if not owners:
-                    del self._touch[col]
-
-    @staticmethod
-    def _eliminate(target: dict, prow: dict, col: Hashable) -> None:
-        a = prow[col]
-        b = target[col]
-        for c in list(target):
-            target[c] *= a
-        for c, v in prow.items():
-            nv = target.get(c, 0) - v * b
-            if nv:
-                target[c] = nv
-            else:
-                target.pop(c, None)
-        _content_reduce(target)
-
     def add_row(self, row: Mapping[Hashable, Fraction | int]) -> bool:
         """Reduce a row against the current form; returns True when it
         increases the rank."""
         r = _integer_row(row)
-        if not r:
-            return False
         for col in [c for c in r if c in self._rows]:
-            if col in r:
-                self._eliminate(r, self._rows[col], col)
+            r = _eliminate(r, self._rows[col], col)
         if not r:
             return False
         pivot = max(r)
-        _content_reduce(r)
-        if r[pivot] < 0:
-            for c in r:
-                r[c] = -r[c]
-        for other_pivot in list(self._touch.get(pivot, ())):
-            other = self._rows[other_pivot]
-            self._unindex(other, other_pivot)
-            self._eliminate(other, r, pivot)
-            self._index(other, other_pivot)
+        g = gcd(*r.values())
+        g = g if r[pivot] > 0 else -g  # stored primitive, positive at the pivot
+        r = {c: v // g for c, v in r.items()}
+        for other in [p for p, stored in self._rows.items() if pivot in stored]:
+            self._rows[other] = _eliminate(self._rows[other], r, pivot)
         self._rows[pivot] = r
-        self._index(r, pivot)
         return True

@@ -284,29 +284,19 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/])|(\S))")
+_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token; trailing whitespace ends the
+    text, and any other character no token starts with is an error."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolyParseError(
-                f"unexpected character {stripped[0]!r}", pos + (len(text[pos:]) - len(stripped))
-            )
-        start = m.start(m.lastindex)
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), start))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), start))
-        else:
-            tokens.append(("op", m.group(3), start))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise PolyParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+        tokens.append((_KINDS[group], m.group(group), m.start(group)))
     return tokens
 
 

@@ -38,7 +38,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .linalg import ScaledInverse, integer_det_bareiss, rational_inverse, solve_rational
+from .linalg import ScaledInverse, rational_inverse, solve_rational
 from .polynomials import Monomial, MPoly, elementary_symmetric, monomial_divides
 from .tableaux import (
     TwoRowFilling,
@@ -208,15 +208,24 @@ def _product_forms(ctx: SpringerContext, indices: tuple[int, ...]) -> list[dict[
     return [{idx - 1: 1, ctx.n: j - idx} for j, idx in enumerate(indices)]
 
 
+def _linear_form(ctx: SpringerContext) -> dict[int, int]:
+    """I's linear generator e1 - n(n+1)/2 t as {slot: coefficient}, built
+    per call: its one definition, which ``_generator_forms`` and the
+    rewrite step's non-standard rule both read."""
+    n = ctx.n
+    return {**dict.fromkeys(range(n), 1), n: -(n * (n + 1) // 2)}
+
+
 def _generator_forms(ctx: SpringerContext) -> list[tuple[str, list[dict[int, int]]]]:
     """I's generators as the paper writes them, each a product of linear
     forms {slot: integer coefficient} over x1..xn and t: (label, forms)
     for the linear relation, the n quadratic relations and the C(n, k+1)
     product relations, in that order.  The one source of I: every
-    certificate reads these factors, and only ``equivariant_ideal``
-    expands them.  Rebuilt per call, so no caller shares its dicts."""
+    certificate reads these factors, every rewriting rule is built from
+    them, and only ``equivariant_ideal`` expands them.  Rebuilt per call,
+    so no caller shares its dicts."""
     n = ctx.n
-    pairs = [("linear", [{**dict.fromkeys(range(n), 1), n: -(n * (n + 1) // 2)}])]
+    pairs = [("linear", [_linear_form(ctx)])]
     pairs.extend((f"quadratic i={i}", _pair_forms(ctx, i)) for i in range(1, n + 1))
     pairs.extend(
         ("product i=" + ",".join(map(str, subset)), _product_forms(ctx, subset))
@@ -490,14 +499,6 @@ def _square_rules(ctx: SpringerContext) -> tuple[tuple[tuple[Monomial, int], ...
     )
 
 
-def square_reduction(ctx: SpringerContext, i: int) -> MPoly:
-    """What x_i^2 equals modulo the ideal, entry i - 1 of ``_square_rules``
-    as a polynomial."""
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"index {i} out of range 1..{ctx.n}")
-    return MPoly(ctx.nvars, dict(_square_rules(ctx)[i - 1]))
-
-
 def verify_square_reduction(ctx: SpringerContext) -> bool:
     """The quadratic generators telescope: the i-th one equals
     (x_i^2 - rhs_i) - (x_{i-1}^2 - rhs_{i-1}) as an exact polynomial
@@ -537,7 +538,7 @@ class BasisMatrix(NamedTuple):
     j) * t^(size of bottom); ``integer_core`` holds the integer factor in
     row w, column T: rows in the order of ``fixed_points``, columns in
     that of ``standard_monomial_basis``.  The determinant of the images
-    therefore factors as ``core_determinant`` times a power of t, and a
+    therefore factors as det(integer_core) times a power of t, and a
     nonzero integer core is exactly linear independence over the fraction
     field of Q[t].  The solve and ``straightening_mismatches`` read
     ``column_keys`` (the bottom-row bit set of each column's tableau) from
@@ -567,16 +568,19 @@ def basis_image_matrix(ctx: SpringerContext) -> BasisMatrix:
     )
 
 
-def core_determinant(ctx: SpringerContext) -> int:
-    """The basis matrix's integer core determinant by Bareiss elimination,
-    computed per call and 0 when singular.  No check reads it: the tests
-    cross-check ``core_determinant_residue`` against it."""
-    return integer_det_bareiss(basis_image_matrix(ctx).integer_core)
-
-
 # The primes ``core_determinant_residue`` reduces the core modulo, in the
 # order it tries them: the three largest below 2^31.
 DETERMINANT_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _pack(values: Iterable[int], size: int) -> int:
+    """The nonnegative integers values, each below 2^(8 * size), as one
+    integer: slot i holds the i-th value in size little-endian bytes.  The
+    one writer of packed slots: the residue's rows and the straighten
+    check's columns are built here."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(size), repeat("little"))), "little"
+    )
 
 
 def _determinant_residue(matrix: tuple[tuple[int, ...], ...], p: int) -> int:
@@ -587,19 +591,16 @@ def _determinant_residue(matrix: tuple[tuple[int, ...], ...], p: int) -> int:
     dropping the column.  Only the pivot row is reduced, so an entry moves
     by less than (p - 1)^2 a step and stays below p + n (p - 1)^2 in
     absolute value.  Each row is one integer of signed slots, one per
-    column, of W = bits(p + n (p - 1)^2) + 1 bits, so a row's update is
-    one big-integer multiply-add: the low slot, read balanced, is the
-    leading entry, and shifting it out drops the column."""
+    column (``_pack``), of W = bits(p + n (p - 1)^2) + 1 bits rounded up
+    to whole bytes, so a row's update is one big-integer multiply-add: the
+    low slot, read balanced, is the leading entry, and shifting it out
+    drops the column."""
     n = len(matrix)
-    width = (p + n * (p - 1) ** 2).bit_length() + 1
+    size = ((p + n * (p - 1) ** 2).bit_length() + 8) // 8
+    width = 8 * size
     half = 1 << (width - 1)
     mask = (half << 1) - 1
-    rows = []
-    for entries in matrix:
-        row = 0
-        for a in reversed(entries):
-            row = row << width | a % p
-        rows.append(row)
+    rows = [_pack([a % p for a in entries], size) for entries in matrix]
     det = 1
     for length in range(n - 1, -1, -1):
         for at, row in enumerate(rows):
@@ -875,10 +876,11 @@ def _rewrite_expansion(
         return None
     head, tail = _rule_split(mask, j, n)
     base = tuple(tail >> p & 1 for p in range(ctx.nvars))
-    rest = {p: 1 for p in range(n) if not head >> p & 1}
-    rest[n] = -(n * (n + 1) // 2)
+    linear = _linear_form(ctx)
+    rest = {p: a for p, a in linear.items() if not head >> p & 1}
+    minus_head = {p: -a for p, a in linear.items() if head >> p & 1}
     relation = _power_terms(rest, j, base)
-    for m, c in _power_terms({p: -1 for p in range(n) if head >> p & 1}, j, base).items():
+    for m, c in _power_terms(minus_head, j, base).items():
         relation[m] = relation.get(m, 0) - c
     return _cancel(relation, target, ctx)
 
@@ -960,14 +962,6 @@ def straighten_by_rewrite(
         entries.setdefault(sum(mono), []).append((value, coeff))
     by_degree = {degree: _combine(terms) for degree, terms in entries.items()}
     return _coefficient_polys(ctx, by_degree)
-
-
-def _pack(values: Iterable[int], size: int) -> int:
-    """The nonnegative integers values, each below 2^(8 * size), as one
-    integer: slot i holds the i-th value in size little-endian bytes."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, values, repeat(size), repeat("little"))), "little"
-    )
 
 
 def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]) -> int:

@@ -2,6 +2,8 @@ from functools import lru_cache
 
 import pytest
 
+from tworow import linalg, springer
+
 
 def _cofactor_det(matrix):
     """Integer determinant by Laplace expansion along the first row,
@@ -26,3 +28,15 @@ def _cofactor_det(matrix):
 @pytest.fixture
 def cofactor_det():
     return _cofactor_det
+
+
+def _core_determinant(ctx):
+    """The basis matrix's integer core determinant by Bareiss elimination,
+    0 when singular: the reference for the residues that
+    ``springer.core_determinant_residue`` finds.  No check computes it."""
+    return linalg.integer_det_bareiss(springer.basis_image_matrix(ctx).integer_core)
+
+
+@pytest.fixture
+def core_determinant():
+    return _core_determinant

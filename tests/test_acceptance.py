@@ -9,7 +9,6 @@ from tworow.groebner import buchberger, ideal_equal, quotient_dimension
 from tworow.polynomials import MPoly
 from tworow.springer import (
     SpringerContext,
-    core_determinant,
     fixed_points,
     fixed_points_bruteforce,
     equivariant_ideal,
@@ -129,7 +128,7 @@ def test_criterion_4_straightening_routes_agree():
     )
 
 
-def test_criterion_5_basis_matrix_nonsingular():
+def test_criterion_5_basis_matrix_nonsingular(core_determinant):
     started = time.perf_counter()
     ok = True
     for ctx in [*_contexts(8), SpringerContext(9, 4)]:

@@ -69,6 +69,25 @@ def test_fixed_points_json(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, context",
+    [
+        (("fixed-points", "--n", "3", "--k", "1"), {"n": 3, "k": 1}),
+        (("generators", "--n", "3", "--k", "1", "--ideal", "J"), {"n": 3, "k": 1}),
+        (("straighten", "--n", "3", "--k", "1", "--poly", "x1*x2"), {"n": 3, "k": 1}),
+        (("tableaux", "--n", "4", "--ell", "2"), {"n": 4, "k": None}),
+        (("tableaux", "--shape", "3,1"), {"n": 4, "k": None}),
+        (("verify", "--n-max", "2"), {"n": 2, "k": None}),
+    ],
+)
+def test_json_reports_open_with_command_and_context(argv, context, capsys):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert list(payload)[:2] == ["command", "context"]
+    assert payload["command"] == "tworow " + " ".join(argv) + " --format json"
+    assert payload["context"] == context
+
+
 def test_fixed_points_usage_error(capsys):
     code, _, err = run(capsys, "fixed-points", "--n", "3", "--k", "2")
     assert code == 2
@@ -793,10 +812,10 @@ def test_benchmark_and_ci_command_lines_are_plain(monkeypatch):
     # all but the helps and one verify that CI spells for argparse alone,
     # so that the installed script runs a real command through the parser
     ci = _ci_tworow_lines()
-    calls = [argv for argv in ci if argv[0] in ("verify", "straighten") and "--help" not in argv]
+    calls = [argv for argv in ci if "--help" not in argv]
     calls.remove(parsed := ["verify", "--n-max=3", "--k", "all"])
     assert cli._plain_args(parsed) is None
-    assert len(calls) == 6
+    assert len(calls) == 7
     benchmark = _benchmark_verify_lines(monkeypatch)
     assert len(benchmark) == 4
     for argv in calls + benchmark:

@@ -132,13 +132,26 @@ def test_solve_rational_empty_and_shapes():
         solve_rational(rational_inverse([[1]]), [1, 2])
 
 
+def _assert_reduced_form(rref):
+    # every stored row is a primitive integer row, positive at its pivot
+    # (its largest column) and zero in every other row's pivot column
+    for pivot, stored in rref._rows.items():
+        assert all(type(v) is int and v for v in stored.values())
+        assert pivot == max(stored) and stored[pivot] > 0
+        assert gcd(*stored.values()) == 1
+        assert not set(stored) & (set(rref._rows) - {pivot})
+
+
 def test_sparse_rref_rank_matches_dense_elimination():
     rng = random.Random(3)
-    for _ in range(20):
+    for trial in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 5)
+        # integer entries in the first half of the trials, fractions after
+        den = 1 if trial < 20 else 4
         dense = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)
+            [Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(cols)]
+            for _ in range(rows)
         ]
         sparse = [
             {j: val for j, val in enumerate(row) if val} for row in dense
@@ -159,7 +172,10 @@ def test_sparse_rref_rank_matches_dense_elimination():
         rref = SparseExactRREF()
         for row in sparse:
             rref.add_row(row)
+            _assert_reduced_form(rref)
         assert rref.rank == rank
+        # every input row lies in the stored rows' span
+        assert not any(rref.add_row(row) for row in sparse)
 
 
 def test_sparse_rref_incremental_and_fractions():

@@ -130,8 +130,15 @@ def test_parse_errors_carry_position():
         parse_poly("x1^", NAMES3)
     with pytest.raises(PolyParseError):
         parse_poly("1/0", NAMES3)
-    with pytest.raises(PolyParseError):
+    with pytest.raises(PolyParseError, match="unexpected character '&'") as info:
         parse_poly("x1 & x2", NAMES3)
+    assert info.value.position == 3
+    with pytest.raises(PolyParseError, match="unexpected character '&'") as info:
+        parse_poly("x1\t\u00a0& x2", NAMES3)
+    assert info.value.position == 4
+    # a tab and a non-ASCII space separate tokens; trailing whitespace ends the text
+    assert parse_poly("x1\t+\u00a0x2 \t\n", NAMES3) == parse_poly("x1 + x2", NAMES3)
+    assert parse_poly("x1\u2003*\tx2^2\u00a0", NAMES3) == parse_poly("x1*x2^2", NAMES3)
     # int() refuses strings past Python's digit limit (4300 by default)
     digits = "7" * 5000
     for text, position in ((f"{digits}*x1", 0), (f"x1^{digits}", 3), (f"1/{digits}", 2)):

@@ -15,7 +15,7 @@ from math import comb, factorial, gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow import springer
+from tworow import linalg, springer
 from tworow.cli import main
 from tworow.groebner import buchberger, ideal_equal, quotient_dimension
 from tworow.linalg import SparseExactRREF, solve_rational
@@ -32,7 +32,6 @@ from tworow.springer import (
     basis_combination,
     basis_image_matrix,
     build_fixed_point,
-    core_determinant,
     equivariant_ideal,
     fixed_points,
     fixed_points_bruteforce,
@@ -43,7 +42,6 @@ from tworow.springer import (
     ordinary_ideal,
     ordinary_presentation_check,
     sample_monomials,
-    square_reduction,
     squarefree_monomials,
     standard_monomial_basis,
     straighten_by_rewrite,
@@ -163,7 +161,7 @@ def test_records_are_tuples_of_their_fields():
     assert w == ((3, 4), (1, 2, 3, 4)) == (w.ell, w.w)
 
 
-def test_cached_attributes_are_computed_once():
+def test_cached_attributes_are_computed_once(core_determinant):
     # the solve's inverse and row bound are one value kept on the context;
     # the determinant is computed per call; a Groebner basis carries its
     # reducers as a field
@@ -593,26 +591,24 @@ def test_relations_key_forms_by_their_t_coefficient(n, k, monkeypatch):
 # -- square rewriting ---------------------------------------------------------
 
 
+def _square_reduction(ctx, i):
+    """What x_i^2 equals modulo the ideal, i = 1..n: entry i - 1 of the
+    rewrite step's ``springer._square_rules`` as a polynomial."""
+    return MPoly(ctx.nvars, dict(springer._square_rules(ctx)[i - 1]))
+
+
 def test_square_reduction_n2():
     ctx = SpringerContext(2, 1)
-    assert square_reduction(ctx, 1) == poly("3*x1*t - 2*t^2", 2)
+    assert _square_reduction(ctx, 1) == poly("3*x1*t - 2*t^2", 2)
     # localization check at both fixed points: x1 takes values 2t and t
     x1sq = ctx.x(1) * ctx.x(1)
     for w in fixed_points(ctx):
-        assert localize(x1sq, w) == localize(square_reduction(ctx, 1), w)
+        assert localize(x1sq, w) == localize(_square_reduction(ctx, 1), w)
 
 
 def test_square_reduction_n4():
     ctx = SpringerContext(4, 2)
-    assert square_reduction(ctx, 2) == poly("5*x2*t + x1*t - 7*t^2", 4)
-
-
-def test_square_reduction_range_check():
-    ctx = SpringerContext(3, 1)
-    with pytest.raises(ValueError):
-        square_reduction(ctx, 0)
-    with pytest.raises(ValueError):
-        square_reduction(ctx, 4)
+    assert _square_reduction(ctx, 2) == poly("5*x2*t + x1*t - 7*t^2", 4)
 
 
 def test_telescoping_identity():
@@ -624,7 +620,7 @@ def test_telescoping_identity():
 # -- straightening ------------------------------------------------------------
 
 
-def test_basis_matrix_n2():
+def test_basis_matrix_n2(core_determinant):
     ctx = SpringerContext(2, 1)
     bm = basis_image_matrix(ctx)
     assert [t.bottom for t in standard_monomial_basis(ctx)] == [(), (2,)]
@@ -634,13 +630,13 @@ def test_basis_matrix_n2():
     assert springer._core_inverse(ctx) == ((((2, -1), (-1, 1)), 1), 3)
 
 
-def test_basis_matrix_point():
+def test_basis_matrix_point(core_determinant):
     ctx = SpringerContext(1, 0)
     assert basis_image_matrix(ctx).integer_core == ((1,),)
     assert core_determinant(ctx) == 1
 
 
-def test_basis_matrix_determinant_factorization(cofactor_det):
+def test_basis_matrix_determinant_factorization(cofactor_det, core_determinant):
     # every image x_T at w is its integer core entry times t^(size of the
     # bottom of T), so by multilinearity the Q[t] determinant is the core
     # determinant times t^(sum of bottom sizes); the core determinant is
@@ -658,7 +654,7 @@ def test_basis_matrix_determinant_factorization(cofactor_det):
         assert core_determinant(ctx) == cofactor_det(bm.integer_core) != 0
 
 
-def test_basis_matrix_inverse_invariants():
+def test_basis_matrix_inverse_invariants(core_determinant):
     # the stored factorization is the exact inverse of the core, the
     # classical adjugate core_determinant * adj / d is integral, and the
     # stored row bound is adj's largest absolute row sum
@@ -676,11 +672,13 @@ def test_basis_matrix_inverse_invariants():
         assert bound == max(sum(map(abs, row)) for row in adj)
 
 
-def test_straightening_solve_never_computes_the_core_determinant(monkeypatch):
+def test_straightening_solve_never_computes_the_core_determinant(monkeypatch, core_determinant):
     def refused(core):
         raise AssertionError("the solve read the core determinant")
 
-    monkeypatch.setattr(springer, "integer_det_bareiss", refused)
+    # Bareiss is reached only through linalg: springer binds no copy of it
+    assert not hasattr(springer, "integer_det_bareiss")
+    monkeypatch.setattr(linalg, "integer_det_bareiss", refused)
     ctx = SpringerContext(5, 2)
     f = poly("x1^2*x3 - 2*x4*t^2 + x5", 5)
     assert straighten_by_solve(f, ctx) == straighten_by_rewrite(f, ctx)
@@ -695,7 +693,7 @@ def test_core_determinant_residues_match_bareiss():
         for k in range(n // 2 + 1):
             ctx = SpringerContext(n, k)
             core = basis_image_matrix(ctx).integer_core
-            det = springer.integer_det_bareiss(core)
+            det = linalg.integer_det_bareiss(core)
             for p in springer.DETERMINANT_PRIMES:
                 assert springer._determinant_residue(core, p) == det % p, (n, k, p)
             p = next(p for p in springer.DETERMINANT_PRIMES if det % p)
@@ -714,7 +712,7 @@ def test_determinant_residue_swaps_rows_and_finds_singular_matrices():
         ([[-3, 10**40], [2, -(10**12)]], None),
     ]
     for matrix, det in cases:
-        det = springer.integer_det_bareiss(matrix) if det is None else det
+        det = linalg.integer_det_bareiss(matrix) if det is None else det
         for p in (5, 7, 2147483647):
             assert springer._determinant_residue(matrix, p) == det % p, (matrix, p)
 
@@ -730,7 +728,7 @@ def test_determinant_primes_are_prime():
     assert [m for m in range(primes[-1], 2**31) if is_prime(m)] == sorted(primes)
 
 
-def test_core_determinant_residue_tries_the_next_prime(monkeypatch):
+def test_core_determinant_residue_tries_the_next_prime(monkeypatch, core_determinant):
     # a zero residue moves on to the next prime; when all three vanish
     # there is no witness
     seen = []
@@ -1313,6 +1311,26 @@ def test_straighten_check_fails_closed_on_a_wrong_rule(rule, patch, failures, mo
             line.startswith(f"FAIL straighten[n={n},k={k}]: {count} of {total} monomials")
             for line in fail_lines
         ), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2)])
+def test_the_rule_and_the_certificate_read_one_linear_relation(n, k, monkeypatch):
+    # e1 - n(n+1)/2 t has one definition: with its t coefficient one off,
+    # the relations certificate fails on the linear generator alone, and
+    # the rewrite step's non-standard rule straightens wrongly
+    original = springer._linear_form
+
+    def t_plus_one(ctx):
+        form = original(ctx)
+        form[ctx.n] += 1
+        return form
+
+    monkeypatch.setattr(springer, "_linear_form", t_plus_one)
+    ctx = SpringerContext(n, k)
+    report = verify_relations(ctx)
+    assert not report.ok
+    assert {label for label, _ in report.failures} == {"linear"}
+    assert springer.straightening_mismatches(ctx, _check_monomials(ctx)) > 0
 
 
 def test_straighten_check_fails_closed_when_every_subset_scans_standard(monkeypatch, capsys):

@@ -43,9 +43,11 @@ STRAIGHTEN_DEGREE_LIMIT = 3000
 
 # the largest basis core C(n, k) that ``straighten --method oracle|both``
 # inverts and ``verify``'s basis-determinant check reduces mod a prime:
-# C(10, 5).  ``verify``'s straighten check inverts nothing, and at (11, 5)
-# it and the residue take about 1-1.5 s each; for both checks the limit
-# stands in for budgets not yet in place
+# C(10, 5).  At (11, 5) ``verify``'s straighten check, which proves the
+# rewrite route's multiplication tables, takes about 1.3-1.7 s and the
+# residue about 1.1 s; the tests, ``straighten --method both`` and the
+# benchmark's stream cross-check that route past degree k + 1.  For both
+# checks the limit stands in for budgets not yet in place
 STRAIGHTEN_CORE_LIMIT = 252
 
 # the most work ``verify`` walks, n^3 per context (n, k), square-reduction's
@@ -283,8 +285,7 @@ def _check_basis_determinant(ctx):
 
 
 def _check_straighten(ctx):
-    monos = springer.squarefree_monomials(ctx, ctx.k + 1)
-    monos += springer.sample_monomials(ctx)
+    monos = springer.table_monomials(ctx)
     mismatches = springer.straightening_mismatches(ctx, monos)
     detail = f"{len(monos)} monomials rewritten to coordinates that localize to them"
     if mismatches:

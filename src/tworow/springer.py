@@ -23,13 +23,13 @@ a Q[t]-combination of the squarefree monomials indexed by standard
 tableaux; it is implemented twice, once by exact linear algebra against
 the localized images of the basis (``straighten_by_solve``) and once by
 the inductive rewriting procedure (``straighten_by_rewrite``), kept as
-cross-checks of each other.  ``verify`` tests the rewritten coordinates
-against localization instead, with no inverse (``straightening_mismatches``).
+cross-checks of each other.  ``verify`` proves the rewrite route's
+multiplication tables against localization instead, with no inverse
+(``table_monomials``, ``straightening_mismatches``).
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
@@ -48,8 +48,6 @@ from .tableaux import (
     monomial_from_filling,
 )
 from .tpoly import TPoly
-
-SAMPLE_SEED = 1729  # seeds the deterministic straightening spot-checks
 
 
 class ConsistencyError(RuntimeError):
@@ -1042,30 +1040,6 @@ def basis_combination(
     return MPoly(ctx.nvars, terms)
 
 
-def sample_monomials(ctx: SpringerContext, count: int = 50, max_degree: int = 5) -> list[Monomial]:
-    """Deterministic pseudo-random monomials in x1..xn, t of total degree
-    at most max_degree, for straightening spot-checks."""
-    # the draws of rng.randint(0, max_degree) and rng.randrange(nvars):
-    # getrandbits of the bound's bit length, out-of-range draws rejected,
-    # as CPython's Random._randbelow does, without its per-call overhead
-    bits = random.Random(f"{SAMPLE_SEED}:{ctx.n}:{ctx.k}").getrandbits
-    nvars = ctx.nvars
-    degree_bits, var_bits = (max_degree + 1).bit_length(), nvars.bit_length()
-    out = []
-    for _ in range(count):
-        degree = bits(degree_bits)
-        while degree > max_degree:
-            degree = bits(degree_bits)
-        mono = [0] * nvars
-        for _ in range(degree):
-            var = bits(var_bits)
-            while var >= nvars:
-                var = bits(var_bits)
-            mono[var] += 1
-        out.append(tuple(mono))
-    return out
-
-
 def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomial]:
     """All squarefree monomials in x1..xn of x-degree up to the bound."""
     out = []
@@ -1076,6 +1050,28 @@ def squarefree_monomials(ctx: SpringerContext, max_x_degree: int) -> list[Monomi
                 mono[p] = 1
             out.append(tuple(mono))
     return out
+
+
+def table_monomials(ctx: SpringerContext) -> list[Monomial]:
+    """The ``straighten`` check's monomials, each once: the squarefree
+    ones of x-degree at most k + 1, then every product x_i x_T (i = 1..n,
+    T a basis tableau).  With M_i the table of x_i on the x_T, its column
+    T the coordinates of x_i x_T, core M_i = diag(w(i)) core at t = 1
+    (Stickelberger's theorem; the M_i are FGLM's multiplication matrices),
+    and a pass on x_i x_T is exactly its column T.  The core being
+    nonsingular (``kernel_ideal_comparisons``; ``basis-determinant`` is
+    the witness), the rewrite route's tables are then the true
+    multiplication maps on the free Q[t]-basis, and they determine every
+    polynomial in every degree, as x^alpha = x_i x^(alpha - e_i), by
+    induction on degree.  The route's own output past degree k + 1 is
+    compared with the solve route's by the tests, ``straighten --method
+    both`` and the benchmark's stream, not here."""
+    monomials = dict.fromkeys(squarefree_monomials(ctx, ctx.k + 1))
+    for tab in standard_monomial_basis(ctx):
+        x_t = monomial_from_filling(tab)
+        for i in range(ctx.n):
+            monomials[x_t[:i] + (x_t[i] + 1,) + x_t[i + 1 :]] = None
+    return list(monomials)
 
 
 # -- I at t = 0 is J ---------------------------------------------------------

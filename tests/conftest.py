@@ -1,8 +1,24 @@
+import random
 from functools import lru_cache
 
 import pytest
 
 from tworow import linalg, springer
+
+SAMPLE_SEED = 1729  # seeds the deterministic straightening spot-checks
+
+
+def sample_monomials(ctx, count=50, max_degree=5):
+    """Deterministic pseudo-random monomials in x1..xn, t of total degree
+    at most max_degree, for straightening spot-checks."""
+    rng = random.Random(f"{SAMPLE_SEED}:{ctx.n}:{ctx.k}")
+    out = []
+    for _ in range(count):
+        mono = [0] * ctx.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(ctx.nvars)] += 1
+        out.append(tuple(mono))
+    return out
 
 
 def _cofactor_det(matrix):

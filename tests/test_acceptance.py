@@ -5,6 +5,7 @@ budgets are generous on desk hardware."""
 import time
 from math import comb
 
+from conftest import sample_monomials
 from tworow.groebner import buchberger, ideal_equal, quotient_dimension
 from tworow.polynomials import MPoly
 from tworow.springer import (
@@ -14,7 +15,6 @@ from tworow.springer import (
     equivariant_ideal,
     kernel_ideal_comparisons,
     ordinary_ideal,
-    sample_monomials,
     squarefree_monomials,
     straighten_by_rewrite,
     straighten_by_solve,

@@ -1,7 +1,6 @@
 import copy
 import gc
 import pickle
-import random
 import sys
 import threading
 import time
@@ -15,6 +14,7 @@ from math import comb, factorial, gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sample_monomials
 from tworow import linalg, springer
 from tworow.cli import main
 from tworow.groebner import buchberger, ideal_equal, quotient_dimension
@@ -41,7 +41,6 @@ from tworow.springer import (
     localize_all,
     ordinary_ideal,
     ordinary_presentation_check,
-    sample_monomials,
     squarefree_monomials,
     standard_monomial_basis,
     straighten_by_rewrite,
@@ -1257,7 +1256,7 @@ def test_rewriting_builds_no_filling(monkeypatch):
     monkeypatch.setattr(
         springer, "filling_from_monomial", lambda *a: built.append(a) or original(*a)
     )
-    monomials = squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
+    monomials = springer.table_monomials(ctx)
     assert springer.straightening_mismatches(ctx, monomials) == 0
     assert len(springer._rewrite_memo(ctx)) > len(monomials) and built == []
     coefficients = straighten_by_rewrite(poly("x1*x2*x3", 7), ctx)
@@ -1293,9 +1292,9 @@ def _odd_t_powers_negated(original):
 @pytest.mark.parametrize(
     "rule, patch, failures",
     [
-        ("_square_rules", _t_squared_plus_one, {(3, 1): 19, (4, 2): 32, (5, 2): 34}),
-        ("_product_forms", _last_t_coefficient_plus_one, {(3, 1): 30, (4, 1): 29, (5, 2): 24}),
-        ("_power_terms", _odd_t_powers_negated, {(3, 1): 36, (4, 2): 39, (5, 2): 39}),
+        ("_square_rules", _t_squared_plus_one, {(3, 1): 2, (4, 2): 13, (5, 2): 26}),
+        ("_product_forms", _last_t_coefficient_plus_one, {(3, 1): 3, (4, 1): 6, (5, 2): 10}),
+        ("_power_terms", _odd_t_powers_negated, {(3, 1): 5, (4, 2): 16, (5, 2): 28}),
     ],
     ids=["square-rule", "product-rule", "power-sign"],
 )
@@ -1305,12 +1304,55 @@ def test_straighten_check_fails_closed_on_a_wrong_rule(rule, patch, failures, mo
     monkeypatch.setattr(springer, rule, patch(getattr(springer, rule)))
     assert main(["verify", "--checks", "straighten", "--n-max", "5"]) == 1
     fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    totals = {(3, 1): 9, (4, 1): 14, (4, 2): 22, (5, 2): 40}  # squarefree and table monomials
     for (n, k), count in failures.items():
-        total = len(squarefree_monomials(SpringerContext(n, k), k + 1)) + 50
+        total = totals[n, k]
         assert any(
             line.startswith(f"FAIL straighten[n={n},k={k}]: {count} of {total} monomials")
             for line in fail_lines
         ), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_straighten_check_takes_the_squarefree_monomials_and_the_tables(n, k):
+    # every squarefree monomial of x-degree at most k+1 and every product
+    # x_i x_T, T a basis tableau, each once
+    ctx = SpringerContext(n, k)
+    squarefree = {
+        tuple(int(i in subset) for i in range(n + 1))
+        for ell in range(k + 2)
+        for subset in combinations(range(n), ell)
+    }
+    products = {
+        tuple(int(i + 1 in tab.bottom) + (i == j) for i in range(n)) + (0,)
+        for tab in standard_monomial_basis(ctx)
+        for j in range(n)
+    }
+    monomials = springer.table_monomials(ctx)
+    assert len(monomials) == len(set(monomials))
+    assert set(monomials) == squarefree | products
+    assert len(products - squarefree) == {(4, 2): 7, (5, 2): 14, (6, 3): 38}[n, k]
+
+
+def test_straighten_check_fails_on_one_wrong_table_entry(monkeypatch, capsys):
+    # x2 x_T, T with bottom row (2, 4) at (5, 2), straightened with one
+    # numerator one off: one column of core M_2 = diag(w(2)) core fails
+    original = springer._straighten_x_monomial
+    alpha = (0, 2, 0, 1, 0)
+
+    def one_off(ctx, beta):
+        numerators, den = original(ctx, beta)
+        if (ctx.n, ctx.k, beta) == (5, 2, alpha):
+            (b, a), *rest = numerators
+            numerators = ((b, a + 1), *rest)
+        return numerators, den
+
+    monkeypatch.setattr(springer, "_straighten_x_monomial", one_off)
+    assert alpha + (0,) in springer.table_monomials(SpringerContext(5, 2))
+    assert main(["verify", "--checks", "straighten", "--n-max", "5"]) == 1
+    fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith("FAIL straighten[n=5,k=2]: 1 of 40 monomials")
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 2)])
@@ -1420,7 +1462,8 @@ def _reference_mismatches(ctx, monomials):
 
 
 def _check_monomials(ctx):
-    return squarefree_monomials(ctx, ctx.k + 1) + sample_monomials(ctx)
+    # the check's monomials, and sampled ones with powers of t
+    return springer.table_monomials(ctx) + sample_monomials(ctx)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -1650,29 +1693,6 @@ def test_rewrite_memo_is_thread_safe(monkeypatch):
             assert len(used) == 4 and all(got is inverse for solves in used for got in solves)
     finally:
         sys.setswitchinterval(interval)
-
-
-def _sample_monomials_by_randint(ctx, count, max_degree):
-    """sample_monomials as written with randint and randrange."""
-    rng = random.Random(f"{springer.SAMPLE_SEED}:{ctx.n}:{ctx.k}")
-    out = []
-    for _ in range(count):
-        mono = [0] * ctx.nvars
-        for _ in range(rng.randint(0, max_degree)):
-            mono[rng.randrange(ctx.nvars)] += 1
-        out.append(tuple(mono))
-    return out
-
-
-# the default, every (count, max_degree) the tests pass, and the one- and
-# two-value degree ranges, whose draws reject most often
-@pytest.mark.parametrize("count, max_degree", [(50, 5), (40, 6), (60, 7), (30, 6), (20, 0), (20, 1)])
-def test_sampled_monomials_are_the_randint_draws(count, max_degree):
-    for n in range(1, 11):
-        for k in range(n // 2 + 1):
-            ctx = SpringerContext(n, k)
-            expected = _sample_monomials_by_randint(ctx, count, max_degree)
-            assert sample_monomials(ctx, count, max_degree) == expected
 
 
 def test_sampled_monomials_are_deterministic():

@@ -2,7 +2,8 @@
 
 Every command takes ``--format text|json``; JSON verification reports
 use the schema {command, context: {n, k}, checks: [{name, status,
-details, elapsed_ms}], elapsed_ms} and the process exits 0 exactly when
+details, elapsed_ms}], elapsed_ms}, a check's elapsed_ms a float to the
+microsecond and the total an integer, and the process exits 0 exactly when
 every check passed.
 
 The ``_COMMANDS`` table declares each command's arguments once.  A plain
@@ -407,7 +408,7 @@ def _cmd_verify(args) -> int:
                     # one contradicted check fails on its own line; the
                     # others still run and report
                     ok, details = False, f"consistency error: {exc}"
-                elapsed_ms = int((time.perf_counter() - tick) * 1000)
+                elapsed_ms = round((time.perf_counter() - tick) * 1000, 3)  # to the microsecond
                 entries.append(
                     {
                         "name": f"{name}[n={n},k={k}]",

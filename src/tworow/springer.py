@@ -651,12 +651,14 @@ def _core_inverse(ctx: SpringerContext) -> Optional[tuple[ScaledInverse, int]]:
 # -- straightening, route one: solve against the localized basis -------------
 
 
-# Integer numerators over one positive denominator, ((b, a_b), ...), D,
-# keyed by the bottom-row bit set b of the tableau _bottom_row_fillings(ctx)[b].
-Coordinates = tuple[tuple[tuple[int, int], ...], int]
+# What both routes hand the lift: per bottom-row bit set b, the Fraction
+# coefficients of c_{T_b} by rising t-power, the last nonzero.  The theory
+# makes c_T polynomial, so a route refuses a negative power as it writes one.
+Rows = dict[int, list[Fraction]]
 
 NON_POLYNOMIAL = "straightening produced a non-polynomial coefficient"
 NO_BASIS_KEY = "straightening produced a coordinate at {:#b}, which is no basis key"
+_ZERO = Fraction(0)
 
 
 @_per_context
@@ -668,37 +670,20 @@ def _bottom_row_fillings(ctx: SpringerContext) -> dict[int, TwoRowFilling]:
     return {}
 
 
-def _coefficient_polys(
-    ctx: SpringerContext, by_degree: Mapping[int, Coordinates]
-) -> dict[TwoRowFilling, TPoly]:
-    """Lift the coordinates both routes hand over to Q[t] coefficients.
-    ``by_degree`` maps a degree d to nonzero numerators a at keys b over
-    D, each standing for (a / D) * t^(d - ell(T_b)) * x_{T_b}, where
-    ell(T_b) is the number of bits of b.  A negative t-power would mean
-    the coefficient is not polynomial, which the presentation theory rules
-    out; it raises ConsistencyError rather than returning a wrong answer,
-    as does a key of no basis tableau (past x_n, of more than k bits, or
-    not ``is_standard``, which shares no code with the ballot scan that
-    decides keys) before its filling is first stored."""
-    zero = Fraction(0)
-    dense: dict[int, list] = {}
-    for degree, (numerators, den) in by_degree.items():
-        for b, a in numerators:
-            power = degree - b.bit_count()
-            if power < 0:
-                raise ConsistencyError(NON_POLYNOMIAL)
-            row = dense.setdefault(b, [])
-            row.extend([zero] * (power + 1 - len(row)))
-            row[power] = Fraction(a, den)
-    # each row ends in the entry set at its highest power, which is nonzero
+def _coefficient_polys(ctx: SpringerContext, rows: Rows) -> dict[TwoRowFilling, TPoly]:
+    """Wrap the rows both routes hand over as the Q[t] coefficients of
+    their tableaux.  Each key is checked once per context, before its
+    filling is first stored: a key of no basis tableau (past x_n, of more
+    than k bits, or not ``is_standard``, which shares no code with the
+    ballot scan that decides keys) raises ConsistencyError."""
     n, k, fillings = ctx.n, ctx.k, _bottom_row_fillings(ctx)
-    for b in dense:
+    for b in rows:
         if b not in fillings:
             bits = [b >> i & 1 for i in range(n)]
             if b >> n or b.bit_count() > k or not is_standard(tab := filling_from_monomial(bits, n)):
                 raise ConsistencyError(NO_BASIS_KEY.format(b))
             fillings.setdefault(b, tab)
-    return {fillings[b]: TPoly._make(tuple(row)) for b, row in dense.items()}
+    return {fillings[b]: TPoly._make(tuple(row)) for b, row in rows.items()}
 
 
 # A packed right-hand side is closed before its slots would pass this many
@@ -717,25 +702,25 @@ def straighten_by_solve(
     t^d at every fixed point, where scale is one common denominator of f's
     coefficients and s_d sums, over the component's terms, each
     coefficient times scale times the term's integer values
-    (``_monomial_values``); one pass over f's terms builds every s_d.  The
-    system so splits into one integer solve per degree against the integer
-    core of the basis matrix, factored once per context.  Those solves
-    share one matrix, so they are made together by Kronecker substitution
-    at t = 2^B: consecutive degrees are packed into one right-hand side
-    per fixed point, lowest degree in the lowest slot, in slots of width
-    bits(R * max_w |s_d,w|) + 2, with R the adjugate's largest absolute
-    row sum (``_core_inverse``), and a pack is closed before it passes
-    PACK_BITS bits.  The solve is linear, so each numerator packs the same
-    way, and a slot that wide holds every numerator of its degree: adding
-    half of every slot's range makes each slot nonnegative and below
-    2^width, so one ``solve_rational`` call per pack gives each degree's
-    numerators as plain bit fields; bits left above the top slot raise
-    ConsistencyError.  The numerators, keyed by the bottom-row bit set of
-    each basis column over d * scale, go to the lift unchanged.  A
-    singular core raises ConsistencyError, as does a solution with a
-    negative t-power (see ``_coefficient_polys``).  This route and
-    ``straighten_by_rewrite`` cross-check each other in the tests, in
-    ``straighten --method both`` and in the benchmark's stream.
+    (``_monomial_values``).  The system so splits into one integer solve
+    per degree against the integer core of the basis matrix, factored once
+    per context.  Those solves share one matrix, so they are made together
+    by Kronecker substitution at t = 2^B: consecutive degrees are packed
+    into one right-hand side per fixed point, lowest degree in the lowest
+    slot, and a pack is closed before it passes PACK_BITS bits.  Every
+    w(i) lies in 1..n, so |s_d,w| is at most the sum of |coefficient *
+    scale| * n^(x-degree) over the component's terms; degree d's slot is
+    bits(R * that bound) + 2 wide, with R the adjugate's largest absolute
+    row sum (``_core_inverse``), and one pass over f's terms shifts each
+    term's values into its slot.  The solve is linear, so each numerator
+    packs the same way, and its slot holds it: adding half of every
+    slot's range makes each slot nonnegative, so one ``solve_rational``
+    call per pack gives each degree's numerators as plain bit fields; bits
+    left above the top slot raise ConsistencyError, as does a singular
+    core.  Each key's numerators are decoded over d * scale straight into
+    its row (``Rows``).  This route and ``straighten_by_rewrite``
+    cross-check each other in the tests, in ``straighten --method both``
+    and in the benchmark's stream.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
@@ -745,41 +730,52 @@ def straighten_by_solve(
     inverse, bound = factored
     keys, columns = basis_image_matrix(ctx).column_keys, _value_columns(ctx)
     n, scale = ctx.n, lcm(1, *(c.denominator for c in f.terms.values()))
-    sums: dict[int, list[int]] = {}
-    for mono, c in f.terms.items():
-        factor = c.numerator * (scale // c.denominator)
-        values = zip(sums.get(degree := sum(mono), repeat(0)), _monomial_values(columns, mono[:n]))
-        sums[degree] = [s + factor * v for s, v in values]
-    packs: list[list[tuple[int, int]]] = []  # (degree, width), lowest slot first
-    used = 0
-    for degree in sorted(sums):
-        width = (bound * max(map(abs, sums[degree]))).bit_length() + 2
-        if not packs or used + width > PACK_BITS:
+    terms = [(sum(m), c.numerator * (scale // c.denominator), m) for m, c in f.terms.items()]
+    weights: dict[int, int] = {}  # degree: the bound on |s_d,w| above
+    for degree, factor, mono in terms:
+        weights[degree] = weights.get(degree, 0) + abs(factor) * n ** (degree - mono[n])
+    packs: list[list[tuple[int, int, int, int]]] = []  # (degree, offset, mask, half), low first
+    for degree in sorted(weights):
+        width = (bound * weights[degree]).bit_length() + 2
+        if not packs or top + width > PACK_BITS:
             packs.append([])
-            used = 0
-        packs[-1].append((degree, width))
-        used += width
-    by_degree: dict[int, Coordinates] = {}
-    for pack in packs:
-        rhs, bias, top = repeat(0), 0, 0
-        for degree, width in pack:
-            rhs = [r + (s << top) for r, s in zip(rhs, sums[degree])]
-            bias += 1 << (top + width - 1)
-            top += width
-        packed, d = solve_rational(inverse, rhs)
+            top = 0
+        packs[-1].append((degree, top, (1 << width) - 1, 1 << (width - 1)))
+        top += width
+    slots = {degree: (at, offset) for at, pack in enumerate(packs) for degree, offset, _, _ in pack}
+    rhs = [repeat(0) for _ in packs]
+    for degree, factor, mono in terms:
+        at, offset = slots[degree]
+        factor <<= offset
+        rhs[at] = [r + factor * v for r, v in zip(rhs[at], _monomial_values(columns, mono[:n]))]
+    rows: Rows = {}
+    for pack, right in zip(packs, rhs):
+        packed, d = solve_rational(inverse, right)
+        bias = sum(half << offset for _, offset, _, half in pack)  # its top bit ends the top slot
         packed = [y + bias for y in packed]
-        if any(y >> top for y in packed):
+        if any(y >> bias.bit_length() for y in packed):
             raise ConsistencyError("a packed solve left bits above its top slot")
-        offset = 0
-        for degree, width in pack:
-            half = 1 << (width - 1)
-            slot = [(y >> offset & (2 * half - 1)) - half for y in packed]
-            by_degree[degree] = tuple((b, a) for b, a in zip(keys, slot) if a), d * scale
-            offset += width
-    return _coefficient_polys(ctx, by_degree)
+        den = d * scale
+        for b, y in zip(keys, packed):
+            ell, row = b.bit_count(), rows.get(b, [])
+            for degree, offset, mask, half in pack:
+                a = (y >> offset & mask) - half
+                if a:
+                    if degree < ell:
+                        raise ConsistencyError(NON_POLYNOMIAL)
+                    row += repeat(_ZERO, degree - ell - len(row))
+                    row.append(Fraction(a, den))
+            if row:
+                rows[b] = row
+    return _coefficient_polys(ctx, rows)
 
 
 # -- straightening, route two: inductive rewriting ---------------------------
+
+
+# Integer numerators over one positive denominator, ((b, a_b), ...), D,
+# keyed by the bottom-row bit set b of the tableau _bottom_row_fillings(ctx)[b].
+Coordinates = tuple[tuple[tuple[int, int], ...], int]
 
 
 @_per_context
@@ -795,24 +791,22 @@ def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     return {}
 
 
-def _combine(
-    entries: list[tuple[Coordinates, int | Fraction]], divisor: int = 1
-) -> Coordinates:
+def _combine(entries: list[tuple[Coordinates, int]], divisor: int = 1) -> Coordinates:
     """The sum of c * (numerators / D) over entries ((numerators, D), c),
-    divided by the divisor, as integer numerators per basis key over one
-    positive denominator, in lowest terms; zero numerators are
-    dropped.  When every D is 1, every c an int and the divisor 1, as in
-    most rewriting steps, the sum is already in lowest terms over 1, so
-    no lcm, scaling or gcd is taken."""
+    c an integer, divided by the divisor, as integer numerators per basis
+    key over one positive denominator, in lowest terms, zeros dropped; it
+    writes the rewrite memo.  When every D and the divisor are 1, as in
+    most rewriting steps, the sum is already in lowest terms over 1, so no
+    lcm, scaling or gcd is taken."""
     accum: dict[int, int] = {}
-    if divisor == 1 and all(den == 1 and type(c) is int for (_, den), c in entries):
+    if divisor == 1 and all(den == 1 for (_, den), _ in entries):
         for (numerators, _), c in entries:
             for q, a in numerators:
                 accum[q] = accum.get(q, 0) + c * a
         return tuple([(q, a) for q, a in accum.items() if a]), 1
-    scale = lcm(*(den * c.denominator for (_, den), c in entries))
+    scale = lcm(*(den for (_, den), _ in entries))
     for (numerators, den), c in entries:
-        factor = c.numerator * (scale // (den * c.denominator))
+        factor = c * (scale // den)
         for q, a in numerators:
             accum[q] = accum.get(q, 0) + factor * a
     denominator = divisor * scale
@@ -947,19 +941,33 @@ def straighten_by_rewrite(
     non-standard filling are cancelled through a power of the linear
     relation, which strictly grows the increasing column prefix.  Each
     step therefore terminates, and the result agrees with the linear
-    algebra route.  Every step and every memo entry is in integers; the
-    terms of each degree are combined in integers too, and one Fraction
-    is built per tableau and degree of the output.
+    algebra route.  Every step and every memo entry is in integers, and so
+    is the sum of each degree's memo numerators times the input
+    coefficients over one common scale; it goes straight into the rows
+    (``Rows``) with no gcd, as each ``Fraction`` normalizes itself once.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
     n = ctx.n
-    entries: dict[int, list[tuple[Coordinates, Fraction]]] = {}
-    for mono, coeff in f.terms.items():
-        value = _straighten_x_monomial(ctx, mono[:n])
-        entries.setdefault(sum(mono), []).append((value, coeff))
-    by_degree = {degree: _combine(terms) for degree, terms in entries.items()}
-    return _coefficient_polys(ctx, by_degree)
+    by_degree: dict[int, list[tuple[Coordinates, Fraction]]] = {}
+    for mono, c in f.terms.items():
+        by_degree.setdefault(sum(mono), []).append((_straighten_x_monomial(ctx, mono[:n]), c))
+    rows: Rows = {}
+    for degree, terms in sorted(by_degree.items()):
+        scale = lcm(*(den * c.denominator for (_, den), c in terms))
+        sums: dict[int, int] = {}
+        for (numerators, den), c in terms:
+            factor = c.numerator * (scale // (den * c.denominator))
+            for b, a in numerators:
+                sums[b] = sums.get(b, 0) + factor * a
+        for b, a in sums.items():
+            if a:
+                power, row = degree - b.bit_count(), rows.setdefault(b, [])
+                if power < 0:
+                    raise ConsistencyError(NON_POLYNOMIAL)
+                row += repeat(_ZERO, power - len(row))
+                row.append(Fraction(a, scale))
+    return _coefficient_polys(ctx, rows)
 
 
 def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]) -> int:
@@ -990,7 +998,7 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     are kept between the passes, no values at the fixed points.  A key
     with more bits than the lowest degree of its x-part, which is some
     monomial's degree, or one that is no basis column, raises
-    ConsistencyError, as in ``_coefficient_polys``."""
+    ConsistencyError, as in the routes and their lift."""
     matrix = basis_image_matrix(ctx)
     core, n = matrix.integer_core, ctx.n
     groups: dict[tuple[int, ...], list[int]] = {}  # x-part: [count, lowest degree]

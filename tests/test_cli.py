@@ -481,6 +481,18 @@ def test_verify_small_all_pass(capsys):
     assert isinstance(payload["elapsed_ms"], int)
 
 
+def test_verify_times_a_quick_check_to_the_microsecond(capsys):
+    # a check's elapsed_ms is a float rounded to the microsecond, so one
+    # under a millisecond reads neither 0 nor 1; the total stays an integer
+    code, payload, _ = run_json(capsys, "verify", "--n-max", "2")
+    assert code == 0
+    times = [entry["elapsed_ms"] for entry in payload["checks"]]
+    assert all(type(ms) is float and round(ms, 3) == ms for ms in times)
+    assert 0 < min(times) < 1
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--checks", "hook-identity")
+    assert code == 0 and re.search(r" \[0\.\d+ ms\]$", out.splitlines()[0])
+
+
 def test_verify_trivial_context(capsys):
     code, payload, _ = run_json(capsys, "verify", "--n-max", "1")
     assert code == 0
@@ -815,7 +827,7 @@ def test_benchmark_and_ci_command_lines_are_plain(monkeypatch):
     calls = [argv for argv in ci if "--help" not in argv]
     calls.remove(parsed := ["verify", "--n-max=3", "--k", "all"])
     assert cli._plain_args(parsed) is None
-    assert len(calls) == 7
+    assert len(calls) == 8
     benchmark = _benchmark_verify_lines(monkeypatch)
     assert len(benchmark) == 4
     for argv in calls + benchmark:

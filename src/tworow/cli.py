@@ -419,14 +419,14 @@ def _cmd_verify(args) -> int:
                 )
     total_ms = int((time.perf_counter() - started) * 1000)
     payload = {"checks": entries, "elapsed_ms": total_ms}
-    lines = []
-    for entry in entries:
-        status = entry["status"].upper()
-        lines.append(
-            f"{status:4} {entry['name']}: {entry['details']} [{entry['elapsed_ms']} ms]"
-        )
     failed = sum(entry["status"] == "fail" for entry in entries)
-    lines.append(f"# {len(entries)} checks, {failed} failed, {total_ms} ms")
+    lines = []
+    if args.format == "text":  # the JSON report needs no lines
+        lines = [
+            f"{e['status'].upper():4} {e['name']}: {e['details']} [{e['elapsed_ms']} ms]"
+            for e in entries
+        ]
+        lines.append(f"# {len(entries)} checks, {failed} failed, {total_ms} ms")
     _emit(args, (args.n_max, None), payload, lines)
     return 1 if failed else 0
 

@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from itertools import chain, combinations, repeat
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -773,45 +773,35 @@ def straighten_by_solve(
 # -- straightening, route two: inductive rewriting ---------------------------
 
 
-# Integer numerators over one positive denominator, ((b, a_b), ...), D,
-# keyed by the bottom-row bit set b of the tableau _bottom_row_fillings(ctx)[b].
-Coordinates = tuple[tuple[tuple[int, int], ...], int]
+# Integer numerators ((b, a_b), ...), keyed by the bottom-row bit set b of
+# the tableau _bottom_row_fillings(ctx)[b].
+Coordinates = tuple[tuple[int, int], ...]
 
 
 @_per_context
 def _rewrite_memo(ctx: SpringerContext) -> dict[tuple[int, ...], Coordinates]:
     """Finished straightenings of the context's x-monomials, keyed by
-    exponents alpha, as ``Coordinates`` in lowest terms with x^alpha =
-    sum of (a_b / D) * t^(|alpha| - ell(T_b)) * x_{T_b} modulo the ideal.
-    I is homogeneous with t in degree 1, so the t-power is implied.
-    Entries are made only as the rewriting reaches them, so the cost of a
-    straightening does not grow with the C(n, k) basis monomials.  Only
-    complete values are stored, so threads sharing the memo may compute
-    an entry twice but never read a partial one."""
+    exponents alpha, as integer ``Coordinates`` with x^alpha = sum of a_b *
+    t^(|alpha| - ell(T_b)) * x_{T_b} modulo the ideal; I is homogeneous
+    with t in degree 1, so the t-power is implied.  Entries are made only
+    as the rewriting reaches them, so a straightening's cost does not grow
+    with the C(n, k) basis monomials.  A walk stores its values only when
+    it ends, so threads sharing the memo never read a partial one."""
     return {}
 
 
 def _combine(entries: list[tuple[Coordinates, int]], divisor: int = 1) -> Coordinates:
-    """The sum of c * (numerators / D) over entries ((numerators, D), c),
-    c an integer, divided by the divisor, as integer numerators per basis
-    key over one positive denominator, in lowest terms, zeros dropped; it
-    writes the rewrite memo.  When every D and the divisor are 1, as in
-    most rewriting steps, the sum is already in lowest terms over 1, so no
-    lcm, scaling or gcd is taken."""
+    """The sum of c * numerators over entries (numerators, c), c an
+    integer, divided exactly by the positive divisor, zeros dropped: a memo
+    entry.  A remainder would make it no integer coordinates, so it raises
+    ConsistencyError naming the divisor."""
     accum: dict[int, int] = {}
-    if divisor == 1 and all(den == 1 for (_, den), _ in entries):
-        for (numerators, _), c in entries:
-            for q, a in numerators:
-                accum[q] = accum.get(q, 0) + c * a
-        return tuple([(q, a) for q, a in accum.items() if a]), 1
-    scale = lcm(*(den for (_, den), _ in entries))
-    for (numerators, den), c in entries:
-        factor = c * (scale // den)
+    for numerators, c in entries:
         for q, a in numerators:
-            accum[q] = accum.get(q, 0) + factor * a
-    denominator = divisor * scale
-    common = gcd(denominator, *accum.values())
-    return tuple((q, a // common) for q, a in accum.items() if a), denominator // common
+            accum[q] = accum.get(q, 0) + c * a
+    if divisor != 1 and any(a % divisor for a in accum.values()):
+        raise ConsistencyError(f"a rewriting step's divisor {divisor} leaves a remainder")
+    return tuple([(q, a // divisor) for q, a in accum.items() if a])
 
 
 def _power_terms(weights: Mapping[int, int], j: int, base: Monomial) -> dict[Monomial, int]:
@@ -880,23 +870,25 @@ def _rewrite_expansion(
 def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coordinates:
     """Straighten a single x-monomial (exponents over x1..xn) into basis
     coordinates, memoized per context as integer numerators per basis
-    monomial over one denominator; a memoized alpha returns at once.
+    monomial; a memoized alpha returns at once.
 
     An explicit work stack drives the rewriting, so no power is too high
-    for the interpreter's recursion limit.  Each monomial not in the memo
+    for the interpreter's recursion limit.  Each monomial not yet known
     takes one ``_rewrite_expansion`` step, which alone decides its rule;
     one that returns None keeps a basis monomial as its own key, its bit
     set, and the terms of any other are checked for the step's degree.
     ``expanding`` maps each monomial this call has rewritten but not yet
     finished to its expansion; those form the chain from alpha to the top
-    of the stack, so meeting one again is a cycle.  It is private to the
-    call, and only finished values reach the memo."""
+    of the stack, so meeting one again is a cycle.  ``done`` holds the
+    values the walk has read or made; both are private to the call, and
+    ``done`` reaches the memo only when the walk ends."""
     memo = _rewrite_memo(ctx)
     value = memo.get(alpha)
     if value is not None:
         return value
     n, k = ctx.n, ctx.k
     expanding: dict[tuple[int, ...], tuple[list[tuple[tuple[int, ...], int]], int]] = {}
+    done: dict[tuple[int, ...], Coordinates] = {}
     stack = [alpha]
     while stack:
         beta = stack[-1]
@@ -904,15 +896,15 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
         if pending is not None:
             # every monomial of the expansion has been finished above beta
             terms, divisor = pending
-            memo[beta] = _combine([(memo[sub], c) for sub, c in terms], divisor)
+            done[beta] = _combine([(done[sub], c) for sub, c in terms], divisor)
             stack.pop()
             continue
-        if beta in memo:  # finished since it was pushed
+        if beta in done:  # finished since it was pushed
             stack.pop()
             continue
         step = _rewrite_expansion(ctx, beta)
         if step is None:
-            memo[beta] = (((sum(e << i for i, e in enumerate(beta)), 1),), 1)
+            done[beta] = ((sum(e << i for i, e in enumerate(beta)), 1),)
             stack.pop()
             continue
         terms, divisor = step
@@ -922,12 +914,17 @@ def _straighten_x_monomial(ctx: SpringerContext, alpha: tuple[int, ...]) -> Coor
             raise ConsistencyError(f"rewriting {beta} left degree {degree} for n={n}, k={k}")
         expanding[beta] = (subs, divisor)
         for sub, _ in subs:  # distinct: the terms are, and share one degree
-            if sub in memo:
+            if sub in done:
+                continue
+            value = memo.get(sub)
+            if value is not None:
+                done[sub] = value
                 continue
             if sub in expanding:
                 raise ConsistencyError(f"rewriting cycled on {sub}")
             stack.append(sub)
-    return memo[alpha]
+    memo.update(done)
+    return done[alpha]
 
 
 def straighten_by_rewrite(
@@ -941,25 +938,22 @@ def straighten_by_rewrite(
     non-standard filling are cancelled through a power of the linear
     relation, which strictly grows the increasing column prefix.  Each
     step therefore terminates, and the result agrees with the linear
-    algebra route.  Every step and every memo entry is in integers, and so
-    is the sum of each degree's memo numerators times the input
-    coefficients over one common scale; it goes straight into the rows
-    (``Rows``) with no gcd, as each ``Fraction`` normalizes itself once.
+    algebra route.  Every step divides exactly and every memo entry is
+    integral, so each degree's memo numerators, times the input
+    coefficients over one scale, the lcm of their denominators, sum to
+    integers; they go straight into the rows (``Rows``) over that scale,
+    with no gcd, as each ``Fraction`` normalizes itself once.
     """
     if f.nvars != ctx.nvars:
         raise ValueError(f"expected a polynomial in {ctx.nvars} variables")
-    n = ctx.n
-    by_degree: dict[int, list[tuple[Coordinates, Fraction]]] = {}
+    n, scale = ctx.n, lcm(1, *(c.denominator for c in f.terms.values()))
+    by_degree: dict[int, dict[int, int]] = {}  # degree: {key: numerator over scale}
     for mono, c in f.terms.items():
-        by_degree.setdefault(sum(mono), []).append((_straighten_x_monomial(ctx, mono[:n]), c))
+        factor, sums = c.numerator * (scale // c.denominator), by_degree.setdefault(sum(mono), {})
+        for b, a in _straighten_x_monomial(ctx, mono[:n]):
+            sums[b] = sums.get(b, 0) + factor * a
     rows: Rows = {}
-    for degree, terms in sorted(by_degree.items()):
-        scale = lcm(*(den * c.denominator for (_, den), c in terms))
-        sums: dict[int, int] = {}
-        for (numerators, den), c in terms:
-            factor = c.numerator * (scale // (den * c.denominator))
-            for b, a in numerators:
-                sums[b] = sums.get(b, 0) + factor * a
+    for degree, sums in sorted(by_degree.items()):
         for b, a in sums.items():
             if a:
                 power, row = degree - b.bit_count(), rows.setdefault(b, [])
@@ -972,20 +966,24 @@ def straighten_by_rewrite(
 
 def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]) -> int:
     """How many monomials the rewriting route straightens to coordinates
-    that do not localize to the monomial: x^alpha t^e has memo numerators
-    a_b over D, and the two sides are homogeneous of one degree, so they
-    localize equally exactly when sum_b a_b * core[w][b] = D * w^alpha at
+    that do not localize to the monomial: x^alpha t^e has integer memo
+    numerators a_b, and the two sides are homogeneous of one degree, so
+    they localize equally exactly when sum_b a_b * core[w][b] = w^alpha at
     every fixed point w (t = 1).  Localization is injective and the core
     nonsingular (``kernel_ideal_comparisons``, steps 1-4;
     ``basis-determinant`` is the witness), so coordinates that pass are
     the unique ones, those the solve route finds, and no inverse is built.
+    The rewriting divides only exactly (``_combine``), so a pass on
+    ``table_monomials`` proves every table entry integral too: the
+    Z[t]-span of the x_T then holds 1 and is closed under each x_i, so
+    integer polynomials straighten to integer coordinates in every degree.
 
     The comparison is packed by Kronecker substitution: each core column
     becomes one integer P_b of fixed-width slots, one per fixed point
     (``_pack``), so each monomial costs one big-integer multiply-add per
-    coordinate, sum_b a_b * P_b, against D * pack(w^alpha).  A first pass
+    coordinate, sum_b a_b * P_b, against pack(w^alpha).  A first pass
     reads every monomial's coordinates and bounds each slot of the
-    difference by B = max of sum_b |a_b| * max(core) + D * n^|alpha|, as
+    difference by B = max of max(core) * sum_b |a_b| + n^|alpha|, as
     every w(i) lies in 1..n.  In slots of W = bits(B) + 2 bits, rounded up
     to whole bytes, no slot of the difference reaches 2^(W-1), so the
     packed sides are equal exactly when every slot is; the width grows
@@ -1014,24 +1012,24 @@ def straightening_mismatches(ctx: SpringerContext, monomials: Iterable[Monomial]
     bound = top = max(map(max, core))  # the packed columns' slots hold core entries too
     straightened = []  # (x-part, coordinates, count)
     for alpha, (count, lowest) in groups.items():
-        numerators, den = coordinates = _straighten_x_monomial(ctx, alpha)
+        numerators = _straighten_x_monomial(ctx, alpha)
         weight = 0
         for b, a in numerators:
             if b.bit_count() > lowest:
                 raise ConsistencyError(NON_POLYNOMIAL)
             weight += abs(a)
-        bound = max(bound, top * weight + den * n ** sum(alpha))
-        straightened.append((alpha, coordinates, count))
+        bound = max(bound, top * weight + n ** sum(alpha))
+        straightened.append((alpha, numerators, count))
     size = (bound.bit_length() + 2 + 7) // 8
     packed = dict(zip(matrix.column_keys, (_pack(column, size) for column in zip(*core))))
     columns, mismatches = _value_columns(ctx), 0
-    for alpha, (numerators, den), count in straightened:
+    for alpha, numerators, count in straightened:
         lhs = 0
         for b, a in numerators:
             if b not in packed:
                 raise ConsistencyError(NO_BASIS_KEY.format(b))
             lhs += a * packed[b]
-        mismatches += count * (lhs != den * _pack(_monomial_values(columns, alpha), size))
+        mismatches += count * (lhs != _pack(_monomial_values(columns, alpha), size))
     return mismatches
 
 

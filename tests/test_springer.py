@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1130,10 +1131,10 @@ def test_rewrite_steps_match_reference(n, k, monkeypatch):
 
 
 def test_rewrite_memo_entries_have_polynomial_t_powers():
-    # each entry ((b, a), ...), D stands for a / D * t^(|alpha| - ell(T_b)) * x_T_b,
+    # each entry ((b, a), ...) stands for a * t^(|alpha| - ell(T_b)) * x_T_b,
     # T_b the basis tableau whose bottom row has the bit set b: the implied
-    # t-power is never negative, and the fraction is in lowest terms with
-    # D > 0
+    # t-power is never negative, and each a is a nonzero integer at a
+    # distinct key
     for n, k in ((4, 2), (5, 2), (6, 3)):
         ctx = SpringerContext(n, k)
         basis = {
@@ -1143,10 +1144,10 @@ def test_rewrite_memo_entries_have_polynomial_t_powers():
             straighten_by_rewrite(MPoly.from_monomial(mono), ctx)
         memo = springer._rewrite_memo(ctx)
         assert len(memo) > len(basis)
-        for alpha, (numerators, denominator) in memo.items():
+        for alpha, numerators in memo.items():
             assert all(basis[b].ell <= sum(alpha) and a for b, a in numerators), alpha
-            assert denominator > 0, alpha
-            assert gcd(denominator, *(a for _, a in numerators)) == 1, alpha
+            assert all(type(a) is int for _, a in numerators), alpha
+            assert len({b for b, _ in numerators}) == len(numerators), alpha
         # the lift stores the filling of each key it returned, and only those
         fillings = springer._bottom_row_fillings(ctx)
         assert fillings and all(basis[b] == tab for b, tab in fillings.items())
@@ -1185,7 +1186,7 @@ def test_rewrite_memo_grows_only_as_needed():
     straighten_by_rewrite(poly("x1", 6), ctx)
     memo = springer._rewrite_memo(ctx)
     assert set(memo) == {tuple(int(i == j) for i in range(6)) for j in range(-1, 6)}
-    keys = {b for numerators, _ in memo.values() for b, _ in numerators}
+    keys = {b for numerators in memo.values() for b, _ in numerators}
     assert keys == {0, 2, 4, 8, 16, 32}
 
 
@@ -1196,7 +1197,7 @@ def test_both_routes_refuse_a_negative_t_power(monkeypatch):
     basis = standard_monomial_basis(ctx)
     assert [tab.bottom for tab in basis] == [(), (2,)]
     # the rewrite route: a memo entry giving the constant 1 the key x2
-    monkeypatch.setitem(springer._rewrite_memo(ctx), (0, 0), (((0b10, 1),), 1))
+    monkeypatch.setitem(springer._rewrite_memo(ctx), (0, 0), ((0b10, 1),))
     with pytest.raises(ConsistencyError, match="non-polynomial"):
         straighten_by_rewrite(poly("1", 2), ctx)
     assert straighten_by_rewrite(poly("t", 2), ctx) == {basis[1]: TPoly.one()}
@@ -1250,7 +1251,7 @@ def test_rewrite_step_returns_none_for_every_basis_monomial():
         alpha = monomial_from_filling(tab)
         straighten_by_rewrite(MPoly.from_monomial(alpha), ctx)
         key = sum(1 << (j - 1) for j in tab.bottom)
-        assert springer._rewrite_memo(ctx) == {alpha[:n]: (((key, 1),), 1)}
+        assert springer._rewrite_memo(ctx) == {alpha[:n]: ((key, 1),)}
 
 
 def test_coefficient_lift_refuses_a_key_that_is_no_basis_key():
@@ -1310,27 +1311,33 @@ def _odd_t_powers_negated(original):
     return patched
 
 
+_REMAINDER_2 = "consistency error: a rewriting step's divisor 2 leaves a remainder"
+
+
 @pytest.mark.parametrize(
     "rule, patch, failures",
     [
-        ("_square_rules", _t_squared_plus_one, {(3, 1): 2, (4, 2): 13, (5, 2): 26}),
+        # the wrong square rule reaches a sum that x1 x2's divisor 2 does
+        # not divide at (5,2), refused there before any comparison
+        ("_square_rules", _t_squared_plus_one, {(3, 1): 2, (4, 2): 13, (5, 2): _REMAINDER_2}),
         ("_product_forms", _last_t_coefficient_plus_one, {(3, 1): 3, (4, 1): 6, (5, 2): 10}),
         ("_power_terms", _odd_t_powers_negated, {(3, 1): 5, (4, 2): 16, (5, 2): 28}),
     ],
     ids=["square-rule", "product-rule", "power-sign"],
 )
 def test_straighten_check_fails_closed_on_a_wrong_rule(rule, patch, failures, monkeypatch, capsys):
-    # each rule, once wrong, still rewrites every monomial, but into
-    # coordinates that localize to something else
+    # each rule, once wrong, rewrites every monomial into coordinates that
+    # localize to something else, or meets a step whose divisor leaves a
+    # remainder; either way the context fails on a pinned line
     monkeypatch.setattr(springer, rule, patch(getattr(springer, rule)))
     assert main(["verify", "--checks", "straighten", "--n-max", "5"]) == 1
     fail_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     totals = {(3, 1): 9, (4, 1): 14, (4, 2): 22, (5, 2): 40}  # squarefree and table monomials
-    for (n, k), count in failures.items():
-        total = totals[n, k]
+    for (n, k), failure in failures.items():
+        if isinstance(failure, int):
+            failure = f"{failure} of {totals[n, k]} monomials"
         assert any(
-            line.startswith(f"FAIL straighten[n={n},k={k}]: {count} of {total} monomials")
-            for line in fail_lines
+            line.startswith(f"FAIL straighten[n={n},k={k}]: {failure}") for line in fail_lines
         ), (n, k)
 
 
@@ -1362,11 +1369,11 @@ def test_straighten_check_fails_on_one_wrong_table_entry(monkeypatch, capsys):
     alpha = (0, 2, 0, 1, 0)
 
     def one_off(ctx, beta):
-        numerators, den = original(ctx, beta)
+        numerators = original(ctx, beta)
         if (ctx.n, ctx.k, beta) == (5, 2, alpha):
             (b, a), *rest = numerators
             numerators = ((b, a + 1), *rest)
-        return numerators, den
+        return numerators
 
     monkeypatch.setattr(springer, "_straighten_x_monomial", one_off)
     assert alpha + (0,) in springer.table_monomials(SpringerContext(5, 2))
@@ -1449,7 +1456,7 @@ def test_straighten_check_refuses_a_key_past_the_degree(monkeypatch, capsys):
     original = springer._straighten_x_monomial
 
     def overlong(ctx, alpha):
-        return (((0b10, 1),), 1) if not any(alpha) else original(ctx, alpha)
+        return ((0b10, 1),) if not any(alpha) else original(ctx, alpha)
 
     monkeypatch.setattr(springer, "_straighten_x_monomial", overlong)
     ctx = SpringerContext(2, 1)
@@ -1471,14 +1478,14 @@ def _reference_mismatches(ctx, monomials):
     mismatches = 0
     for mono in monomials:
         alpha = mono[: ctx.n]
-        numerators, den = springer._straighten_x_monomial(ctx, alpha)
+        numerators = springer._straighten_x_monomial(ctx, alpha)
         sums = [0] * len(matrix.integer_core)
         for b, a in numerators:
             if b.bit_count() > sum(mono):
                 raise ConsistencyError(springer.NON_POLYNOMIAL)
             sums = [s + a * v for s, v in zip(sums, column[b])]
         values = springer._monomial_values(springer._value_columns(ctx), alpha)
-        mismatches += sums != [den * v for v in values]
+        mismatches += sums != list(values)
     return mismatches
 
 
@@ -1513,8 +1520,7 @@ def test_packed_slot_width_grows_with_the_values(monkeypatch):
     assert springer.straightening_mismatches(ctx, _check_monomials(ctx)) == 0
     assert 8 * max(sizes) <= 128
     x1_60 = (60, 0, 0, 0, 0, 0, 0)
-    _, den = springer._straighten_x_monomial(ctx, x1_60[:6])
-    needed = (den * 6**60).bit_length()
+    needed = (6**60).bit_length()
     assert needed > 128
     sizes.clear()
     assert springer.straightening_mismatches(ctx, [x1_60]) == 0
@@ -1530,8 +1536,8 @@ def test_packed_check_counts_one_tampered_entry():
     assert springer.straightening_mismatches(ctx, monomials) == 0
     alpha = next(m[:5] for m in monomials if sum(m) == 3)
     memo = springer._rewrite_memo(ctx)
-    (b, a), *rest = memo[alpha][0]
-    memo[alpha] = (((b, a + 1), *rest), memo[alpha][1])
+    (b, a), *rest = memo[alpha]
+    memo[alpha] = ((b, a + 1), *rest)
     assert springer.straightening_mismatches(ctx, monomials) == 1
     assert _reference_mismatches(ctx, monomials) == 1
 
@@ -1563,7 +1569,7 @@ def test_packed_check_counts_each_monomial_of_a_wrong_x_part():
     ctx = SpringerContext(3, 1)
     x1 = (1, 0, 0)
     memo = springer._rewrite_memo(ctx)
-    memo[x1] = (((0b10, 1),), 1)  # x1 = x2, which localizes otherwise
+    memo[x1] = ((0b10, 1),)  # x1 = x2, which localizes otherwise
     straightened = []
     original = springer._straighten_x_monomial
 
@@ -1586,7 +1592,7 @@ def test_packed_check_bounds_keys_by_the_lowest_degree_of_an_x_part(monkeypatch)
     original = springer._straighten_x_monomial
 
     def overlong(ctx, alpha):
-        return (((0b1010, 1),), 1) if alpha == (1, 0, 0, 0) else original(ctx, alpha)
+        return ((0b1010, 1),) if alpha == (1, 0, 0, 0) else original(ctx, alpha)
 
     monkeypatch.setattr(springer, "_straighten_x_monomial", overlong)
     ctx = SpringerContext(4, 2)
@@ -1598,38 +1604,88 @@ def test_packed_check_bounds_keys_by_the_lowest_degree_of_an_x_part(monkeypatch)
 
 _keys = st.integers(min_value=0, max_value=15)
 _ints = st.integers(min_value=-50, max_value=50)
-
-
-@st.composite
-def _combine_entries(draw, integral):
-    # entries ((numerators, D), c) with integer c, as the memo fill makes
-    # them: each entry's keys distinct and its numerators nonzero
-    entries = []
-    for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        numerators = draw(st.dictionaries(_keys, _ints.filter(bool), max_size=6))
-        den = 1 if integral else draw(st.integers(min_value=1, max_value=6))
-        entries.append(((tuple(numerators.items()), den), draw(_ints)))
-    return entries
+# entries (numerators, c) with integer c, as the memo fill makes them: each
+# entry's keys distinct and its numerators nonzero
+_combine_entries = st.lists(
+    st.tuples(
+        st.dictionaries(_keys, _ints.filter(bool), max_size=6).map(lambda d: tuple(d.items())),
+        _ints,
+    ),
+    max_size=5,
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    st.one_of(_combine_entries(integral=True), _combine_entries(integral=False)),
-    st.integers(min_value=1, max_value=6),
-)
+@given(_combine_entries, st.integers(min_value=1, max_value=6))
 def test_combine_matches_a_fraction_reference(entries, divisor):
-    # integral entries take the short path at divisor 1; entries with some
-    # D != 1 and every divisor other than 1 the general one; both give the
-    # Fraction sum in lowest terms over a positive denominator, zeros dropped
+    # the Fraction sum divided by the divisor: where every value has
+    # denominator 1, the combination is those integers, zeros dropped;
+    # otherwise it refuses by naming the divisor
     reference: dict[int, Fraction] = {}
-    for (numerators, den), c in entries:
+    for numerators, c in entries:
         for q, a in numerators:
-            reference[q] = reference.get(q, 0) + c * Fraction(a, den) / divisor
-    numerators, den = springer._combine(entries, divisor)
-    assert den > 0 and all(a for _, a in numerators)
-    assert gcd(den, *(a for _, a in numerators)) == 1
-    assert {q: Fraction(a, den) for q, a in numerators} == {q: v for q, v in reference.items() if v}
+            reference[q] = reference.get(q, 0) + Fraction(c * a, divisor)
+    if any(v.denominator != 1 for v in reference.values()):
+        with pytest.raises(ConsistencyError, match=f"divisor {divisor} leaves a remainder"):
+            springer._combine(entries, divisor)
+        return
+    numerators = springer._combine(entries, divisor)
+    assert all(type(a) is int and a for _, a in numerators)
+    assert dict(numerators) == {q: v for q, v in reference.items() if v}
     assert len({q for q, _ in numerators}) == len(numerators)
+
+
+def _fail_closed_division(ctx, alpha, original=springer._rewrite_expansion):
+    # x1 = 15 t - x2 - x3 - x4 - x5 at (5,2), its divisor 1 made 2, which
+    # leaves -1 at x2 a remainder; every other step is the true one
+    step = original(ctx, alpha)
+    if (ctx.n, ctx.k, alpha) == (5, 2, (1, 0, 0, 0, 0)):
+        assert step[1] == 1
+        return step[0], 2
+    return step
+
+
+def test_rewrite_fails_closed_on_a_divisor_that_leaves_a_remainder(monkeypatch, capsys):
+    monkeypatch.setattr(springer, "_rewrite_expansion", _fail_closed_division)
+    ctx = SpringerContext(5, 2)
+    with pytest.raises(ConsistencyError, match="divisor 2 leaves a remainder"):
+        straighten_by_rewrite(poly("x1", 5), ctx)
+    # the walk finished 1 and x2..x5 before x1, and stored none of them
+    assert springer._rewrite_memo(ctx) == {}
+    straighten_by_rewrite(poly("x2*x4", 5), ctx)
+    assert list(springer._rewrite_memo(ctx)) == [(0, 1, 0, 1, 0)]
+    with pytest.raises(ConsistencyError, match="divisor 2 leaves a remainder"):
+        straighten_by_rewrite(poly("x1*x2 + x2*x4", 5), ctx)
+    assert list(springer._rewrite_memo(ctx)) == [(0, 1, 0, 1, 0)]
+    # verify fails that one context on one line and goes on
+    assert main(["verify", "--checks", "straighten", "--n-max", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fail_lines = [line.rsplit(" [", 1)[0] for line in lines if line.startswith("FAIL")]
+    assert fail_lines == [f"FAIL straighten[n=5,k=2]: {_REMAINDER_2}"]
+    assert lines[-1].startswith("# 11 checks, 1 failed,")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_integer_polynomials_straighten_to_integer_coordinates(n):
+    # seeded integer polynomials of degree up to 8 at every k: every
+    # coefficient the rewrite route gives is an integer, and it equals the
+    # solve route's
+    rng = random.Random(f"integral:{n}")
+    for k in range(n // 2 + 1):
+        ctx = SpringerContext(n, k)
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                mono = [0] * ctx.nvars
+                for _ in range(rng.randint(0, 8)):
+                    mono[rng.randrange(ctx.nvars)] += 1
+                terms[tuple(mono)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+            f = MPoly(ctx.nvars, terms)
+            coefficients = straighten_by_rewrite(f, ctx)
+            assert all(
+                Fraction(c).denominator == 1 for cpoly in coefficients.values() for c in cpoly.coeffs
+            ), (n, k, f)
+            assert coefficients == straighten_by_solve(f, ctx), (n, k, f)
 
 
 def test_fillings_are_freed_with_their_context():
